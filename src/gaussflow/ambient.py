@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AxisError, OverflowGuard, UnsupportedParam
-
-# binary64 overflows near exp(709); callers treat a raised guard as a
-# position-blow-up signal, never as silent saturation
-EXP_GUARD = 700.0
+from .errors import EXP_GUARD, AxisError, OverflowGuard, UnsupportedParam
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,10 @@ def sectional_curvature(ambient: GaussianAmbient, x, A: int, B: int) -> float:
     exponent = norm_sq / m
     if exponent >= EXP_GUARD:
         raise OverflowGuard(exponent)
-    transverse = norm_sq - v[A] ** 2 - v[B] ** 2
+    # sum the transverse squares themselves in index order: subtracting
+    # x_A^2 and x_B^2 from norm_sq rounds differently when A and B swap
+    t = np.delete(v, (A, B))
+    transverse = float(t @ t)
     return (1.0 / m) * np.exp(exponent) * (2.0 - transverse / m)
 
 

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mesh as meshops
-from .errors import (DegenerateMesh, InsufficientSnapshots, InvalidConfig,
-                     MismatchedTimes, OverflowGuard, TimestepUnderflow)
+from .errors import (EXP_GUARD, DegenerateMesh, InsufficientSnapshots,
+                     InvalidConfig, MismatchedTimes, OverflowGuard,
+                     TimestepUnderflow)
 from .mesh import DiscreteImmersion
-
-EXP_GUARD = 700.0
 
 FLOW0 = "FLOW0"
 FLOW = "FLOW"
@@ -298,8 +297,10 @@ class _GenericStepper:
 
 class _CurveStepper:
     """Fused index-array kernel for closed curves; avoids per-stage object
-    construction in the hot loop.  Produces the same floating-point values
-    as the generic path (same expressions, same evaluation order)."""
+    construction in the hot loop.  Agrees with the generic path to rounding,
+    not bit for bit: FLOW0 forms (H + F) - F_tan where the generic path
+    forms H + (F - F_tan), so positions can differ in the last bit, which
+    the cancellation in H amplifies in |h|^2."""
 
     def __init__(self, initial: DiscreteImmersion, p: FlowParams,
                  cfl: float, dt_min: float, dt_max: float):

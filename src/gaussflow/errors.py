@@ -13,10 +13,15 @@ class UnsupportedParam(GaussFlowError):
     """Parameter combination outside what this version implements."""
 
 
+# binary64 overflows near exp(709); callers treat a raised guard as a
+# position-blow-up signal, never as silent saturation
+EXP_GUARD = 700.0
+
+
 class OverflowGuard(GaussFlowError):
     """Conformal exponent exceeded the binary64 guard (position blow-up regime)."""
 
-    def __init__(self, exponent: float, limit: float = 700.0):
+    def __init__(self, exponent: float, limit: float = EXP_GUARD):
         self.exponent = float(exponent)
         self.limit = float(limit)
         super().__init__(f"conformal exponent {exponent:.6g} exceeds guard {limit:g}")

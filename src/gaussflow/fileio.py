@@ -8,6 +8,8 @@ which round-trips binary64 exactly, so write -> read is bit-exact.
 from __future__ import annotations
 
 import os
+import re
+import warnings
 
 import numpy as np
 
@@ -28,22 +30,19 @@ def write_pline(path, s: DiscreteImmersion) -> None:
 
 
 def read_pline(path) -> DiscreteImmersion:
-    rows = []
     try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                rows.append([float(tok) for tok in line.split()])
+        with warnings.catch_warnings():
+            # an empty file is reported below as IoError, not as a warning
+            warnings.simplefilter("ignore", UserWarning)
+            # the copy is allocated after loadtxt's temporaries are freed, so
+            # hundreds of loaded snapshots do not pin them in the heap
+            with open(path) as fh:
+                rows = np.loadtxt(fh, dtype=np.float64, comments="#", ndmin=2).copy()
     except (OSError, ValueError) as exc:
         raise IoError(f"cannot read PLINE {path}: {exc}") from exc
-    if not rows:
+    if rows.size == 0:
         raise IoError(f"empty PLINE file {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise IoError(f"ragged coordinate rows in {path}")
-    return DiscreteImmersion(1, np.array(rows, dtype=np.float64))
+    return DiscreteImmersion(1, rows)
 
 
 def write_off(path, s: DiscreteImmersion) -> None:
@@ -61,30 +60,25 @@ def write_off(path, s: DiscreteImmersion) -> None:
 def read_off(path) -> DiscreteImmersion:
     try:
         with open(path) as fh:
-            tokens = []
-            for line in fh:
-                body = line.split("#", 1)[0].strip()
-                if body:
-                    tokens.extend(body.split())
+            tokens = re.sub(r"#[^\n]*", "", fh.read()).split()
     except OSError as exc:
         raise IoError(f"cannot read OFF {path}: {exc}") from exc
     if not tokens or tokens[0] != "OFF":
         raise IoError(f"{path} is not an OFF file")
     try:
         nv, nf = int(tokens[1]), int(tokens[2])
-        pos = 4
-        verts = np.array(tokens[pos:pos + 3 * nv], dtype=np.float64).reshape(nv, 3)
-        pos += 3 * nv
-        faces = []
-        for _ in range(nf):
-            k = int(tokens[pos])
-            if k != 3:
-                raise IoError(f"{path}: only triangle faces supported")
-            faces.append([int(tokens[pos + 1]), int(tokens[pos + 2]), int(tokens[pos + 3])])
-            pos += 4
+        if nv < 0 or nf < 0:
+            raise ValueError(f"negative counts {nv} {nf}")
+        pos = 4 + 3 * nv
+        verts = np.array(tokens[4:pos], dtype=np.float64).reshape(nv, 3)
+        # a non-triangle face shifts every later row, so checking the
+        # leading count column catches the first one
+        faces = np.array(tokens[pos:pos + 4 * nf], dtype=np.int64).reshape(nf, 4)
     except (IndexError, ValueError) as exc:
         raise IoError(f"malformed OFF {path}: {exc}") from exc
-    return DiscreteImmersion(2, verts, np.array(faces, dtype=np.int64))
+    if np.any(faces[:, 0] != 3):
+        raise IoError(f"{path}: only triangle faces supported")
+    return DiscreteImmersion(2, verts, faces[:, 1:])
 
 
 def write_obj(path, s: DiscreteImmersion) -> None:

@@ -180,17 +180,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def save_trajectory(traj: FlowTrajectory, outdir, save_meshes: bool = True) -> list[str]:
-    os.makedirs(outdir, exist_ok=True)
-    paths = []
-
-    csv_path = os.path.join(outdir, "diagnostics.csv")
-    with open(csv_path, "w") as fh:
+def write_diagnostics_csv(traj: FlowTrajectory, path) -> None:
+    """Write the diagnostics series under CSV_HEADER, floats in repr()."""
+    with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for i in range(traj.n_snapshots):
             fh.write(",".join(_fmt(col[i]) for col in (
                 traj.times, traj.dts, traj.min_F2, traj.max_F2,
                 traj.max_h2, traj.weighted_area, traj.mesh_quality)) + "\n")
+
+
+def save_trajectory(traj: FlowTrajectory, outdir, save_meshes: bool = True) -> list[str]:
+    os.makedirs(outdir, exist_ok=True)
+    paths = []
+
+    csv_path = os.path.join(outdir, "diagnostics.csv")
+    write_diagnostics_csv(traj, csv_path)
     paths.append(csv_path)
 
     ev_path = os.path.join(outdir, "events.jsonl")

@@ -9,14 +9,18 @@ weighted area, and a mesh-quality proxy.
 
 Discretization choices (fixed, see module tests for the convergence
 behavior): curves use edge-length-weighted second differences, surfaces use
-the cotangent Laplacian with mixed Voronoi vertex areas.  Curvature norms
-on surfaces come from a per-vertex quadric fit over the 2-ring, because the
-blow-up monitor needs the full |h|^2, not |H|^2.
+the cotangent Laplacian with mixed Voronoi vertex areas.  The blow-up
+monitor needs the full |h|^2, not |H|^2; on surfaces it comes from
+|h|^2 = |H|^2 - 2K with the angle-defect Gauss curvature K over the same
+mixed areas, so one pass over the faces yields every surface quantity.
+That pass works on per-corner values and sums them onto vertices through
+one sparse corner-to-vertex matrix built once per topology.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DegenerateMesh, InvalidConfig
 
@@ -24,7 +28,8 @@ DEGENERACY_TOL = 1e-12
 
 
 class _Connectivity:
-    """Static per-topology index arrays, shared across an evolving mesh.
+    """Static per-topology data, shared across an evolving mesh: the face
+    list and the sparse matrix that sums per-corner values onto vertices.
 
     Everything here depends only on the face list, so a flow run computes
     it once and passes it along as vertices move.
@@ -34,7 +39,12 @@ class _Connectivity:
         self.faces = faces
         self.n_vertices = n_vertices
         self._validate_closed_oriented()
-        self._build_rings()
+        # corner k of face j is column k * n_faces + j, so a corner-major
+        # (3, n_faces) array flattens straight onto the columns
+        n_corners = faces.size
+        self.scatter = sparse.csr_array(
+            (np.ones(n_corners), (faces.T.ravel(), np.arange(n_corners))),
+            shape=(n_vertices, n_corners))
 
     def _validate_closed_oriented(self):
         f = self.faces
@@ -53,29 +63,6 @@ class _Connectivity:
         ukeys.sort()
         if ukeys.size % 2 != 0 or np.any(ukeys[0::2] != ukeys[1::2]):
             raise InvalidConfig("surface is not closed (edge not shared by exactly 2 faces)")
-
-    def _build_rings(self):
-        n = self.n_vertices
-        neighbors: list[set[int]] = [set() for _ in range(n)]
-        for a, b, c in self.faces:
-            neighbors[a].update((b, c))
-            neighbors[b].update((a, c))
-            neighbors[c].update((a, b))
-        rings = []
-        for i in range(n):
-            ring = set(neighbors[i])
-            for j in neighbors[i]:
-                ring.update(neighbors[j])
-            ring.discard(i)
-            rings.append(sorted(ring))
-        width = max(len(r) for r in rings)
-        # pad with the vertex itself: zero offsets contribute nothing to the fit
-        idx = np.full((n, width), np.arange(n)[:, None], dtype=np.int64)
-        for i, r in enumerate(rings):
-            idx[i, : len(r)] = r
-        self.ring_idx = idx
-        self.valence = np.array([len(s) for s in neighbors])
-
 
 class DiscreteImmersion:
     """Closed polygonal curve (m=1) or closed triangulated surface (m=2).
@@ -164,7 +151,7 @@ class DiscreteImmersion:
             if self.m == 1:
                 self._geom = _curve_geometry(self.vertices)
             else:
-                self._geom = _surface_geometry(self.vertices, self.faces)
+                self._geom = _surface_geometry(self.vertices, self._conn)
         return self._geom
 
 
@@ -209,85 +196,75 @@ def _face_areas(v: np.ndarray, f: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
 
 
-def _surface_geometry(v: np.ndarray, f: np.ndarray) -> dict:
-    n = len(v)
-    i0, i1, i2 = f[:, 0], f[:, 1], f[:, 2]
-    p0, p1, p2 = v[i0], v[i1], v[i2]
-    cross = np.cross(p1 - p0, p2 - p0)
+def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
+    # corner-major layout: row k holds corner k of every face, e1 / e2 are
+    # the edges leaving it towards corners k+1 / k+2
+    p = v[conn.faces.T]                          # (3, n_faces, 3)
+    e1 = np.roll(p, -1, axis=0) - p
+    e2 = np.roll(p, 1, axis=0) - p
+    cross = np.cross(e1[0], e2[0])
     cross_norm = np.linalg.norm(cross, axis=1)
     face_area = 0.5 * cross_norm
     if face_area.min() <= DEGENERACY_TOL:
         raise DegenerateMesh(f"triangle area below {DEGENERACY_TOL:g}")
 
-    def corner_cot(a, b):
-        return (a * b).sum(axis=1) / cross_norm
-
-    # cot at corner k = <e1, e2> / |e1 x e2| with e1, e2 the edges leaving k;
-    # all three share the same |cross| because the triangle is the same
-    c0 = corner_cot(p1 - p0, p2 - p0)
-    c1 = corner_cot(p2 - p1, p0 - p1)
-    c2 = corner_cot(p0 - p2, p1 - p2)
-
-    l0 = ((p2 - p1) ** 2).sum(axis=1)   # squared edge opposite corner 0
-    l1 = ((p0 - p2) ** 2).sum(axis=1)
-    l2 = ((p1 - p0) ** 2).sum(axis=1)
+    # all three corners span the same triangle, so they share |e1 x e2|:
+    # cot = <e1, e2> / |e1 x e2| and angle = atan2(|e1 x e2|, <e1, e2>)
+    dots = np.einsum("kfi,kfi->kf", e1, e2)
+    cots = dots / cross_norm
+    angles = np.arctan2(cross_norm, dots)
+    cot_next = np.roll(cots, -1, axis=0)         # cot at corner k+1, opposite e2
+    cot_prev = np.roll(cots, 1, axis=0)          # cot at corner k+2, opposite e1
+    l1 = np.einsum("kfi,kfi->kf", e1, e1)
+    l2 = np.einsum("kfi,kfi->kf", e2, e2)
 
     # mixed Voronoi area: circumcentric for acute triangles, half/quarter
     # of the face area at/off the obtuse corner otherwise
-    obt0, obt1, obt2 = c0 < 0, c1 < 0, c2 < 0
-    any_obt = obt0 | obt1 | obt2
-    w0 = np.where(any_obt, np.where(obt0, face_area / 2, face_area / 4), (l1 * c1 + l2 * c2) / 8)
-    w1 = np.where(any_obt, np.where(obt1, face_area / 2, face_area / 4), (l2 * c2 + l0 * c0) / 8)
-    w2 = np.where(any_obt, np.where(obt2, face_area / 2, face_area / 4), (l0 * c0 + l1 * c1) / 8)
-    areas = np.zeros(n)
-    np.add.at(areas, i0, w0)
-    np.add.at(areas, i1, w1)
-    np.add.at(areas, i2, w2)
+    obtuse = cots < 0
+    w = np.where(obtuse.any(axis=0),
+                 np.where(obtuse, face_area / 2, face_area / 4),
+                 (l2 * cot_next + l1 * cot_prev) / 8)
+    areas = conn.scatter @ w.ravel()
     if areas.min() <= DEGENERACY_TOL:
         raise DegenerateMesh("vertex area underflow")
 
     # cotan Laplacian of the position map = mean curvature vector
-    H = np.zeros_like(v)
-    for ia, ib, cw in ((i1, i2, c0), (i2, i0, c1), (i0, i1, c2)):
-        contrib = 0.5 * cw[:, None] * (v[ib] - v[ia])
-        np.add.at(H, ia, contrib)
-        np.add.at(H, ib, -contrib)
-    H /= areas[:, None]
+    corner_H = 0.5 * (cot_prev[:, :, None] * e1 + cot_next[:, :, None] * e2)
+    H = (conn.scatter @ corner_H.reshape(-1, 3)) / areas[:, None]
 
-    vertex_normal = np.zeros_like(v)
-    np.add.at(vertex_normal, i0, 0.5 * cross)
-    np.add.at(vertex_normal, i1, 0.5 * cross)
-    np.add.at(vertex_normal, i2, 0.5 * cross)
+    vertex_normal = conn.scatter @ np.tile(0.5 * cross, (3, 1))
     nn = np.linalg.norm(vertex_normal, axis=1)
     if nn.min() <= DEGENERACY_TOL:
         raise DegenerateMesh("vanishing vertex normal")
     vertex_normal /= nn[:, None]
 
-    a, b, c = np.sqrt(l0), np.sqrt(l1), np.sqrt(l2)
-    semi = 0.5 * (a + b + c)
-    q = 8.0 * face_area ** 2 / (semi * a * b * c)
+    # |h|^2 = |H|^2 - 2K with K the angle defect over the same mixed area;
+    # the clamp absorbs discretization error on nearly flat vertices
+    gauss = (2.0 * np.pi - conn.scatter @ angles.ravel()) / areas
+    h2 = np.maximum(np.einsum("ij,ij->i", H, H) - 2.0 * gauss, 0.0)
+
+    edge = np.sqrt(l1)                           # edge k runs from corner k to k+1
+    semi = 0.5 * edge.sum(axis=0)
+    q = 8.0 * face_area ** 2 / (semi * edge.prod(axis=0))
 
     return {
         "face_area": face_area,
         "vertex_areas": areas,
         "H": H,
         "normal": vertex_normal,
+        "h2": h2,
         "quality": float(q.min()),
-        "cots": (c0, c1, c2),
-        "corner_idx": (i0, i1, i2),
-        "min_edge": float(np.sqrt(min(l0.min(), l1.min(), l2.min()))),
+        "cots": cots,
+        "min_edge": float(edge.min()),
     }
 
 
-def _surface_laplacian(geom: dict, v_ref: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
-    c0, c1, c2 = geom["cots"]
-    i0, i1, i2 = geom["corner_idx"]
-    out = np.zeros(len(f_vals))
-    for ia, ib, cw in ((i1, i2, c0), (i2, i0, c1), (i0, i1, c2)):
-        contrib = 0.5 * cw * (f_vals[ib] - f_vals[ia])
-        np.add.at(out, ia, contrib)
-        np.add.at(out, ib, -contrib)
-    return out / geom["vertex_areas"]
+def _surface_laplacian(s: DiscreteImmersion, geom: dict, f_vals: np.ndarray) -> np.ndarray:
+    cots = geom["cots"]
+    fc = f_vals[s.faces.T]                       # (3, n_faces) corner values
+    corner = 0.5 * (np.roll(cots, 1, axis=0) * (np.roll(fc, -1, axis=0) - fc)
+                    + np.roll(cots, -1, axis=0) * (np.roll(fc, 1, axis=0) - fc))
+    return (s._conn.scatter @ corner.ravel()) / geom["vertex_areas"]
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +341,7 @@ def laplace_beltrami(s: DiscreteImmersion, f) -> np.ndarray:
         d_next = (np.roll(vals, -1) - vals) / l_next
         d_prev = (vals - np.roll(vals, 1)) / l_prev
         return (d_next - d_prev) / geom["vertex_areas"]
-    return _surface_laplacian(geom, s.vertices, vals)
+    return _surface_laplacian(s, geom, vals)
 
 
 def gradient_norm_sq(s: DiscreteImmersion, f) -> np.ndarray:
@@ -380,7 +357,7 @@ def gradient_norm_sq(s: DiscreteImmersion, f) -> np.ndarray:
         l_prev = np.roll(l_next, 1)
         g = (np.roll(vals, -1) - np.roll(vals, 1)) / (l_prev + l_next)
         return g * g
-    i0, i1, i2 = geom["corner_idx"]
+    i0, i1, i2 = s.faces.T
     v = s.vertices
     p0, p1, p2 = v[i0], v[i1], v[i2]
     nrm = np.cross(p1 - p0, p2 - p0)
@@ -392,68 +369,24 @@ def gradient_norm_sq(s: DiscreteImmersion, f) -> np.ndarray:
             + vals[i2][:, None] * np.cross(nrm, p1 - p0)) / two_area[:, None]
     g2 = (grad * grad).sum(axis=1)
     fa = geom["face_area"]
-    acc = np.zeros(s.n_vertices)
-    wacc = np.zeros(s.n_vertices)
-    for idx in (i0, i1, i2):
-        np.add.at(acc, idx, g2 * fa)
-        np.add.at(wacc, idx, fa)
-    return acc / wacc
+    scatter = s._conn.scatter
+    return (scatter @ np.tile(g2 * fa, 3)) / (scatter @ np.tile(fa, 3))
 
 
 def second_fundamental_norm(s: DiscreteImmersion) -> np.ndarray:
     """Per-vertex estimate of |h|^2, the squared second-fundamental-form norm.
 
     Curves have a single principal curvature, so |h|^2 = |H|^2 in any
-    codimension.  Surfaces fit a local graph over the tangent plane through
-    the 2-ring (quadratic + cubic + radial quartic terms) and return
-    tr(S^2) = k1^2 + k2^2 of the resulting shape operator; on umbilic
-    meshes this recovers m/R^2 * m up to discretization error.
+    codimension.  Surfaces use |h|^2 = k1^2 + k2^2 = |H|^2 - 2K, with H the
+    cotan mean curvature vector and K the angle defect divided by the mixed
+    Voronoi area (Meyer, Desbrun, Schroeder & Barr 2003), clamped at 0.  On
+    umbilic meshes this recovers m/R^2 up to discretization error.
     """
     geom = s._geometry()
     if s.m == 1:
         H = geom["H"]
         return (H * H).sum(axis=1)
-    return _surface_h2(s, geom)
-
-
-def _surface_h2(s: DiscreteImmersion, geom: dict) -> np.ndarray:
-    v = s.vertices
-    nrm = geom["normal"]
-    ring = s._conn.ring_idx                      # (n, K), padded with self
-    d = v[ring] - v[:, None, :]                  # (n, K, 3) offsets
-    scale = np.sqrt((d * d).sum(axis=2)).max(axis=1)
-    scale = np.maximum(scale, DEGENERACY_TOL)
-    d = d / scale[:, None, None]
-
-    basis = tangent_basis(s)                     # (n, 2, 3)
-    x = (d * basis[:, 0][:, None, :]).sum(axis=2)
-    y = (d * basis[:, 1][:, None, :]).sum(axis=2)
-    z = (d * nrm[:, None, :]).sum(axis=2)
-
-    r2 = x * x + y * y
-    cols = [x, y, x * x, x * y, y * y, x ** 3, x * x * y, x * y * y, y ** 3, r2 * r2]
-    A = np.stack(cols, axis=2)                   # (n, K, 10)
-    ata = np.einsum("nki,nkj->nij", A, A)
-    ata += 1e-12 * np.eye(A.shape[2])
-    atb = np.einsum("nki,nk->ni", A, z)
-    coef = np.linalg.solve(ata, atb[:, :, None])[:, :, 0]
-
-    p, q = coef[:, 0], coef[:, 1]
-    inv_scale = 1.0 / scale
-    w11 = 2.0 * coef[:, 2] * inv_scale
-    w12 = coef[:, 3] * inv_scale
-    w22 = 2.0 * coef[:, 4] * inv_scale
-
-    rad = np.sqrt(1.0 + p * p + q * q)
-    b11, b12, b22 = w11 / rad, w12 / rad, w22 / rad
-    e, fq, g = 1.0 + p * p, p * q, 1.0 + q * q
-    det = e * g - fq * fq
-    # shape operator S = I^{-1} II
-    s11 = (g * b11 - fq * b12) / det
-    s12 = (g * b12 - fq * b22) / det
-    s21 = (e * b12 - fq * b11) / det
-    s22 = (e * b22 - fq * b12) / det
-    return s11 * s11 + 2.0 * s12 * s21 + s22 * s22
+    return geom["h2"].copy()
 
 
 def weighted_area(s: DiscreteImmersion) -> float:

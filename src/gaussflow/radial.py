@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, InvalidConfig, OverflowGuard
+from .errors import EXP_GUARD, DomainError, InvalidConfig, OverflowGuard
 
-EXP_GUARD = 700.0
 COLLAPSE_FLOOR = 1e-12
 EVENT_TIME_TOL = 1e-10
 

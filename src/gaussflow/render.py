@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from . import fileio
+from . import fileio, harness
 from .engine import FlowTrajectory
 from .errors import IoError
 
@@ -86,12 +86,6 @@ def render(traj: FlowTrajectory, style: dict | None = None,
             fileio.write_off(path, s)
             paths.append(path)
         csv_path = os.path.join(outdir, "diagnostics.csv")
-        from .harness import CSV_HEADER
-        with open(csv_path, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for i in range(traj.n_snapshots):
-                fh.write(",".join(repr(float(col[i])) for col in (
-                    traj.times, traj.dts, traj.min_F2, traj.max_F2,
-                    traj.max_h2, traj.weighted_area, traj.mesh_quality)) + "\n")
+        harness.write_diagnostics_csv(traj, csv_path)
         paths.append(csv_path)
     return paths

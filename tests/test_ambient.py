@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussflow.ambient import GaussianAmbient, gaussian_mean_curvature, sectional_curvature
@@ -75,6 +75,8 @@ def test_ambient_invariants():
     axes=st.permutations(range(4)),
     flips=st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4),
 )
+# a zero coordinate with transverse |x|^2 = 2m puts the bracket at exactly 0
+@example(coords=[1.1, 2.3, 2.0, 0.0], axes=[0, 1, 2, 3], flips=[1.0, 1.0, 1.0, 1.0])
 def test_symmetry_under_axis_swap_and_sign_flips(coords, axes, flips):
     amb = GaussianAmbient(dim_total=4, m=2)
     x = np.array(coords)

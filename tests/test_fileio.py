@@ -59,10 +59,27 @@ def test_read_errors(tmp_path):
     with pytest.raises(IoError):
         fileio.read_pline(ragged)
 
+    words = tmp_path / "words.pline"
+    words.write_text("0 0\n1 zero\n1 1\n0 1\n")
+    with pytest.raises(IoError):
+        fileio.read_pline(words)
+
     not_off = tmp_path / "bad.off"
     not_off.write_text("PLY\n3 1 0\n")
     with pytest.raises(IoError):
         fileio.read_off(not_off)
+
+    negative = tmp_path / "negative.off"
+    negative.write_text("OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n")
+    with pytest.raises(IoError):
+        fileio.read_off(negative)
+
+    verts = "0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
+    for faces in ("4 0 1 2 3\n3 0 2 3\n", "3 0 1 2\n4 0 1 2 3\n", "3 0 1 2\n3 0 2 x\n"):
+        bad = tmp_path / "faces.off"
+        bad.write_text("OFF\n4 2 0\n" + verts + faces)
+        with pytest.raises(IoError):
+            fileio.read_off(bad)
 
     with pytest.raises(IoError):
         fileio.read_immersion(tmp_path / "mesh.stl")
