@@ -107,7 +107,7 @@ def check_sign_above(traj: FlowTrajectory, p: FlowParams, eps: float) -> Barrier
 def admissible_barrier_interval(traj: FlowTrajectory) -> tuple[float, float, str]:
     """Open interval the comparison-sphere radius must be drawn from, with
     the case tag ('below' = trajectory inside, 'above' = outside)."""
-    m = traj.m
+    m = _m_eff(traj, traj.params)
     max0, min0 = traj.max_F2[0], traj.min_F2[0]
     if max0 < m:
         return max0, 0.5 * (m + max0), "below"
@@ -122,8 +122,8 @@ def check_sphere_barrier(traj: FlowTrajectory, Rp0_sq: float, eps: float) -> Bar
     sphere, with margin at least eps.
 
     The comparison trajectory is the radius ODE with a = b = c = 1 and the
-    run's m, sampled exactly at the snapshot times of the recorded run;
-    the claim is checked over the overlap of the two time domains.
+    run's effective m, sampled exactly at the snapshot times of the recorded
+    run; the claim is checked over the overlap of the two time domains.
     """
     if traj.params.variant != FLOW:
         raise HypothesisViolated("sphere barrier is stated for the FLOW variant")
@@ -137,7 +137,7 @@ def check_sphere_barrier(traj: FlowTrajectory, Rp0_sq: float, eps: float) -> Bar
     if not 0.0 < eps < eps_cap:
         raise HypothesisViolated(f"eps = {eps:.6g} outside (0, {eps_cap:.6g})")
 
-    rp = RadialParams(m=traj.m, a=1.0, b=1.0, c0=1.0, R0_sq=Rp0_sq)
+    rp = RadialParams(m=_m_eff(traj, traj.params), a=1.0, b=1.0, c0=1.0, R0_sq=Rp0_sq)
     horizon = float(traj.times[-1])
     sphere = radial_mod.integrate_radial(rp, horizon, t_eval=traj.times)
     n = len(sphere.eval_R_sq)

@@ -11,8 +11,12 @@ exp(conformal exponent) * (curvature term + position term):
 Positions advance by classical four-stage Runge-Kutta with an explicit
 stability step dt = cfl * h_min^2 / (c(t) * exp(a * max|F|^2 / m)), so the
 state-dependent diffusivity of the exponential factor is priced into the
-step.  Runs terminate with a classified stop reason: curvature blow-up,
-position blow-up, collapse to the origin, mesh degeneration, or horizon.
+step.  There is one stepping path for curves and surfaces alike: every
+stage is an immersion evaluated through the mesh operators, and ``run``
+calls the same ``stability_dt``, ``_rk4_advance`` and
+``compute_diagnostics`` that ``step`` does.  Runs terminate with a
+classified stop reason: curvature blow-up, position blow-up, collapse to
+the origin, mesh degeneration, or horizon.
 """
 
 from __future__ import annotations
@@ -68,9 +72,6 @@ class FlowParams:
 
     def c_at(self, t: float) -> float:
         return self.c + self.c_slope * t
-
-    def exponent_a(self) -> float:
-        return self.a if self.variant == FLOWP else 1.0
 
     def m_eff(self, s: DiscreteImmersion) -> int:
         return self.m_override if self.m_override is not None else s.m
@@ -155,28 +156,22 @@ class FlowTrajectory:
 # velocity and stepping
 
 
-def _squared_radii(s: DiscreteImmersion) -> np.ndarray:
-    v = s.vertices
-    return (v * v).sum(axis=1)
-
-
-def _weight_from_f2(p: FlowParams, m_eff: int, F2: np.ndarray) -> np.ndarray:
-    a_eff = p.exponent_a()
-    peak = a_eff * float(F2.max()) / m_eff
+def _conformal_exponent(geom: dict, p: FlowParams, m_eff: int) -> tuple[float, float]:
+    """Rate a/m of the conformal factor exp(a|F|^2/m) and its peak exponent
+    a max|F|^2 / m, from an immersion's geometry; raises OverflowGuard once
+    the peak reaches EXP_GUARD.  FLOW0 and FLOW pin a = 1."""
+    peak = p.a * geom["F2_max"] / m_eff
     if peak >= EXP_GUARD:
         raise OverflowGuard(peak)
-    return np.exp((a_eff / m_eff) * F2)
-
-
-def _conformal_weight(p: FlowParams, s: DiscreteImmersion, F2: np.ndarray) -> np.ndarray:
-    return _weight_from_f2(p, p.m_eff(s), F2)
+    return p.a / m_eff, peak
 
 
 def velocity(s: DiscreteImmersion, p: FlowParams, t: float = 0.0) -> np.ndarray:
     """Per-vertex velocity of the configured flow variant."""
-    F2 = _squared_radii(s)
-    w = _conformal_weight(p, s, F2)
-    H = meshops.mean_curvature_vector(s)
+    geom = s._geometry()
+    rate, _ = _conformal_exponent(geom, p, p.m_eff(s))
+    w = np.exp(rate * geom["F2"])
+    H = geom["H"]
     v = s.vertices
     if p.variant == FLOW0:
         drive = H + meshops.normal_projection(s, v)
@@ -195,13 +190,9 @@ def stability_dt(s: DiscreteImmersion, p: FlowParams, t: float = 0.0,
     Raises TimestepUnderflow when the unclamped step falls below dt_min;
     the caller then terminates with the currently indicated blow-up kind.
     """
-    F2 = _squared_radii(s)
-    a_eff = p.exponent_a()
-    m_eff = p.m_eff(s)
-    peak = a_eff * float(F2.max()) / m_eff
-    if peak >= EXP_GUARD:
-        raise OverflowGuard(peak)
-    h_min = s._geometry()["min_edge"]
+    geom = s._geometry()
+    _, peak = _conformal_exponent(geom, p, p.m_eff(s))
+    h_min = geom["min_edge"]
     dt = cfl * h_min * h_min / (p.c_at(t) * math.exp(peak))
     if dt < dt_min:
         raise TimestepUnderflow(dt, dt_min)
@@ -218,14 +209,13 @@ def _rk4_advance(s: DiscreteImmersion, p: FlowParams, t: float, dt: float) -> Di
 
 
 def compute_diagnostics(s: DiscreteImmersion, dt_used: float = 0.0) -> Diagnostics:
-    F2 = _squared_radii(s)
-    h2 = meshops.second_fundamental_norm(s)
+    geom = s._geometry()
     return Diagnostics(
-        min_F2=float(F2.min()),
-        max_F2=float(F2.max()),
-        max_h2=float(h2.max()),
+        min_F2=float(geom["F2"].min()),
+        max_F2=geom["F2_max"],
+        max_h2=float(meshops.second_fundamental_norm(s).max()),
         weighted_area=meshops.weighted_area(s),
-        mesh_quality=meshops.mesh_quality(s),
+        mesh_quality=geom["quality"],
         dt_used=dt_used,
     )
 
@@ -263,123 +253,11 @@ def _classify(diag: Diagnostics, th: Thresholds) -> tuple[str, str] | None:
 
 def _underflow_kind(p: FlowParams, m_eff: int, diag: Diagnostics,
                     th: Thresholds) -> tuple[str, str]:
-    a_eff = p.exponent_a()
-    if a_eff * diag.max_F2 / m_eff >= 20.0:
+    if p.a * diag.max_F2 / m_eff >= 20.0:
         return POSITION_BLOWUP, "dt underflow driven by the conformal exponent"
     if diag.max_F2 <= 10.0 * th.F2_min:
         return POSITION_COLLAPSE, "dt underflow with the mesh at the origin"
     return CURVATURE_BLOWUP, "dt underflow driven by edge collapse"
-
-
-class _GenericStepper:
-    """Immersion-based stepping; used for surfaces."""
-
-    def __init__(self, initial: DiscreteImmersion, p: FlowParams,
-                 cfl: float, dt_min: float, dt_max: float):
-        self.cur = initial
-        self.p = p
-        self.cfl, self.dt_min, self.dt_max = cfl, dt_min, dt_max
-        self.m_eff = p.m_eff(initial)
-
-    def diagnostics(self, dt_used: float) -> Diagnostics:
-        return compute_diagnostics(self.cur, dt_used)
-
-    def stable_dt(self, t: float) -> float:
-        return stability_dt(self.cur, self.p, t, cfl=self.cfl,
-                            dt_min=self.dt_min, dt_max=self.dt_max)
-
-    def advance(self, t: float, dt: float) -> None:
-        self.cur = _rk4_advance(self.cur, self.p, t, dt)
-
-    def immersion(self) -> DiscreteImmersion:
-        return self.cur
-
-
-class _CurveStepper:
-    """Fused index-array kernel for closed curves; avoids per-stage object
-    construction in the hot loop.  Agrees with the generic path to rounding,
-    not bit for bit: FLOW0 forms (H + F) - F_tan where the generic path
-    forms H + (F - F_tan), so positions can differ in the last bit, which
-    the cancellation in H amplifies in |h|^2."""
-
-    def __init__(self, initial: DiscreteImmersion, p: FlowParams,
-                 cfl: float, dt_min: float, dt_max: float):
-        n = initial.n_vertices
-        self.template = initial
-        self.v = np.asarray(initial.vertices)
-        self.p = p
-        self.cfl, self.dt_min, self.dt_max = cfl, dt_min, dt_max
-        self.m_eff = p.m_eff(initial)
-        self.a_eff = p.exponent_a()
-        self.nxt = np.arange(1, n + 1) % n
-        self.prv = np.arange(-1, n - 1) % n
-        self._geom = self._geometry(self.v)
-
-    def _geometry(self, v: np.ndarray):
-        e = v[self.nxt] - v
-        l = np.sqrt(np.einsum("ij,ij->i", e, e))
-        lmin = l.min()
-        if lmin <= meshops.DEGENERACY_TOL:
-            raise DegenerateMesh("curve edge length underflow")
-        u = e / l[:, None]
-        areas = 0.5 * (l[self.prv] + l)
-        H = (u - u[self.prv]) / areas[:, None]
-        F2 = np.einsum("ij,ij->i", v, v)
-        return l, areas, H, F2, float(lmin), float(l.max())
-
-    def _velocity(self, v, geom, t):
-        _, _, H, F2, _, _ = geom
-        peak = self.a_eff * float(F2.max()) / self.m_eff
-        if peak >= EXP_GUARD:
-            raise OverflowGuard(peak)
-        w = np.exp((self.a_eff / self.m_eff) * F2)
-        if self.p.variant == FLOW:
-            drive = H + v
-        elif self.p.variant == FLOW0:
-            chord = v[self.nxt] - v[self.prv]
-            cn = np.sqrt(np.einsum("ij,ij->i", chord, chord))
-            if cn.min() <= meshops.DEGENERACY_TOL:
-                raise DegenerateMesh("curve folded back on itself")
-            tang = chord / cn[:, None]
-            drive = H + v - np.einsum("ij,ij->i", v, tang)[:, None] * tang
-        else:
-            drive = self.p.c_at(t) * H + self.p.b * v
-        return w[:, None] * drive
-
-    def diagnostics(self, dt_used: float) -> Diagnostics:
-        l, areas, H, F2, lmin, lmax = self._geom
-        with np.errstate(under="ignore"):
-            warea = float(np.einsum("i,i->", np.exp(-0.5 * F2), areas))
-        return Diagnostics(
-            min_F2=float(F2.min()), max_F2=float(F2.max()),
-            max_h2=float(np.einsum("ij,ij->i", H, H).max()),
-            weighted_area=warea, mesh_quality=lmin / lmax, dt_used=dt_used,
-        )
-
-    def stable_dt(self, t: float) -> float:
-        _, _, _, F2, lmin, _ = self._geom
-        peak = self.a_eff * float(F2.max()) / self.m_eff
-        if peak >= EXP_GUARD:
-            raise OverflowGuard(peak)
-        dt = self.cfl * lmin * lmin / (self.p.c_at(t) * math.exp(peak))
-        if dt < self.dt_min:
-            raise TimestepUnderflow(dt, self.dt_min)
-        return min(dt, self.dt_max)
-
-    def advance(self, t: float, dt: float) -> None:
-        v0 = self.v
-        k1 = self._velocity(v0, self._geom, t)
-        v2 = v0 + (0.5 * dt) * k1
-        k2 = self._velocity(v2, self._geometry(v2), t + 0.5 * dt)
-        v3 = v0 + (0.5 * dt) * k2
-        k3 = self._velocity(v3, self._geometry(v3), t + 0.5 * dt)
-        v4 = v0 + dt * k3
-        k4 = self._velocity(v4, self._geometry(v4), t + dt)
-        self.v = v0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        self._geom = self._geometry(self.v)
-
-    def immersion(self) -> DiscreteImmersion:
-        return self.template.replace_vertices(self.v.copy())
 
 
 def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
@@ -412,7 +290,7 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
     snaps: list[DiscreteImmersion] = []
     events: list[dict] = []
 
-    def record(t, stepper, diag):
+    def record(t, cur, diag):
         rows["t"].append(t)
         rows["dt"].append(diag.dt_used)
         rows["min_F2"].append(diag.min_F2)
@@ -421,12 +299,14 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         rows["weighted_area"].append(diag.weighted_area)
         rows["mesh_quality"].append(diag.mesh_quality)
         if keep_snapshots:
-            snaps.append(stepper.immersion())
+            # a fresh immersion on the same positions, without the geometry
+            # cache, so the kept snapshots hold positions only
+            snaps.append(cur.replace_vertices(cur.vertices))
 
-    cls = _CurveStepper if initial.m == 1 else _GenericStepper
+    cur = initial
+    m_eff = p.m_eff(initial)
     try:
-        stepper = cls(initial, p, cfl, dt_min, dt_max)
-        diag = stepper.diagnostics(0.0)
+        diag = compute_diagnostics(cur)
     except DegenerateMesh as exc:
         raise InvalidConfig(f"initial immersion is degenerate: {exc}") from exc
 
@@ -438,7 +318,7 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
     if not p.in_paper_regime:
         events.append({"event": "out_of_paper_params", "t": 0.0})
 
-    record(t, stepper, diag)
+    record(t, cur, diag)
     if sample_times is not None and next_sample < len(sample_times) \
             and sample_times[next_sample] <= 1e-15:
         next_sample += 1
@@ -455,9 +335,9 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
             break
 
         try:
-            dt = stepper.stable_dt(t)
+            dt = stability_dt(cur, p, t, cfl=cfl, dt_min=dt_min, dt_max=dt_max)
         except TimestepUnderflow as exc:
-            kind, detail = _underflow_kind(p, stepper.m_eff, diag, th)
+            kind, detail = _underflow_kind(p, m_eff, diag, th)
             events.append({"event": "timestep_underflow", "t": t})
             stop = StopReason(kind, t, f"{detail} ({exc})")
             break
@@ -475,11 +355,11 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
                 landed_sample = True
 
         try:
-            stepper.advance(t, dt)
+            cur = _rk4_advance(cur, p, t, dt)
             t += dt
             steps += 1
             last_dt = dt
-            diag = stepper.diagnostics(dt)
+            diag = compute_diagnostics(cur, dt)
         except OverflowGuard:
             events.append({"event": "overflow_guard", "t": t})
             stop = StopReason(POSITION_BLOWUP, t, "conformal exponent guard fired mid-step")
@@ -491,18 +371,17 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         if landed_sample:
             t = sample_times[next_sample]      # cancel roundoff drift at landings
             next_sample += 1
-            record(t, stepper, diag)
+            record(t, cur, diag)
         elif sample_times is None and steps % stride == 0:
-            record(t, stepper, diag)
+            record(t, cur, diag)
 
     if stop is None:                            # loop broke via exception paths only
         stop = StopReason(HORIZON_REACHED, t, "")
     if not rows["t"] or rows["t"][-1] != t:
-        record(t, stepper, diag)
+        record(t, cur, diag)
     events.append({"event": "stop", "kind": stop.kind, "t": stop.t_stop,
                    "detail": stop.detail})
 
-    initial_h_max = _max_edge(initial)
     return FlowTrajectory(
         params=p, m=initial.m, thresholds=th, horizon=horizon,
         times=np.asarray(rows["t"]), dts=np.asarray(rows["dt"]),
@@ -511,19 +390,8 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         weighted_area=np.asarray(rows["weighted_area"]),
         mesh_quality=np.asarray(rows["mesh_quality"]),
         stop=stop, t_stop_error=4.0 * last_dt + 4.0 * dt_min,
-        initial_h_max=initial_h_max, events=events, snapshots=snaps,
+        initial_h_max=initial._geometry()["max_edge"], events=events, snapshots=snaps,
     )
-
-
-def _max_edge(s: DiscreteImmersion) -> float:
-    if s.m == 1:
-        return float(meshops._curve_edge_lengths(s.vertices).max())
-    v, f = s.vertices, s.faces
-    mx = 0.0
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        d = v[f[:, i]] - v[f[:, j]]
-        mx = max(mx, float(np.sqrt((d * d).sum(axis=1)).max()))
-    return mx
 
 
 # ---------------------------------------------------------------------------
@@ -562,10 +430,6 @@ def verify_scalar_evolution(traj: FlowTrajectory, p: FlowParams) -> ResidualRepo
         raise InsufficientSnapshots(
             f"need >= 3 snapshots with meshes, have {len(traj.snapshots)}"
         )
-    a_eff = p.exponent_a()
-    b_eff = p.b if p.variant == FLOWP else 1.0
-    c_is = (lambda t: p.c_at(t)) if p.variant == FLOWP else (lambda t: 1.0)
-
     worst = 0.0
     sq_sum = 0.0
     count = 0
@@ -579,12 +443,12 @@ def verify_scalar_evolution(traj: FlowTrajectory, p: FlowParams) -> ResidualRepo
         if h0 <= 0 or h1 <= 0:
             raise InsufficientSnapshots("snapshot times must be strictly increasing")
         m_eff = p.m_eff(s_mid)
-        f_prev, f_mid, f_next = (_squared_radii(s) for s in (s_prev, s_mid, s_next))
+        f_prev, f_mid, f_next = (s._geometry()["F2"] for s in (s_prev, s_mid, s_next))
         dfdt = _three_point_derivative(f_prev, f_mid, f_next, h0, h1)
-        c_mid = c_is(times[i])
-        w = np.exp((a_eff / m_eff) * f_mid)
+        c_mid = p.c_at(times[i])
+        w = np.exp((p.a / m_eff) * f_mid)
         rhs = w * (c_mid * meshops.laplace_beltrami(s_mid, f_mid)
-                   + 2.0 * (b_eff * f_mid - m_eff * c_mid))
+                   + 2.0 * (p.b * f_mid - m_eff * c_mid))
         res = np.abs(dfdt - rhs) / np.maximum(1.0, np.abs(rhs))
         worst = max(worst, float(res.max()))
         sq_sum += float((res * res).sum())
@@ -595,8 +459,8 @@ def verify_scalar_evolution(traj: FlowTrajectory, p: FlowParams) -> ResidualRepo
         dloga = _three_point_derivative(a_prev, a_mid, a_next, h0, h1)
         H = meshops.mean_curvature_vector(s_mid)
         grad2 = meshops.gradient_norm_sq(s_mid, f_mid)
-        trace = w * ((a_eff * b_eff / m_eff) * grad2
-                     - 2.0 * c_mid * (H * H).sum(axis=1) + 2.0 * b_eff * m_eff)
+        trace = w * ((p.a * p.b / m_eff) * grad2
+                     - 2.0 * c_mid * (H * H).sum(axis=1) + 2.0 * p.b * m_eff)
         ares = np.abs(dloga - 0.5 * trace) / np.maximum(1.0, np.abs(0.5 * trace))
         area_worst = max(area_worst, float(ares.max()))
         area_sq_sum += float((ares * ares).sum())

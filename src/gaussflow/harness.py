@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,15 +43,6 @@ BOUND_SLACK = 0.02            # scenario time bounds get 2% discretization slack
 STATIONARY_DRIFT_LIMIT = 1e-2  # sphere-distance drift per unit time
 ODE_MATCH_LIMIT = 1e-3         # relative radius error, window [0.05, 20]
 ODE_WINDOW = (0.05, 20.0)
-
-
-def thread_cap() -> int:
-    """Parallelism cap from GAUSSFLOW_THREADS (default 1)."""
-    raw = os.environ.get("GAUSSFLOW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InvalidConfig(f"GAUSSFLOW_THREADS must be an integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +259,25 @@ def load_trajectory(indir) -> FlowTrajectory:
         with open(ev_path) as fh:
             events = [json.loads(line) for line in fh if line.strip()]
 
-    params = FlowParams(
-        variant=meta.get("variant", FLOW),
-        a=float(meta.get("a", 1.0)), b=float(meta.get("b", 1.0)),
-        c=float(meta.get("c", 1.0)), c_slope=float(meta.get("c_slope", 0.0)),
-        m_override=int(meta["m_override"]) if meta.get("m_override") else None,
-    )
-    thresholds = Thresholds(
-        h2_max=float(meta.get("thresholds.h2_max", 1e6)),
-        F2_max=float(meta.get("thresholds.F2_max", 1e6)),
-        F2_min=float(meta.get("thresholds.F2_min", 1e-6)),
-        quality_min=float(meta.get("thresholds.quality_min", 0.05)),
-    )
-    stop = StopReason(meta.get("stop.kind", HORIZON_REACHED),
-                      float(meta.get("stop.t", cols[0][-1])),
-                      meta.get("stop.detail", ""))
+    def need(key: str) -> str:
+        if key not in meta:
+            raise IoError(f"{cfg_path} lacks the key {key!r}")
+        return meta[key]
+
+    try:
+        params = FlowParams(
+            variant=need("variant"), a=float(need("a")), b=float(need("b")),
+            c=float(need("c")), c_slope=float(need("c_slope")),
+            m_override=int(need("m_override")) if need("m_override") else None,
+        )
+        thresholds = Thresholds(**{k: float(need(f"thresholds.{k}")) for k in
+                                   ("h2_max", "F2_max", "F2_min", "quality_min")})
+        stop = StopReason(need("stop.kind"), float(need("stop.t")), need("stop.detail"))
+        m, horizon = int(need("m")), float(need("horizon"))
+        t_stop_error = float(need("t_stop_error"))
+        initial_h_max = float(need("initial_h_max"))
+    except ValueError as exc:
+        raise IoError(f"{cfg_path}: malformed value: {exc}") from exc
 
     snaps = []
     snap_dir = os.path.join(indir, "snapshots")
@@ -293,12 +287,10 @@ def load_trajectory(indir) -> FlowTrajectory:
                 snaps.append(fileio.read_immersion(os.path.join(snap_dir, name)))
 
     return FlowTrajectory(
-        params=params, m=int(meta.get("m", 1)), thresholds=thresholds,
-        horizon=float(meta.get("horizon", cols[0][-1])),
+        params=params, m=m, thresholds=thresholds, horizon=horizon,
         times=cols[0], dts=cols[1], min_F2=cols[2], max_F2=cols[3],
         max_h2=cols[4], weighted_area=cols[5], mesh_quality=cols[6],
-        stop=stop, t_stop_error=float(meta.get("t_stop_error", 0.0)),
-        initial_h_max=float(meta.get("initial_h_max", 0.0)),
+        stop=stop, t_stop_error=t_stop_error, initial_h_max=initial_h_max,
         events=events, snapshots=snaps,
     )
 
@@ -371,12 +363,20 @@ def _spherical_radius_sq(initial: DiscreteImmersion) -> float:
     return float(f2.max())
 
 
+def _radial_params(p: FlowParams, m_eff: int, r0_sq: float) -> RadialParams:
+    """The radius ODE of the configured law; FLOW0 and FLOW pin a = b = c = 1."""
+    return RadialParams(m=m_eff, a=p.a, b=p.b, c0=p.c, R0_sq=r0_sq, c_slope=p.c_slope)
+
+
 def run_scenario(name: str, cfg: RunConfig) -> ScenarioVerdict:
     """Run one named scenario and classify the outcome.
 
-    The sign condition on |F0|^2 - m is validated before the run; tolerances
-    (2% on bound times, the drift and ODE-match limits) are recorded in the
-    verdict so every claim is auditable from the artifacts alone.
+    Preconditions and bound times come from the radius ODE of the
+    configured law: the initial data must lie on the scenario's side of the
+    balance sphere |F|^2 = (c/b) m, with m the effective intrinsic
+    dimension.  Tolerances (2% on bound times, the drift and ODE-match
+    limits) are recorded in the verdict so every claim is auditable from
+    the artifacts alone.
     """
     if name not in SCENARIOS:
         raise InvalidConfig(f"unknown scenario {name!r}; choose from {SCENARIOS}")
@@ -386,10 +386,11 @@ def run_scenario(name: str, cfg: RunConfig) -> ScenarioVerdict:
     max0, min0 = float(f2.max()), float(f2.min())
 
     if name == SHRINK_INSIDE:
-        if not max0 < m_eff:
-            raise InvalidConfig(f"SHRINK_INSIDE needs max|F0|^2 < m, got {max0:.6g} vs {m_eff}")
-        bound = radial.bound_time_shrink(
-            RadialParams(m=m_eff, a=1.0, b=1.0, c0=1.0, R0_sq=max0))
+        rp = _radial_params(cfg.params, m_eff, max0)
+        if rp.regime() != "shrink":
+            raise InvalidConfig(f"SHRINK_INSIDE needs max|F0|^2 < (c/b)m, "
+                                f"got {max0:.6g} vs {rp.balance_sq:.6g}")
+        bound = radial.bound_time_shrink(rp)
         horizon = cfg.horizon if cfg.horizon is not None else 1.1 * bound
         traj = engine.run(initial, cfg.params, horizon, thresholds=cfg.thresholds,
                           stride=cfg.snapshot_stride, cfl=cfg.cfl,
@@ -398,10 +399,11 @@ def run_scenario(name: str, cfg: RunConfig) -> ScenarioVerdict:
         verdict = _timed_verdict(name, traj, expected, bound)
 
     elif name == EXPAND_OUTSIDE:
-        if not min0 > m_eff:
-            raise InvalidConfig(f"EXPAND_OUTSIDE needs min|F0|^2 > m, got {min0:.6g} vs {m_eff}")
-        bound = radial.bound_time_expand(
-            RadialParams(m=m_eff, a=1.0, b=1.0, c0=1.0, R0_sq=min0))
+        rp = _radial_params(cfg.params, m_eff, min0)
+        if rp.regime() != "expand":
+            raise InvalidConfig(f"EXPAND_OUTSIDE needs min|F0|^2 > (c/b)m, "
+                                f"got {min0:.6g} vs {rp.balance_sq:.6g}")
+        bound = radial.bound_time_expand(rp)
         horizon = cfg.horizon if cfg.horizon is not None else 1.1 * bound
         th = cfg.thresholds
         if th.F2_max >= 1e6:
@@ -416,12 +418,14 @@ def run_scenario(name: str, cfg: RunConfig) -> ScenarioVerdict:
 
     elif name == STATIONARY:
         r0_sq = _spherical_radius_sq(initial)
-        if abs(r0_sq - m_eff) > 1e-6:
-            raise InvalidConfig(f"STATIONARY needs |F0|^2 = m, got {r0_sq:.8g}")
+        balance = _radial_params(cfg.params, m_eff, r0_sq).balance_sq
+        if abs(r0_sq - balance) > 1e-6:
+            raise InvalidConfig(f"STATIONARY needs |F0|^2 = (c/b)m = {balance:.8g}, "
+                                f"got {r0_sq:.8g}")
         horizon = cfg.horizon if cfg.horizon is not None else 0.05
         traj = engine.run(initial, cfg.params, horizon, thresholds=cfg.thresholds,
                           stride=cfg.snapshot_stride, cfl=cfg.cfl, keep_snapshots=True)
-        radius = math.sqrt(m_eff)
+        radius = math.sqrt(balance)
         drift = max(
             float(np.abs(np.linalg.norm(s.vertices, axis=1) - radius).max())
             for s in traj.snapshots[1:]
@@ -437,11 +441,10 @@ def run_scenario(name: str, cfg: RunConfig) -> ScenarioVerdict:
         )
 
     else:  # SPHERE_ODE_MATCH
-        r0_sq = _spherical_radius_sq(initial)
-        if abs(r0_sq - m_eff) <= 1e-12:
-            raise InvalidConfig("SPHERE_ODE_MATCH needs |F0|^2 != m")
-        rp = RadialParams(m=m_eff, a=1.0, b=1.0, c0=1.0, R0_sq=r0_sq)
-        shrinking = r0_sq < m_eff
+        rp = _radial_params(cfg.params, m_eff, _spherical_radius_sq(initial))
+        if abs(rp.R0_sq - rp.balance_sq) <= 1e-12:
+            raise InvalidConfig("SPHERE_ODE_MATCH needs |F0|^2 != (c/b)m")
+        shrinking = rp.regime() == "shrink"
         bound = (radial.bound_time_shrink(rp) if shrinking
                  else radial.bound_time_expand(rp))
         horizon = cfg.horizon if cfg.horizon is not None else 1.1 * bound
@@ -488,10 +491,5 @@ def _timed_verdict(name: str, traj: FlowTrajectory, expected: tuple,
 
 
 def run_scenarios(named_configs: list[tuple[str, RunConfig]]) -> list[ScenarioVerdict]:
-    """Run several scenarios, in parallel up to the GAUSSFLOW_THREADS cap."""
-    workers = min(thread_cap(), max(1, len(named_configs)))
-    if workers == 1:
-        return [run_scenario(n, c) for n, c in named_configs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_scenario, n, c) for n, c in named_configs]
-        return [f.result() for f in futures]
+    """Run several scenarios one after another, in the given order."""
+    return [run_scenario(n, c) for n, c in named_configs]

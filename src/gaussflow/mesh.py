@@ -15,6 +15,15 @@ monitor needs the full |h|^2, not |H|^2; on surfaces it comes from
 mixed areas, so one pass over the faces yields every surface quantity.
 That pass works on per-corner values and sums them onto vertices through
 one sparse corner-to-vertex matrix built once per topology.
+
+Each immersion caches the result of its one geometry pass, and every
+operator reads from that cache.  The cache also holds |F|^2 per vertex and
+its maximum, the edge-length extremes and the quality proxy, so the flow
+engine steps curves and surfaces through these operators alone.  The static per-topology data
+lives in a connectivity object that an evolving immersion shares with its
+successors: the neighbour index arrays of a closed curve, or the face list
+and scatter matrix of a surface.  The curve tangent (normalized central
+chord) is not cached; the operators that use it compute it.
 """
 
 from __future__ import annotations
@@ -64,6 +73,17 @@ class _Connectivity:
         if ukeys.size % 2 != 0 or np.any(ukeys[0::2] != ukeys[1::2]):
             raise InvalidConfig("surface is not closed (edge not shared by exactly 2 faces)")
 
+
+class _CurveConnectivity:
+    """Static per-topology data of a closed curve: the indices of each
+    vertex's successor and predecessor, closing the last vertex onto the
+    first."""
+
+    def __init__(self, n_vertices: int):
+        self.nxt = np.arange(1, n_vertices + 1) % n_vertices
+        self.prv = np.arange(-1, n_vertices - 1) % n_vertices
+
+
 class DiscreteImmersion:
     """Closed polygonal curve (m=1) or closed triangulated surface (m=2).
 
@@ -85,7 +105,7 @@ class DiscreteImmersion:
     __slots__ = ("m", "vertices", "faces", "_conn", "_geom")
 
     def __init__(self, m: int, vertices, faces=None, validate: bool = True,
-                 _conn: _Connectivity | None = None):
+                 _conn: _Connectivity | _CurveConnectivity | None = None):
         v = np.asarray(vertices, dtype=np.float64)
         if v.ndim != 2:
             raise InvalidConfig("vertices must be a 2-d array")
@@ -97,7 +117,7 @@ class DiscreteImmersion:
             if faces is not None:
                 raise InvalidConfig("curves carry no face list")
             self.faces = None
-            self._conn = None
+            self._conn = _conn if _conn is not None else _CurveConnectivity(len(v))
         elif self.m == 2:
             if faces is None:
                 raise InvalidConfig("surfaces need a face list")
@@ -127,29 +147,37 @@ class DiscreteImmersion:
                 raise InvalidConfig("curves need ambient dimension >= 2")
             if len(v) < 4:
                 raise InvalidConfig("closed curves need at least 4 vertices")
-            lengths = _curve_edge_lengths(v)
-            if lengths.min() <= DEGENERACY_TOL:
-                raise InvalidConfig("consecutive curve vertices coincide")
-        else:
-            if v.shape[1] != 3:
-                raise InvalidConfig("surfaces are restricted to ambient dimension 3")
-            areas = _face_areas(v, self.faces)
-            if areas.min() <= DEGENERACY_TOL:
-                raise InvalidConfig("degenerate triangle (area ~ 0)")
-        if mesh_quality(self) <= 0.0:
-            raise InvalidConfig("mesh quality must be positive")
+        elif v.shape[1] != 3:
+            raise InvalidConfig("surfaces are restricted to ambient dimension 3")
+        # checked, not cached: an immersion that is only stored, such as a
+        # loaded snapshot, should not hold its geometry
+        try:
+            if self.m == 1:
+                _curve_geometry(v, self._conn)
+                _curve_tangent(self)
+            else:
+                _surface_geometry(v, self._conn)
+        except DegenerateMesh as exc:
+            raise InvalidConfig(f"degenerate immersion: {exc}") from exc
 
     def replace_vertices(self, vertices, validate: bool = False) -> "DiscreteImmersion":
         """New immersion with the same connectivity and new positions."""
-        return DiscreteImmersion(self.m, vertices, self.faces, validate=validate,
-                                 _conn=self._conn)
+        if validate:
+            return DiscreteImmersion(self.m, vertices, self.faces, _conn=self._conn)
+        # a successor shares m, faces and connectivity already checked, so
+        # the flow's per-stage immersions skip the constructor's checks
+        new = object.__new__(DiscreteImmersion)
+        new.m, new.faces, new._conn, new._geom = self.m, self.faces, self._conn, None
+        new.vertices = np.asarray(vertices, dtype=np.float64)
+        new.vertices.flags.writeable = False
+        return new
 
     # geometry cache: immersions are immutable, so per-instance results of
     # the edge/cotan pass are computed once and shared between operators
     def _geometry(self) -> dict:
         if self._geom is None:
             if self.m == 1:
-                self._geom = _curve_geometry(self.vertices)
+                self._geom = _curve_geometry(self.vertices, self._conn)
             else:
                 self._geom = _surface_geometry(self.vertices, self._conn)
         return self._geom
@@ -159,41 +187,39 @@ class DiscreteImmersion:
 # curve internals
 
 
-def _curve_edge_lengths(v: np.ndarray) -> np.ndarray:
-    e = np.roll(v, -1, axis=0) - v
-    return np.sqrt((e * e).sum(axis=1))
-
-
-def _curve_geometry(v: np.ndarray) -> dict:
-    e_next = np.roll(v, -1, axis=0) - v          # edge i -> i+1
-    l_next = np.sqrt((e_next * e_next).sum(axis=1))
-    if l_next.min() <= DEGENERACY_TOL:
+def _curve_geometry(v: np.ndarray, conn: _CurveConnectivity) -> dict:
+    e = v[conn.nxt] - v                          # edge i -> i+1
+    lengths = np.sqrt(np.einsum("ij,ij->i", e, e))
+    l_min, l_max = float(lengths.min()), float(lengths.max())
+    if l_min <= DEGENERACY_TOL:
         raise DegenerateMesh(f"curve edge length below {DEGENERACY_TOL:g}")
-    e_prev = np.roll(e_next, 1, axis=0)
-    l_prev = np.roll(l_next, 1)
-    areas = 0.5 * (l_prev + l_next)
-    H = (e_next / l_next[:, None] - e_prev / l_prev[:, None]) / areas[:, None]
-    chord = np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)
-    cnorm = np.sqrt((chord * chord).sum(axis=1))
+    u = e / lengths[:, None]
+    areas = 0.5 * (lengths[conn.prv] + lengths)
+    F2 = np.einsum("ij,ij->i", v, v)
+    return {
+        "edge_lengths": lengths,
+        "vertex_areas": areas,
+        "H": (u - u[conn.prv]) / areas[:, None],
+        "F2": F2,
+        "F2_max": float(F2.max()),
+        "quality": l_min / l_max,
+        "min_edge": l_min,
+        "max_edge": l_max,
+    }
+
+
+def _curve_tangent(s: DiscreteImmersion) -> np.ndarray:
+    """Unit central chord v[i+1] - v[i-1] per vertex."""
+    v, conn = s.vertices, s._conn
+    chord = v[conn.nxt] - v[conn.prv]
+    cnorm = np.sqrt(np.einsum("ij,ij->i", chord, chord))
     if cnorm.min() <= DEGENERACY_TOL:
         raise DegenerateMesh("curve folded back on itself (zero central tangent)")
-    return {
-        "edge_lengths": l_next,
-        "vertex_areas": areas,
-        "H": H,
-        "tangent": chord / cnorm[:, None],
-        "quality": float(l_next.min() / l_next.max()),
-        "min_edge": float(l_next.min()),
-    }
+    return chord / cnorm[:, None]
 
 
 # ---------------------------------------------------------------------------
 # surface internals
-
-
-def _face_areas(v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-    return 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=1)
 
 
 def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
@@ -246,6 +272,7 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
     edge = np.sqrt(l1)                           # edge k runs from corner k to k+1
     semi = 0.5 * edge.sum(axis=0)
     q = 8.0 * face_area ** 2 / (semi * edge.prod(axis=0))
+    F2 = np.einsum("ij,ij->i", v, v)
 
     return {
         "face_area": face_area,
@@ -253,9 +280,12 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
         "H": H,
         "normal": vertex_normal,
         "h2": h2,
+        "F2": F2,
+        "F2_max": float(F2.max()),
         "quality": float(q.min()),
         "cots": cots,
         "min_edge": float(edge.min()),
+        "max_edge": float(edge.max()),
     }
 
 
@@ -305,20 +335,18 @@ def normal_projection(s: DiscreteImmersion, v) -> np.ndarray:
     area-weighted vertex normal for surfaces.
     """
     field = _check_field(s, v, vector=True)
-    geom = s._geometry()
     if s.m == 1:
-        t = geom["tangent"]
-        return field - ((field * t).sum(axis=1))[:, None] * t
-    nrm = geom["normal"]
+        t = _curve_tangent(s)
+        return field - np.einsum("ij,ij->i", field, t)[:, None] * t
+    nrm = s._geometry()["normal"]
     return ((field * nrm).sum(axis=1))[:, None] * nrm
 
 
 def tangent_basis(s: DiscreteImmersion) -> np.ndarray:
     """Orthonormal tangent basis per vertex, shape (n, m, d)."""
-    geom = s._geometry()
     if s.m == 1:
-        return geom["tangent"][:, None, :]
-    nrm = geom["normal"]
+        return _curve_tangent(s)[:, None, :]
+    nrm = s._geometry()["normal"]
     ref = np.zeros_like(nrm)
     ref[np.arange(len(nrm)), np.argmin(np.abs(nrm), axis=1)] = 1.0
     t1 = np.cross(nrm, ref)
@@ -336,10 +364,10 @@ def laplace_beltrami(s: DiscreteImmersion, f) -> np.ndarray:
     vals = _check_field(s, f, vector=False)
     geom = s._geometry()
     if s.m == 1:
-        l_next = geom["edge_lengths"]
-        l_prev = np.roll(l_next, 1)
-        d_next = (np.roll(vals, -1) - vals) / l_next
-        d_prev = (vals - np.roll(vals, 1)) / l_prev
+        nxt, prv = s._conn.nxt, s._conn.prv
+        lengths = geom["edge_lengths"]
+        d_next = (vals[nxt] - vals) / lengths
+        d_prev = (vals - vals[prv]) / lengths[prv]
         return (d_next - d_prev) / geom["vertex_areas"]
     return _surface_laplacian(s, geom, vals)
 
@@ -353,9 +381,9 @@ def gradient_norm_sq(s: DiscreteImmersion, f) -> np.ndarray:
     vals = _check_field(s, f, vector=False)
     geom = s._geometry()
     if s.m == 1:
-        l_next = geom["edge_lengths"]
-        l_prev = np.roll(l_next, 1)
-        g = (np.roll(vals, -1) - np.roll(vals, 1)) / (l_prev + l_next)
+        nxt, prv = s._conn.nxt, s._conn.prv
+        lengths = geom["edge_lengths"]
+        g = (vals[nxt] - vals[prv]) / (lengths[prv] + lengths)
         return g * g
     i0, i1, i2 = s.faces.T
     v = s.vertices
@@ -385,7 +413,7 @@ def second_fundamental_norm(s: DiscreteImmersion) -> np.ndarray:
     geom = s._geometry()
     if s.m == 1:
         H = geom["H"]
-        return (H * H).sum(axis=1)
+        return np.einsum("ij,ij->i", H, H)
     return geom["h2"].copy()
 
 
@@ -397,11 +425,9 @@ def weighted_area(s: DiscreteImmersion) -> float:
     as the immersion is pushed to infinity.
     """
     geom = s._geometry()
-    v = s.vertices
-    f2 = (v * v).sum(axis=1)
     with np.errstate(under="ignore"):
-        w = np.exp(-0.5 * f2)
-    return float((w * geom["vertex_areas"]).sum())
+        w = np.exp(-0.5 * geom["F2"])
+    return float(w @ geom["vertex_areas"])
 
 
 def area(s: DiscreteImmersion) -> float:

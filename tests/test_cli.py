@@ -117,8 +117,7 @@ def test_scenario_command_and_failure_exit_code(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
-def test_scenario_all(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GAUSSFLOW_THREADS", "2")
+def test_scenario_all(tmp_path, capsys):
     (tmp_path / "STATIONARY.cfg").write_text(
         "initial.name = circle\ninitial.radius = 1.0\ninitial.n = 64\n"
         "snapshot_stride = 32\n")

@@ -254,26 +254,24 @@ def test_blowup_time_self_consistency_under_refinement():
     assert abs(coarse.stop.t_stop - fine.stop.t_stop) < coarse.t_stop_error
 
 
-@pytest.mark.parametrize("p", [P_FLOW, P_FLOW0,
-                               FlowParams(variant=FLOWP, a=0.5, b=2.0, c=1.5, c_slope=0.3)],
-                         ids=lambda p: p.variant)
-def test_fused_curve_run_matches_generic_steps(p):
-    # run() steps curves through the fused kernel, step() through the
-    # generic immersion operators; 4e-14 was the widest gap measured
-    # (max_h2 under FLOW0), positions differed by at most 1 ulp
-    rtol = 1e-13
-    shape = shapes.ellipse(1.2, 0.8, 64)
-    traj = engine.run(shape, p, horizon=0.03, stride=1)
+@pytest.mark.parametrize("shape, p, horizon", [
+    (shapes.ellipse(1.2, 0.8, 64), P_FLOW, 0.03),
+    (shapes.ellipse(1.2, 0.8, 64), P_FLOW0, 0.03),
+    (shapes.ellipse(1.2, 0.8, 64),
+     FlowParams(variant=FLOWP, a=0.5, b=2.0, c=1.5, c_slope=0.3), 0.03),
+    (shapes.icosphere(1.2, 1), P_FLOW, 0.6),
+], ids=["FLOW", "FLOW0", "FLOWP", "icosphere1"])
+def test_run_matches_repeated_step(shape, p, horizon):
+    # run() and step() share stability_dt, _rk4_advance and compute_diagnostics
+    traj = engine.run(shape, p, horizon=horizon, stride=1)
     assert traj.n_snapshots > 50
     state = engine.initial_state(shape)
     for k in range(1, 51):
         state = engine.step(state, p)
-        assert state.t == pytest.approx(traj.times[k], rel=rtol)
-        np.testing.assert_allclose(state.immersion.vertices, traj.snapshots[k].vertices,
-                                   rtol=0.0, atol=rtol * np.abs(shape.vertices).max())
+        assert state.t == traj.times[k]
+        np.testing.assert_array_equal(state.immersion.vertices, traj.snapshots[k].vertices)
         for name in ("min_F2", "max_F2", "max_h2", "weighted_area", "mesh_quality"):
-            assert getattr(state.diagnostics, name) == pytest.approx(
-                getattr(traj, name)[k], rel=rtol), name
+            assert getattr(state.diagnostics, name) == getattr(traj, name)[k], name
 
 
 def test_run_deterministic_bitwise():

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from gaussflow import harness, render, shapes
+from gaussflow import render, shapes
 from gaussflow.engine import (FLOW, FLOWP, HORIZON_REACHED, POSITION_BLOWUP,
                               POSITION_COLLAPSE, CURVATURE_BLOWUP, FlowParams)
 from gaussflow.errors import InvalidConfig, IoError
@@ -185,9 +185,21 @@ def test_trajectory_round_trip(small_run):
                                   traj.snapshots[-1].vertices)
 
 
-def test_load_rejects_non_trajectory(tmp_path):
+def test_load_rejects_non_trajectory(tmp_path, small_run):
     with pytest.raises(IoError):
         load_trajectory(tmp_path)
+    # a run.cfg missing any metadata key is rejected, never filled with defaults
+    cfg, _ = small_run
+    lines = open(os.path.join(cfg.output_dir, "run.cfg")).read().splitlines()
+    csv_text = open(os.path.join(cfg.output_dir, "diagnostics.csv")).read()
+    for key in ("m", "variant", "thresholds.h2_max", "stop.kind"):
+        partial = tmp_path / key
+        partial.mkdir()
+        (partial / "diagnostics.csv").write_text(csv_text)
+        (partial / "run.cfg").write_text(
+            "".join(line + "\n" for line in lines if line.split(" = ")[0] != key))
+        with pytest.raises(IoError, match=repr(key)):
+            load_trajectory(partial)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -244,6 +256,23 @@ def test_sphere_ode_match_scenario():
     assert verdict.passed
 
 
+def test_scenarios_check_the_configured_law():
+    # FLOWP with c = 2 puts the balance circle at |F|^2 = (c/b) m = 2, so a
+    # circle with |F|^2 = 1.44 lies inside it although 1.44 > m
+    cfg = RunConfig(initial_name="circle", initial_params={"radius": 1.2},
+                    initial_n=64, params=FlowParams(variant=FLOWP, c=2.0),
+                    horizon=0.01, snapshot_stride=8, save_meshes=False)
+    with pytest.raises(InvalidConfig):
+        run_scenario(EXPAND_OUTSIDE, cfg)
+    verdict = run_scenario(SHRINK_INSIDE, cfg)
+    assert verdict.bound_time == pytest.approx(
+        (1 - math.exp(-1.44)) / (2 * (2.0 - 1.44)), rel=1e-12)
+    balanced = RunConfig(initial_name="circle", initial_params={"radius": math.sqrt(2.0)},
+                         initial_n=128, params=FlowParams(variant=FLOWP, c=2.0),
+                         snapshot_stride=64)
+    assert run_scenario(STATIONARY, balanced).passed
+
+
 def test_scenario_sign_gates():
     big = RunConfig(initial_name="circle", initial_params={"radius": 1.5}, initial_n=64)
     with pytest.raises(InvalidConfig):
@@ -273,9 +302,7 @@ def test_scenario_artifacts_and_verdict_json(tmp_path):
     assert back.stop.t_stop == data["t_stop"]
 
 
-def test_run_scenarios_with_thread_cap(monkeypatch):
-    monkeypatch.setenv("GAUSSFLOW_THREADS", "2")
-    assert harness.thread_cap() == 2
+def test_run_scenarios_keeps_order():
     configs = [
         (STATIONARY, RunConfig(initial_name="circle", initial_params={"radius": 1.0},
                                initial_n=64, snapshot_stride=32)),
@@ -285,9 +312,6 @@ def test_run_scenarios_with_thread_cap(monkeypatch):
     ]
     verdicts = run_scenarios(configs)
     assert [v.scenario for v in verdicts] == [STATIONARY, SHRINK_INSIDE]
-    monkeypatch.setenv("GAUSSFLOW_THREADS", "zebra")
-    with pytest.raises(InvalidConfig):
-        harness.thread_cap()
 
 
 # ---------------------------------------------------------------------------
