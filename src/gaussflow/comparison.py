@@ -4,7 +4,8 @@ Each check replays a claim against the diagnostics series of a recorded
 trajectory and returns a BarrierReport rather than raising, so one
 expensive run can be audited against many claims.  Strict continuum
 inequalities are verified up to the discretization slack
-tol = 10 * (h0^2 + mean dt) reported inside every report.
+tol = 10 * (h0^2 + E) reported inside every report, with E the run's
+summed time-integration error estimate of |F|^2.
 """
 
 from __future__ import annotations

@@ -208,6 +208,7 @@ def save_trajectory(traj: FlowTrajectory, outdir, save_meshes: bool = True) -> l
         "stop.detail": traj.stop.detail,
         "t_stop_error": traj.t_stop_error,
         "initial_h_max": traj.initial_h_max,
+        "integration_error": traj.integration_error,
         "thresholds.h2_max": traj.thresholds.h2_max,
         "thresholds.F2_max": traj.thresholds.F2_max,
         "thresholds.F2_min": traj.thresholds.F2_min,
@@ -276,6 +277,7 @@ def load_trajectory(indir) -> FlowTrajectory:
         m, horizon = int(need("m")), float(need("horizon"))
         t_stop_error = float(need("t_stop_error"))
         initial_h_max = float(need("initial_h_max"))
+        integration_error = float(need("integration_error"))
     except ValueError as exc:
         raise IoError(f"{cfg_path}: malformed value: {exc}") from exc
 
@@ -291,7 +293,7 @@ def load_trajectory(indir) -> FlowTrajectory:
         times=cols[0], dts=cols[1], min_F2=cols[2], max_F2=cols[3],
         max_h2=cols[4], weighted_area=cols[5], mesh_quality=cols[6],
         stop=stop, t_stop_error=t_stop_error, initial_h_max=initial_h_max,
-        events=events, snapshots=snaps,
+        integration_error=integration_error, events=events, snapshots=snaps,
     )
 
 

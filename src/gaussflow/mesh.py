@@ -372,6 +372,25 @@ def laplace_beltrami(s: DiscreteImmersion, f) -> np.ndarray:
     return _surface_laplacian(s, geom, vals)
 
 
+def laplacian_spectral_bound(s: DiscreteImmersion) -> float:
+    """Gershgorin bound on the spectral radius of the discrete Laplacian.
+
+    Row i of the operator is (1/A_i) sum_j w_ij (u_j - u_i), so every
+    eigenvalue lies within 2 sum_j |w_ij| / A_i of zero.  Curves:
+    w = 1/l on both edges and A_i = (l_i + l_{i-1}) / 2, which gives
+    4 / (l_i l_{i-1}).  Surfaces: each corner adds half the cotangents of
+    the other two corners of its face to its two edges, and the absolute
+    values are summed per corner, which bounds sum_j |w_ij| from above.
+    """
+    geom = s._geometry()
+    if s.m == 1:
+        lengths = geom["edge_lengths"]
+        return float((4.0 / (lengths * lengths[s._conn.prv])).max())
+    cots = np.abs(geom["cots"])
+    row = s._conn.scatter @ (np.roll(cots, 1, axis=0) + np.roll(cots, -1, axis=0)).ravel()
+    return float((row / geom["vertex_areas"]).max())
+
+
 def gradient_norm_sq(s: DiscreteImmersion, f) -> np.ndarray:
     """Squared norm of the intrinsic gradient of a scalar vertex field.
 

@@ -274,6 +274,45 @@ def test_run_matches_repeated_step(shape, p, horizon):
             assert getattr(state.diagnostics, name) == getattr(traj, name)[k], name
 
 
+def test_expanding_surface_steps_by_rk4():
+    # accuracy limits an expanding surface before stability does, so every
+    # step is RK4 at the stability step of the state it starts from
+    traj = engine.run(shapes.icosphere(1.5, 1), P_FLOW, horizon=0.3,
+                      thresholds=Thresholds(F2_max=20.0), stride=1)
+    assert traj.n_snapshots > 20
+    assert traj.integration_error == 0.0    # no RKC2 step was taken
+    for k in range(1, traj.n_snapshots):
+        t = traj.times[k - 1]
+        dt = engine.stability_dt(traj.snapshots[k - 1], P_FLOW, t)
+        assert traj.dts[k] == min(dt, traj.horizon - t)
+
+
+def test_shrinking_circle_steps_by_rkc2(monkeypatch):
+    # the 512-gon window run of acceptance criterion 3: RK4 under h^2 needs
+    # about 100k velocity evaluations for it
+    calls = []
+    velocity = engine.velocity
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return velocity(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "velocity", counted)
+    traj = engine.run(shapes.circle(0.8, 512), P_FLOW, horizon=1.0,
+                      thresholds=Thresholds(F2_min=0.04), stride=32, cfl=0.5,
+                      keep_snapshots=False)
+    assert len(calls) < 20000
+    mask = traj.max_F2 >= 0.05
+    ode = radial.integrate_radial(RadialParams(m=1, a=1, b=1, c0=1, R0_sq=0.64),
+                                  horizon=float(traj.times[mask][-1]),
+                                  t_eval=traj.times[mask])
+    rel = np.abs(traj.max_F2[mask] - ode.eval_R_sq) / ode.eval_R_sq
+    assert rel.max() <= 1e-4
+    # bisection puts the stop on the threshold instead of a long step past it
+    assert traj.stop.kind == POSITION_COLLAPSE
+    assert 0.04 * (1.0 - 1e-3) <= traj.max_F2[-1] < 0.04
+
+
 def test_run_deterministic_bitwise():
     a = engine.run(shapes.ellipse(0.9, 0.6, 96), P_FLOW, horizon=0.01, stride=8)
     b = engine.run(shapes.ellipse(0.9, 0.6, 96), P_FLOW, horizon=0.01, stride=8)
@@ -287,7 +326,8 @@ def test_run_deterministic_bitwise():
 
 
 def test_scalar_evolution_on_shrinking_circle():
-    traj = engine.run(shapes.circle(0.8, 256), P_FLOW0, horizon=0.01, stride=8)
+    traj = engine.run(shapes.circle(0.8, 256), P_FLOW0, horizon=0.01,
+                      snapshot_times=np.linspace(0.0, 0.01, 26))
     report = engine.verify_scalar_evolution(traj, P_FLOW0)
     assert report.max_residual < 5e-2
     assert report.l2_residual <= report.max_residual
@@ -295,14 +335,16 @@ def test_scalar_evolution_on_shrinking_circle():
 
 
 def test_scalar_evolution_stationary_absolute():
-    traj = engine.run(shapes.circle(1.0, 128), P_FLOW0, horizon=0.01, stride=4)
+    traj = engine.run(shapes.circle(1.0, 128), P_FLOW0, horizon=0.01,
+                      snapshot_times=np.linspace(0.0, 0.01, 13))
     report = engine.verify_scalar_evolution(traj, P_FLOW0)
     assert report.max_residual < 1e-3
 
 
 def test_scalar_evolution_pure_mcf():
     p = FlowParams(variant=FLOWP, a=0.0, b=0.0, c=1.0)
-    traj = engine.run(shapes.circle(1.0, 256), p, horizon=0.01, stride=8)
+    traj = engine.run(shapes.circle(1.0, 256), p, horizon=0.01,
+                      snapshot_times=np.linspace(0.0, 0.01, 10))
     report = engine.verify_scalar_evolution(traj, p)
     assert report.max_residual < 5e-2
 

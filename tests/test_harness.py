@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from gaussflow import render, shapes
+from gaussflow import engine, render, shapes
 from gaussflow.engine import (FLOW, FLOWP, HORIZON_REACHED, POSITION_BLOWUP,
                               POSITION_COLLAPSE, CURVATURE_BLOWUP, FlowParams)
 from gaussflow.errors import InvalidConfig, IoError
@@ -200,6 +200,25 @@ def test_load_rejects_non_trajectory(tmp_path, small_run):
             "".join(line + "\n" for line in lines if line.split(" = ")[0] != key))
         with pytest.raises(IoError, match=repr(key)):
             load_trajectory(partial)
+
+
+def test_tolerance_does_not_grow_with_the_step(tmp_path, small_run):
+    # the time term is the integration-error estimate, not the step taken,
+    # and run.cfg keeps it, so a loaded artifact reports the same tolerance
+    cfg, traj = small_run
+    assert traj.integration_error > 0.0     # RKC2 steps were taken
+    stab = np.mean([engine.stability_dt(s, traj.params, t)
+                    for s, t in zip(traj.snapshots, traj.times)])
+    assert traj.discretization_tolerance() <= 10.0 * (traj.initial_h_max ** 2 + stab)
+    back = load_trajectory(cfg.output_dir)
+    assert back.discretization_tolerance() == traj.discretization_tolerance()
+    lines = open(os.path.join(cfg.output_dir, "run.cfg")).read().splitlines()
+    (tmp_path / "diagnostics.csv").write_text(
+        open(os.path.join(cfg.output_dir, "diagnostics.csv")).read())
+    (tmp_path / "run.cfg").write_text(
+        "".join(line + "\n" for line in lines if not line.startswith("integration_error")))
+    with pytest.raises(IoError, match="integration_error"):
+        load_trajectory(tmp_path)
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -187,6 +187,19 @@ def test_laplacian_symmetry_in_area_inner_product():
         assert abs(lhs - rhs) < 1e-9
 
 
+def test_laplacian_spectral_bound_covers_the_spectrum():
+    # Gershgorin: every eigenvalue of the assembled operator lies within the
+    # bound, which on a regular polygon is 4 / h^2
+    for s in (nonuniform_circle(1.1, 40), shapes.ellipse(0.9, 0.6, 48),
+              shapes.icosphere(1.0, 1), shapes.ellipsoid(1.4, 1.1, 0.9, 1)):
+        lap = np.column_stack([mesh.laplace_beltrami(s, e) for e in np.eye(s.n_vertices)])
+        radius = np.abs(np.linalg.eigvals(lap)).max()
+        assert radius <= mesh.laplacian_spectral_bound(s) * (1.0 + 1e-12)
+    c = shapes.circle(0.8, 64)
+    h = 2.0 * 0.8 * math.sin(math.pi / 64)
+    assert mesh.laplacian_spectral_bound(c) == pytest.approx(4.0 / h ** 2, rel=1e-12)
+
+
 def test_area_first_variation_matches_mean_curvature():
     rng = np.random.default_rng(123)
     for s in (shapes.ellipse(0.9, 0.6, 128), shapes.ellipsoid(1.2, 1.0, 0.8, 2)):
