@@ -12,6 +12,7 @@ reserved for configuration and runtime errors.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -166,7 +167,6 @@ def _cmd_verify(args) -> int:
     print(f"{report.claim}: {verdict} worst_margin={report.worst_margin:.6g} "
           f"at t={report.worst_time:.6g} (tol={report.tolerance:.3g})")
     out = os.path.join(args.trajectory, f"claim_{report.claim.lower()}.json")
-    import json
     with open(out, "w") as fh:
         json.dump(report.__dict__, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -47,10 +47,6 @@ def _report(claim: str, margins: np.ndarray, times: np.ndarray, tol: float,
                          worst_time=float(times[idx]), tolerance=tol, detail=detail)
 
 
-def _m_eff(traj: FlowTrajectory, p: FlowParams) -> int:
-    return p.m_override if p.m_override is not None else traj.m
-
-
 def _ratio_params(p: FlowParams) -> tuple[float, float]:
     if p.variant == FLOWP and p.b == 0.0:
         raise HypothesisViolated("sign-preservation claims need b > 0")
@@ -70,7 +66,7 @@ def check_sign_below(traj: FlowTrajectory, p: FlowParams, eps: float) -> Barrier
     if p.c_slope < 0:
         raise HypothesisViolated("below-claim needs nondecreasing c/b")
     ratio0, b = _ratio_params(p)
-    m = _m_eff(traj, p)
+    m = traj.m
     gap = ratio0 * m - traj.max_F2[0]
     if not gap > 0:
         raise HypothesisViolated(
@@ -91,7 +87,7 @@ def check_sign_above(traj: FlowTrajectory, p: FlowParams, eps: float) -> Barrier
     if p.c_slope > 0:
         raise HypothesisViolated("above-claim needs nonincreasing c/b")
     ratio0, b = _ratio_params(p)
-    m = _m_eff(traj, p)
+    m = traj.m
     gap = traj.min_F2[0] - ratio0 * m
     if not gap > 0:
         raise HypothesisViolated(
@@ -108,7 +104,7 @@ def check_sign_above(traj: FlowTrajectory, p: FlowParams, eps: float) -> Barrier
 def admissible_barrier_interval(traj: FlowTrajectory) -> tuple[float, float, str]:
     """Open interval the comparison-sphere radius must be drawn from, with
     the case tag ('below' = trajectory inside, 'above' = outside)."""
-    m = _m_eff(traj, traj.params)
+    m = traj.m
     max0, min0 = traj.max_F2[0], traj.min_F2[0]
     if max0 < m:
         return max0, 0.5 * (m + max0), "below"
@@ -123,7 +119,7 @@ def check_sphere_barrier(traj: FlowTrajectory, Rp0_sq: float, eps: float) -> Bar
     sphere, with margin at least eps.
 
     The comparison trajectory is the radius ODE with a = b = c = 1 and the
-    run's effective m, sampled exactly at the snapshot times of the recorded
+    run's m, sampled exactly at the snapshot times of the recorded
     run; the claim is checked over the overlap of the two time domains.
     """
     if traj.params.variant != FLOW:
@@ -138,7 +134,7 @@ def check_sphere_barrier(traj: FlowTrajectory, Rp0_sq: float, eps: float) -> Bar
     if not 0.0 < eps < eps_cap:
         raise HypothesisViolated(f"eps = {eps:.6g} outside (0, {eps_cap:.6g})")
 
-    rp = RadialParams(m=_m_eff(traj, traj.params), a=1.0, b=1.0, c0=1.0, R0_sq=Rp0_sq)
+    rp = RadialParams(m=traj.m, a=1.0, b=1.0, c0=1.0, R0_sq=Rp0_sq)
     horizon = float(traj.times[-1])
     sphere = radial_mod.integrate_radial(rp, horizon, t_eval=traj.times)
     n = len(sphere.eval_R_sq)

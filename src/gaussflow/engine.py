@@ -80,7 +80,6 @@ class FlowParams:
     b: float = 1.0
     c: float = 1.0
     c_slope: float = 0.0
-    m_override: int | None = None
 
     def __post_init__(self):
         if self.variant not in (FLOW0, FLOW, FLOWP):
@@ -93,14 +92,14 @@ class FlowParams:
         else:
             if self.a < 0 or self.b < 0 or self.c <= 0:
                 raise InvalidConfig("FLOWP needs a >= 0, b >= 0, c > 0")
-        if self.m_override is not None and self.m_override < 1:
-            raise InvalidConfig("m_override must be >= 1")
 
     def c_at(self, t: float) -> float:
         return self.c + self.c_slope * t
 
     def m_eff(self, s: DiscreteImmersion) -> int:
-        return self.m_override if self.m_override is not None else s.m
+        """The dimension m of exp(a|F|^2/m) and of the balance sphere: the
+        intrinsic dimension of s, as in the curvature term."""
+        return s.m
 
     @property
     def in_paper_regime(self) -> bool:
@@ -212,20 +211,20 @@ class FlowTrajectory:
 # velocity and the two integrators
 
 
-def _conformal_exponent(geom: dict, p: FlowParams, m_eff: int) -> tuple[float, float]:
+def _conformal_exponent(geom: dict, p: FlowParams, m: int) -> tuple[float, float]:
     """Rate a/m of the conformal factor exp(a|F|^2/m) and its peak exponent
     a max|F|^2 / m, from an immersion's geometry; raises OverflowGuard once
     the peak reaches EXP_GUARD.  FLOW0 and FLOW pin a = 1."""
-    peak = p.a * geom["F2_max"] / m_eff
+    peak = p.a * geom["F2_max"] / m
     if peak >= EXP_GUARD:
         raise OverflowGuard(peak)
-    return p.a / m_eff, peak
+    return p.a / m, peak
 
 
 def velocity(s: DiscreteImmersion, p: FlowParams, t: float = 0.0) -> np.ndarray:
     """Per-vertex velocity of the configured flow variant."""
     geom = s._geometry()
-    rate, _ = _conformal_exponent(geom, p, p.m_eff(s))
+    rate, _ = _conformal_exponent(geom, p, s.m)
     w = np.exp(rate * geom["F2"])
     H = geom["H"]
     v = s.vertices
@@ -247,7 +246,7 @@ def stability_dt(s: DiscreteImmersion, p: FlowParams, t: float = 0.0,
     the caller then terminates with the currently indicated blow-up kind.
     """
     geom = s._geometry()
-    _, peak = _conformal_exponent(geom, p, p.m_eff(s))
+    _, peak = _conformal_exponent(geom, p, s.m)
     h_min = geom["min_edge"]
     dt = cfl * h_min * h_min / (p.c_at(t) * math.exp(peak))
     if dt < dt_min:
@@ -258,7 +257,7 @@ def stability_dt(s: DiscreteImmersion, p: FlowParams, t: float = 0.0,
 def _spectral_radius(s: DiscreteImmersion, p: FlowParams, t: float) -> float:
     """Gershgorin bound on the spectral radius of the velocity's diffusion
     part, c(t) exp(a max|F|^2 / m) times the bound on the Laplacian."""
-    _, peak = _conformal_exponent(s._geometry(), p, p.m_eff(s))
+    _, peak = _conformal_exponent(s._geometry(), p, s.m)
     return p.c_at(t) * math.exp(peak) * meshops.laplacian_spectral_bound(s)
 
 
@@ -445,9 +444,9 @@ def _classify(diag: _Monitor | Diagnostics, th: Thresholds) -> tuple[str, str] |
     return None
 
 
-def _underflow_kind(p: FlowParams, m_eff: int, diag: _Monitor,
+def _underflow_kind(p: FlowParams, m: int, diag: _Monitor,
                     th: Thresholds) -> tuple[str, str]:
-    if p.a * diag.max_F2 / m_eff >= 20.0:
+    if p.a * diag.max_F2 / m >= 20.0:
         return POSITION_BLOWUP, "dt underflow driven by the conformal exponent"
     if diag.max_F2 <= 10.0 * th.F2_min:
         return POSITION_COLLAPSE, "dt underflow with the mesh at the origin"
@@ -492,9 +491,11 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
     recorded rows only; the other steps compute just the max|F|^2,
     max|h|^2 and mesh quality the stop classification reads.
 
-    ``t_stop_error`` is 4 * bracket + E / |d max|F|^2 / dt| at the stop:
-    the bracket is the last step, or the bisection bracket of a crossing
-    inside an RKC2 step, and E the summed RKC2 error estimate of |F|^2.
+    ``t_stop_error`` is zero for a horizon stop, whose time is landed on,
+    and otherwise 4 * bracket + 4 * dt_min + E / |d max|F|^2 / dt| at the
+    stop: the bracket is the last step, or the bisection bracket of a
+    crossing inside an RKC2 step, and E the summed RKC2 error estimate of
+    |F|^2.
     """
     if horizon < 0:
         raise InvalidConfig(f"horizon must be >= 0, got {horizon}")
@@ -530,7 +531,6 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
             snaps.append(cur.replace_vertices(cur.vertices))
 
     cur = initial
-    m_eff = p.m_eff(initial)
     try:
         mon = _monitor(cur)
     except DegenerateMesh as exc:
@@ -563,7 +563,7 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         try:
             dt_stab = stability_dt(cur, p, t, cfl=cfl, dt_min=dt_min, dt_max=dt_max)
         except TimestepUnderflow as exc:
-            kind, detail = _underflow_kind(p, m_eff, mon, th)
+            kind, detail = _underflow_kind(p, initial.m, mon, th)
             events.append({"event": "timestep_underflow", "t": t})
             stop = StopReason(kind, t, f"{detail} ({exc})")
             break
@@ -609,9 +609,11 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
                    "detail": stop.detail})
 
     err_sum = ctl.err_sum
-    t_stop_error = 4.0 * bracket + 4.0 * dt_min
-    if err_sum > 0.0 and f2_rate > 0.0:
-        t_stop_error += err_sum / f2_rate
+    t_stop_error = 0.0
+    if stop.kind != HORIZON_REACHED:
+        t_stop_error = 4.0 * bracket + 4.0 * dt_min
+        if err_sum > 0.0 and f2_rate > 0.0:
+            t_stop_error += err_sum / f2_rate
     return FlowTrajectory(
         params=p, m=initial.m, thresholds=th, horizon=horizon,
         times=np.asarray(rows["t"]), dts=np.asarray(rows["dt"]),
@@ -673,13 +675,13 @@ def verify_scalar_evolution(traj: FlowTrajectory, p: FlowParams) -> ResidualRepo
         h1 = times[i + 1] - times[i]
         if h0 <= 0 or h1 <= 0:
             raise InsufficientSnapshots("snapshot times must be strictly increasing")
-        m_eff = p.m_eff(s_mid)
+        m = s_mid.m
         f_prev, f_mid, f_next = (s._geometry()["F2"] for s in (s_prev, s_mid, s_next))
         dfdt = _three_point_derivative(f_prev, f_mid, f_next, h0, h1)
         c_mid = p.c_at(times[i])
-        w = np.exp((p.a / m_eff) * f_mid)
+        w = np.exp((p.a / m) * f_mid)
         rhs = w * (c_mid * meshops.laplace_beltrami(s_mid, f_mid)
-                   + 2.0 * (p.b * f_mid - m_eff * c_mid))
+                   + 2.0 * (p.b * f_mid - m * c_mid))
         res = np.abs(dfdt - rhs) / np.maximum(1.0, np.abs(rhs))
         worst = max(worst, float(res.max()))
         sq_sum += float((res * res).sum())
@@ -690,8 +692,8 @@ def verify_scalar_evolution(traj: FlowTrajectory, p: FlowParams) -> ResidualRepo
         dloga = _three_point_derivative(a_prev, a_mid, a_next, h0, h1)
         H = meshops.mean_curvature_vector(s_mid)
         grad2 = meshops.gradient_norm_sq(s_mid, f_mid)
-        trace = w * ((p.a * p.b / m_eff) * grad2
-                     - 2.0 * c_mid * (H * H).sum(axis=1) + 2.0 * p.b * m_eff)
+        trace = w * ((p.a * p.b / m) * grad2
+                     - 2.0 * c_mid * (H * H).sum(axis=1) + 2.0 * p.b * m)
         ares = np.abs(dloga - 0.5 * trace) / np.maximum(1.0, np.abs(0.5 * trace))
         area_worst = max(area_worst, float(ares.max()))
         area_sq_sum += float((ares * ares).sum())

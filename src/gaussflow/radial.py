@@ -87,9 +87,6 @@ class RadialTrajectory:
     eval_times: np.ndarray = field(default=None)
     eval_R_sq: np.ndarray = field(default=None)
 
-    def value_at_eval(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.eval_times, self.eval_R_sq
-
 
 def radial_rhs(R_sq: float, p: RadialParams, t: float = 0.0) -> float:
     """Right-hand side 2*exp(a*R_sq/m)*(b*R_sq - m*c(t)) of the radius ODE."""
@@ -235,7 +232,7 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 
 
 def _dp_step(f, t, y, h, p):
-    """One Dormand-Prince step: returns (y5, error_estimate, k_last)."""
+    """One Dormand-Prince step: returns (y5, error_estimate)."""
     k = [f(y, p, t)]
     for ci, row in zip(_DP_C[1:], _DP_A[1:]):
         yi = y + h * sum(aij * kj for aij, kj in zip(row, k))
@@ -246,27 +243,19 @@ def _dp_step(f, t, y, h, p):
     return y5, abs(y5 - y4)
 
 
-def _rk4_substep(f, t, y, h, p):
-    k1 = f(y, p, t)
-    k2 = f(y + 0.5 * h * k1, p, t + 0.5 * h)
-    k3 = f(y + 0.5 * h * k2, p, t + 0.5 * h)
-    k4 = f(y + h * k3, p, t + h)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _bisect_event(f, t0, y0, h, p, crossed):
-    """Bisection on the step [t0, t0+h] for the first time crossed() holds."""
+def _bisect_event(f, t0, y0, h, p, crossed) -> float:
+    """Bisection on the step [t0, t0+h] for the first time crossed() holds,
+    stepping to each trial time with the integrator's own step."""
     lo, hi = 0.0, h
     for _ in range(200):
         if hi - lo < EVENT_TIME_TOL:
             break
         mid = 0.5 * (lo + hi)
-        y_mid = _rk4_substep(f, t0, y0, mid, p)
-        if crossed(y_mid):
+        if crossed(_dp_step(f, t0, y0, mid, p)[0]):
             hi = mid
         else:
             lo = mid
-    return t0 + hi, _rk4_substep(f, t0, y0, hi, p)
+    return t0 + hi
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +347,14 @@ def integrate_radial(p: RadialParams, horizon: float, t_eval=None,
 
         r_new = _to_r(p, y_new, use_u)
         if r_new <= collapse_floor:
-            t_ev, _ = _bisect_event(f, t, y, h_step, p,
-                                    lambda yy: _to_r(p, yy, use_u) <= collapse_floor)
+            t_ev = _bisect_event(f, t, y, h_step, p,
+                                 lambda yy: _to_r(p, yy, use_u) <= collapse_floor)
             t = t_ev
             y = math.exp(-p.a * collapse_floor / p.m) if use_u else collapse_floor
             event = RadialEvent(COLLAPSE, t_ev)
         elif r_new >= escape_ceiling:
-            t_ev, _ = _bisect_event(f, t, y, h_step, p,
-                                    lambda yy: _to_r(p, yy, use_u) >= escape_ceiling)
+            t_ev = _bisect_event(f, t, y, h_step, p,
+                                 lambda yy: _to_r(p, yy, use_u) >= escape_ceiling)
             t = t_ev
             y = math.exp(-p.a * escape_ceiling / p.m) if use_u else escape_ceiling
             event = RadialEvent(ESCAPE, t_ev)

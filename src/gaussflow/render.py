@@ -15,58 +15,51 @@ from . import fileio, harness
 from .engine import FlowTrajectory
 from .errors import IoError
 
-_DEFAULT_STYLE = {
-    "size": 640,
-    "stroke": "#1f4e8c",
-    "stroke_width": 1.5,
-    "reference": "#b0b0b0",
-    "background": "#ffffff",
-}
+SIZE = 640                  # SVG frame width and height, in pixels
+STROKE = "#1f4e8c"          # the curve
+STROKE_WIDTH = 1.5
+REFERENCE = "#b0b0b0"       # the balance circle and the max-radius circle
+BACKGROUND = "#ffffff"
 
 
 def _f(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _curve_svg(vertices: np.ndarray, m: int, max_f2: float, bbox, style) -> str:
+def _curve_svg(vertices: np.ndarray, m: int, max_f2: float, bbox) -> str:
     lo, hi = bbox
-    size = style["size"]
     span = max(hi[0] - lo[0], hi[1] - lo[1], 1e-12)
     pad = 0.05 * span
-    scale = size / (span + 2 * pad)
+    scale = SIZE / (span + 2 * pad)
 
     def to_px(pt):
-        return ((pt[0] - lo[0] + pad) * scale, size - (pt[1] - lo[1] + pad) * scale)
+        return ((pt[0] - lo[0] + pad) * scale, SIZE - (pt[1] - lo[1] + pad) * scale)
 
     cx, cy = to_px((0.0, 0.0))
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="{style["background"]}"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="{BACKGROUND}"/>',
     ]
     for radius, dash in ((math.sqrt(m), "6 4"), (math.sqrt(max(max_f2, 0.0)), "2 3")):
         lines.append(
             f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(radius * scale)}" fill="none" '
-            f'stroke="{style["reference"]}" stroke-dasharray="{dash}"/>'
+            f'stroke="{REFERENCE}" stroke-dasharray="{dash}"/>'
         )
     pts = " ".join(f"{_f(px)},{_f(py)}" for px, py in (to_px(v) for v in vertices))
     lines.append(
-        f'<polygon points="{pts}" fill="none" stroke="{style["stroke"]}" '
-        f'stroke-width="{style["stroke_width"]}"/>'
+        f'<polygon points="{pts}" fill="none" stroke="{STROKE}" '
+        f'stroke-width="{STROKE_WIDTH}"/>'
     )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def render(traj: FlowTrajectory, style: dict | None = None,
-           outdir: str = "render") -> list[str]:
+def render(traj: FlowTrajectory, outdir: str = "render") -> list[str]:
     """Write one SVG per curve snapshot, or OFF files plus a diagnostics CSV
     for surface snapshots.  Returns the written paths."""
     if not traj.snapshots:
         raise IoError("trajectory carries no mesh snapshots to render")
-    sty = dict(_DEFAULT_STYLE)
-    if style:
-        sty.update(style)
     os.makedirs(outdir, exist_ok=True)
     paths = []
     if traj.m == 1:
@@ -78,7 +71,7 @@ def render(traj: FlowTrajectory, style: dict | None = None,
             path = os.path.join(outdir, f"frame_{i:06d}.svg")
             with open(path, "w") as fh:
                 fh.write(_curve_svg(s.vertices[:, :2], traj.m,
-                                    float(traj.max_F2[i]), (lo, hi), sty))
+                                    float(traj.max_F2[i]), (lo, hi)))
             paths.append(path)
     else:
         for i, s in enumerate(traj.snapshots):

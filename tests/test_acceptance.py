@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from gaussflow import comparison, engine, harness, radial, shapes
+from gaussflow import cli, comparison, engine, harness, radial, shapes
 from gaussflow.ambient import GaussianAmbient, sectional_curvature
 from gaussflow.engine import (FLOW, FLOW0, HORIZON_REACHED, FlowParams,
                               Thresholds)
@@ -276,17 +276,36 @@ def test_criterion_10_ambient_curvature():
                    f"K(5)={at5:.3e}, K(10)={at10:.3e} strictly decreasing, negative")
 
 
-def test_criterion_11_deterministic_reruns(tmp_path):
+def _streams(outdir):
+    return ((outdir / "diagnostics.csv").read_bytes(),
+            (outdir / "events.jsonl").read_bytes())
+
+
+def test_criterion_11_deterministic_reruns(tmp_path, monkeypatch):
     text = ("initial.name = perturbed_circle\ninitial.radius = 0.8\n"
             "initial.amp = 0.05\ninitial.mode = 3\ninitial.n = 128\n"
             "horizon = 0.02\nsnapshot_stride = 8\nseed = 7\n")
+    # relative output directories, so an artifact's run.cfg replayed from
+    # another working directory writes a fresh copy there
+    monkeypatch.chdir(tmp_path)
     blobs = []
     for sub in ("first", "second"):
-        cfg = harness.parse_config_text(text)
-        cfg.output_dir = str(tmp_path / sub)
-        harness.simulate(cfg)
-        blobs.append(((tmp_path / sub / "diagnostics.csv").read_bytes(),
-                      (tmp_path / sub / "events.jsonl").read_bytes()))
-    ok = blobs[0] == blobs[1]
+        harness.simulate(harness.parse_config_text(text + f"output_dir = {sub}\n"))
+        blobs.append(_streams(tmp_path / sub))
+    rerun_ok = blobs[0] == blobs[1]
+
+    # the scenario's run.cfg carries its default horizon and F2_max window
+    scenario = RunConfig(initial_name="circle", initial_params={"radius": 1.2},
+                         initial_n=64, snapshot_stride=8, save_meshes=False,
+                         output_dir="scenario")
+    run_scenario(EXPAND_OUTSIDE, scenario)
+    replays = {}
+    (tmp_path / "replay").mkdir()
+    monkeypatch.chdir(tmp_path / "replay")
+    for sub in ("first", "scenario"):
+        code = cli.main(["simulate", "--config", str(tmp_path / sub / "run.cfg")])
+        replays[sub] = code == 0 and _streams(tmp_path / "replay" / sub) == _streams(tmp_path / sub)
+    ok = rerun_ok and all(replays.values())
     report(11, ok, "re-running the seeded config reproduces diagnostics.csv "
-                   "and events.jsonl byte for byte")
+                   f"and events.jsonl byte for byte ({rerun_ok}), and so does "
+                   f"replaying each artifact's run.cfg ({replays})")

@@ -105,17 +105,6 @@ def test_sphere_barrier_interval_gates(ellipse_shrink):
         check_sphere_barrier(ellipse_shrink, Rp0_sq=0.85, eps=0.2)
 
 
-def test_sphere_barrier_uses_effective_dimension():
-    # the barrier window is taken about m_eff = 2, so |F0|^2 = 1.44 lies below it
-    traj = engine.run(shapes.circle(1.2, 64), FlowParams(variant=FLOW, m_override=2),
-                      horizon=0.005, stride=4, keep_snapshots=False)
-    lo, hi, case = admissible_barrier_interval(traj)
-    assert case == "below"
-    assert (lo, hi) == pytest.approx((1.44, 1.72), rel=1e-9)
-    report = check_sphere_barrier(traj, Rp0_sq=1.58, eps=0.07)
-    assert report.claim == SPHERE_BARRIER_BELOW
-
-
 def test_sphere_barrier_requires_flow_variant():
     traj = engine.run(shapes.circle(0.8, 64), FlowParams(variant="FLOW0"),
                       horizon=0.01, stride=4, keep_snapshots=False)

@@ -1,18 +1,21 @@
 import json
 import math
 import os
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaussflow import engine, render, shapes
+from gaussflow import engine, fileio, render, shapes
 from gaussflow.engine import (FLOW, FLOWP, HORIZON_REACHED, POSITION_BLOWUP,
                               POSITION_COLLAPSE, CURVATURE_BLOWUP, FlowParams)
 from gaussflow.errors import InvalidConfig, IoError
-from gaussflow.harness import (EXPAND_OUTSIDE, SHRINK_INSIDE, SPHERE_ODE_MATCH,
-                               STATIONARY, RunConfig, load_config,
-                               load_trajectory, parse_config_text, run_scenario,
-                               run_scenarios, simulate)
+from gaussflow.harness import (EXPAND_OUTSIDE, ODE_WINDOW, SHRINK_INSIDE,
+                               SPHERE_ODE_MATCH, STATIONARY, RunConfig,
+                               format_config, load_config, load_trajectory,
+                               parse_config_text, run_scenario, run_scenarios,
+                               simulate)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +124,8 @@ def test_parse_rejects_unknown_keys_and_bad_values():
         parse_config_text("cfl = 0.9\n")
     with pytest.raises(InvalidConfig):
         parse_config_text("thresholds.bogus = 1\n")
+    with pytest.raises(InvalidConfig):
+        parse_config_text("params.m_override = 2\n")
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -160,10 +165,10 @@ def small_run(tmp_path_factory):
 
 def test_artifact_layout_and_csv_header(small_run):
     cfg, traj = small_run
-    csv_path = os.path.join(cfg.output_dir, "diagnostics.csv")
-    with open(csv_path) as fh:
-        assert fh.readline().strip() == "t,dt,min_F2,max_F2,max_h2,weighted_area,mesh_quality"
-    events = [json.loads(line) for line in open(os.path.join(cfg.output_dir, "events.jsonl"))]
+    out = Path(cfg.output_dir)
+    header = (out / "diagnostics.csv").read_text().splitlines()[0]
+    assert header == "t,dt,min_F2,max_F2,max_h2,weighted_area,mesh_quality"
+    events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
     assert events[-1]["event"] == "stop"
     assert events[-1]["kind"] == HORIZON_REACHED
     snapdir = os.path.join(cfg.output_dir, "snapshots")
@@ -185,26 +190,42 @@ def test_trajectory_round_trip(small_run):
                                   traj.snapshots[-1].vertices)
 
 
+def test_horizon_stop_has_no_time_error(small_run):
+    # the run lands on its horizon, so the stop time is exact
+    _, traj = small_run
+    assert traj.stop.kind == HORIZON_REACHED
+    assert traj.t_stop_error == 0.0
+
+
+def _without_key(outdir, key: str, dest) -> None:
+    """Copy an artifact's diagnostics.csv and its result.json minus one
+    (dotted) key into dest."""
+    record = json.loads((Path(outdir) / "result.json").read_text())
+    *parents, last = key.split(".")
+    section = record
+    for part in parents:
+        section = section[part]
+    del section[last]
+    (dest / "diagnostics.csv").write_text((Path(outdir) / "diagnostics.csv").read_text())
+    (dest / "result.json").write_text(json.dumps(record))
+
+
 def test_load_rejects_non_trajectory(tmp_path, small_run):
     with pytest.raises(IoError):
         load_trajectory(tmp_path)
-    # a run.cfg missing any metadata key is rejected, never filled with defaults
+    # a result.json missing any key is rejected, never filled with defaults
     cfg, _ = small_run
-    lines = open(os.path.join(cfg.output_dir, "run.cfg")).read().splitlines()
-    csv_text = open(os.path.join(cfg.output_dir, "diagnostics.csv")).read()
-    for key in ("m", "variant", "thresholds.h2_max", "stop.kind"):
+    for key in ("m", "params.variant", "thresholds.h2_max", "stop.kind"):
         partial = tmp_path / key
         partial.mkdir()
-        (partial / "diagnostics.csv").write_text(csv_text)
-        (partial / "run.cfg").write_text(
-            "".join(line + "\n" for line in lines if line.split(" = ")[0] != key))
+        _without_key(cfg.output_dir, key, partial)
         with pytest.raises(IoError, match=repr(key)):
             load_trajectory(partial)
 
 
 def test_tolerance_does_not_grow_with_the_step(tmp_path, small_run):
     # the time term is the integration-error estimate, not the step taken,
-    # and run.cfg keeps it, so a loaded artifact reports the same tolerance
+    # and result.json keeps it, so a loaded artifact reports the same tolerance
     cfg, traj = small_run
     assert traj.integration_error > 0.0     # RKC2 steps were taken
     stab = np.mean([engine.stability_dt(s, traj.params, t)
@@ -212,13 +233,60 @@ def test_tolerance_does_not_grow_with_the_step(tmp_path, small_run):
     assert traj.discretization_tolerance() <= 10.0 * (traj.initial_h_max ** 2 + stab)
     back = load_trajectory(cfg.output_dir)
     assert back.discretization_tolerance() == traj.discretization_tolerance()
-    lines = open(os.path.join(cfg.output_dir, "run.cfg")).read().splitlines()
-    (tmp_path / "diagnostics.csv").write_text(
-        open(os.path.join(cfg.output_dir, "diagnostics.csv")).read())
-    (tmp_path / "run.cfg").write_text(
-        "".join(line + "\n" for line in lines if not line.startswith("integration_error")))
+    _without_key(cfg.output_dir, "integration_error", tmp_path)
     with pytest.raises(IoError, match="integration_error"):
         load_trajectory(tmp_path)
+
+
+def test_interrupted_rerun_does_not_load(tmp_path, small_run, monkeypatch):
+    # result.json is removed first and written last, so a save cut short
+    # leaves a directory that refuses to load rather than mixed files
+    cfg = replace(small_run[0], output_dir=str(tmp_path))
+    simulate(cfg)
+    load_trajectory(tmp_path)
+    write, written = fileio.write_immersion, []
+
+    def write_some(path, s):
+        if written:
+            raise OSError("disk full")
+        write(path, s)
+        written.append(path)
+
+    monkeypatch.setattr(fileio, "write_immersion", write_some)
+    with pytest.raises(OSError):
+        simulate(cfg)
+    with pytest.raises(IoError):
+        load_trajectory(tmp_path)
+
+
+def test_artifact_config_replays_the_run(tmp_path, small_run):
+    cfg, _ = small_run
+    assert load_config(Path(cfg.output_dir) / "run.cfg") == cfg
+    # a scenario writes its default horizon and threshold window in
+    scenario = RunConfig(initial_name="circle", initial_params={"radius": 1.2},
+                         initial_n=64, snapshot_stride=8, save_meshes=False,
+                         output_dir=str(tmp_path / "scenario"))
+    verdict = run_scenario(EXPAND_OUTSIDE, scenario)
+    effective = replace(scenario, horizon=1.1 * verdict.bound_time,
+                        thresholds=replace(scenario.thresholds, F2_max=ODE_WINDOW[1]))
+    assert load_config(tmp_path / "scenario" / "run.cfg") == effective
+    assert parse_config_text(format_config(effective)) == effective
+
+
+def test_format_config_round_trips(tmp_path):
+    file_cfg = parse_config_text(f"initial.kind = file\ninitial.path = {tmp_path / 'loop.pline'}\n"
+                                 "horizon = 0.5\noutput_dir = out\n")
+    ellipsoid = RunConfig(initial_name="ellipsoid",
+                          initial_params={"rx": 1.06 * math.sqrt(5.0), "ry": 2.3, "rz": 2.2,
+                                          "subdiv": 2},
+                          horizon=0.01, thresholds=replace(RunConfig().thresholds, F2_max=20.0))
+    for cfg in (parse_config_text(FULL_CONFIG), file_cfg, ellipsoid):
+        assert parse_config_text(format_config(cfg)) == cfg
+    # what would not read back equal is refused, not written
+    with pytest.raises(InvalidConfig):
+        format_config(RunConfig(initial_params={"gravity": 9.81}))
+    with pytest.raises(InvalidConfig):
+        format_config(RunConfig(output_dir="runs#1"))
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -345,13 +413,13 @@ def test_render_curve_svgs(tmp_path):
     assert len(paths) == 3 and all(p.endswith(".svg") for p in paths)
     radii = []
     for p in paths:
-        text = open(p).read()
+        text = Path(p).read_text()
         assert text.startswith("<svg")
         # second reference circle tracks the shrinking max radius
         radii.append(float(text.split('stroke-dasharray="2 3"')[0].rsplit('r="', 1)[1].split('"')[0]))
     assert radii[0] > radii[1] > radii[2]
     again = render.render(traj, outdir=str(tmp_path / "r2"))
-    assert open(paths[0], "rb").read() == open(again[0], "rb").read()
+    assert Path(paths[0]).read_bytes() == Path(again[0]).read_bytes()
 
 
 def test_render_surface_off_round_trip(tmp_path):
