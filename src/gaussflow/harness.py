@@ -5,7 +5,9 @@ trivial; one key table (``_KEYS``) drives both the parser and the writer.
 A run writes a self-describing artifact directory:
 
 * ``run.cfg``, the config that ran, in the same dialect, so
-  ``gaussflow simulate --config <dir>/run.cfg`` replays the run;
+  ``gaussflow simulate --config <dir>/run.cfg`` replays the run from any
+  working directory; a mesh-file input is copied in beside it as
+  ``initial.pline`` or ``initial.off``, which ``run.cfg`` names;
 * ``diagnostics.csv`` with the exact header
   ``t,dt,min_F2,max_F2,max_h2,weighted_area,mesh_quality``;
 * an ``events.jsonl`` stream and numbered snapshot meshes;
@@ -179,21 +181,33 @@ def format_config(cfg: RunConfig) -> str:
 
 
 def load_config(path) -> RunConfig:
+    """Read a config file; a relative ``initial.path`` is taken relative to
+    the file's directory, not the working directory."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text)
+    cfg = parse_config_text(text)
+    if cfg.mesh_path:
+        cfg.mesh_path = os.path.join(os.path.dirname(path), cfg.mesh_path)
+    return cfg
 
 
-def _write_config(cfg: RunConfig, outdir) -> str:
-    """Write the config that ran as ``run.cfg``, so the directory replays."""
+def _write_config(cfg: RunConfig, outdir, initial: DiscreteImmersion) -> list[str]:
+    """Write the config that ran as ``run.cfg``, so the directory replays.
+    A mesh-file input is copied in, so the replay does not depend on it."""
     os.makedirs(outdir, exist_ok=True)
+    copies = []
+    if cfg.initial_kind == "file":
+        name = "initial.pline" if initial.m == 1 else "initial.off"
+        copies.append(os.path.join(outdir, name))
+        fileio.write_immersion(copies[0], initial)
+        cfg = replace(cfg, mesh_path=name)
     path = os.path.join(outdir, "run.cfg")
     with open(path, "w") as fh:
         fh.write(format_config(cfg))
-    return path
+    return [path, *copies]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +335,7 @@ def simulate(cfg: RunConfig) -> FlowTrajectory:
                       stride=cfg.snapshot_stride, cfl=cfg.cfl,
                       keep_snapshots=cfg.save_meshes)
     if cfg.output_dir:
-        _write_config(cfg, cfg.output_dir)
+        _write_config(cfg, cfg.output_dir, initial)
         save_trajectory(traj, cfg.output_dir, save_meshes=cfg.save_meshes)
     return traj
 
@@ -480,7 +494,7 @@ def run_scenario(name: str, cfg: RunConfig) -> ScenarioVerdict:
 
     if cfg.output_dir:
         effective = replace(cfg, horizon=horizon, thresholds=th)
-        verdict.artifacts = [_write_config(effective, cfg.output_dir),
+        verdict.artifacts = [*_write_config(effective, cfg.output_dir, initial),
                              *save_trajectory(traj, cfg.output_dir,
                                               save_meshes=cfg.save_meshes)]
         vpath = os.path.join(cfg.output_dir, "verdict.json")

@@ -13,8 +13,8 @@ the cotangent Laplacian with mixed Voronoi vertex areas.  The blow-up
 monitor needs the full |h|^2, not |H|^2; on surfaces it comes from
 |h|^2 = |H|^2 - 2K with the angle-defect Gauss curvature K over the same
 mixed areas, so one pass over the faces yields every surface quantity.
-That pass works on per-corner values and sums them onto vertices through
-one sparse corner-to-vertex matrix built once per topology.
+That pass works on per-corner values and sums them onto vertices with one
+bincount over corner-to-vertex indices built once per topology.
 
 Each immersion caches the result of its one geometry pass, and every
 operator reads from that cache.  The cache also holds |F|^2 per vertex and
@@ -22,14 +22,13 @@ its maximum, the edge-length extremes and the quality proxy, so the flow
 engine steps curves and surfaces through these operators alone.  The static per-topology data
 lives in a connectivity object that an evolving immersion shares with its
 successors: the neighbour index arrays of a closed curve, or the face list
-and scatter matrix of a surface.  The curve tangent (normalized central
-chord) is not cached; the operators that use it compute it.
+and corner-to-vertex indices of a surface.  The curve tangent (normalized
+central chord) is not cached; the operators that use it compute it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DegenerateMesh, InvalidConfig
 
@@ -38,7 +37,8 @@ DEGENERACY_TOL = 1e-12
 
 class _Connectivity:
     """Static per-topology data, shared across an evolving mesh: the face
-    list and the sparse matrix that sums per-corner values onto vertices.
+    list and the vertex of each corner, which sums per-corner values onto
+    vertices.
 
     Everything here depends only on the face list, so a flow run computes
     it once and passes it along as vertices move.
@@ -48,12 +48,17 @@ class _Connectivity:
         self.faces = faces
         self.n_vertices = n_vertices
         self._validate_closed_oriented()
-        # corner k of face j is column k * n_faces + j, so a corner-major
-        # (3, n_faces) array flattens straight onto the columns
-        n_corners = faces.size
-        self.scatter = sparse.csr_array(
-            (np.ones(n_corners), (faces.T.ravel(), np.arange(n_corners))),
-            shape=(n_vertices, n_corners))
+        # corner k of face j is entry k * n_faces + j of a flattened
+        # corner-major array; vector entries interleave their coordinates
+        self._corner_vertex = faces.T.ravel()
+        self._corner_coord = (3 * self._corner_vertex[:, None] + np.arange(3)).ravel()
+
+    def to_vertices(self, values: np.ndarray) -> np.ndarray:
+        """Sum corner-major (3, n_faces) or (3, n_faces, 3) values onto vertices."""
+        if values.ndim == 2:
+            return np.bincount(self._corner_vertex, values.ravel(), minlength=self.n_vertices)
+        return np.bincount(self._corner_coord, values.ravel(),
+                           minlength=3 * self.n_vertices).reshape(-1, 3)
 
     def _validate_closed_oriented(self):
         f = self.faces
@@ -97,14 +102,11 @@ class DiscreteImmersion:
         from the last vertex back to the first.
     faces : (nf, 3) int array, optional
         Triangle list (surfaces only), consistently oriented.
-    validate : bool
-        Skip invariant checks when False (internal fast path for flow
-        stepping; degeneracy is then monitored by the caller).
     """
 
     __slots__ = ("m", "vertices", "faces", "_conn", "_geom")
 
-    def __init__(self, m: int, vertices, faces=None, validate: bool = True,
+    def __init__(self, m: int, vertices, faces=None,
                  _conn: _Connectivity | _CurveConnectivity | None = None):
         v = np.asarray(vertices, dtype=np.float64)
         if v.ndim != 2:
@@ -127,8 +129,7 @@ class DiscreteImmersion:
             self._conn = _conn if _conn is not None else _Connectivity(f, len(v))
         else:
             raise InvalidConfig(f"m must be 1 or 2, got {m}")
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def ambient_dim(self) -> int:
@@ -250,15 +251,15 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
     w = np.where(obtuse.any(axis=0),
                  np.where(obtuse, face_area / 2, face_area / 4),
                  (l2 * cot_next + l1 * cot_prev) / 8)
-    areas = conn.scatter @ w.ravel()
+    areas = conn.to_vertices(w)
     if areas.min() <= DEGENERACY_TOL:
         raise DegenerateMesh("vertex area underflow")
 
     # cotan Laplacian of the position map = mean curvature vector
     corner_H = 0.5 * (cot_prev[:, :, None] * e1 + cot_next[:, :, None] * e2)
-    H = (conn.scatter @ corner_H.reshape(-1, 3)) / areas[:, None]
+    H = conn.to_vertices(corner_H) / areas[:, None]
 
-    vertex_normal = conn.scatter @ np.tile(0.5 * cross, (3, 1))
+    vertex_normal = conn.to_vertices(np.broadcast_to(0.5 * cross, p.shape))
     nn = np.linalg.norm(vertex_normal, axis=1)
     if nn.min() <= DEGENERACY_TOL:
         raise DegenerateMesh("vanishing vertex normal")
@@ -266,7 +267,7 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
 
     # |h|^2 = |H|^2 - 2K with K the angle defect over the same mixed area;
     # the clamp absorbs discretization error on nearly flat vertices
-    gauss = (2.0 * np.pi - conn.scatter @ angles.ravel()) / areas
+    gauss = (2.0 * np.pi - conn.to_vertices(angles)) / areas
     h2 = np.maximum(np.einsum("ij,ij->i", H, H) - 2.0 * gauss, 0.0)
 
     edge = np.sqrt(l1)                           # edge k runs from corner k to k+1
@@ -294,7 +295,7 @@ def _surface_laplacian(s: DiscreteImmersion, geom: dict, f_vals: np.ndarray) -> 
     fc = f_vals[s.faces.T]                       # (3, n_faces) corner values
     corner = 0.5 * (np.roll(cots, 1, axis=0) * (np.roll(fc, -1, axis=0) - fc)
                     + np.roll(cots, -1, axis=0) * (np.roll(fc, 1, axis=0) - fc))
-    return (s._conn.scatter @ corner.ravel()) / geom["vertex_areas"]
+    return s._conn.to_vertices(corner) / geom["vertex_areas"]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +388,7 @@ def laplacian_spectral_bound(s: DiscreteImmersion) -> float:
         lengths = geom["edge_lengths"]
         return float((4.0 / (lengths * lengths[s._conn.prv])).max())
     cots = np.abs(geom["cots"])
-    row = s._conn.scatter @ (np.roll(cots, 1, axis=0) + np.roll(cots, -1, axis=0)).ravel()
+    row = s._conn.to_vertices(np.roll(cots, 1, axis=0) + np.roll(cots, -1, axis=0))
     return float((row / geom["vertex_areas"]).max())
 
 
@@ -415,9 +416,8 @@ def gradient_norm_sq(s: DiscreteImmersion, f) -> np.ndarray:
             + vals[i1][:, None] * np.cross(nrm, p0 - p2)
             + vals[i2][:, None] * np.cross(nrm, p1 - p0)) / two_area[:, None]
     g2 = (grad * grad).sum(axis=1)
-    fa = geom["face_area"]
-    scatter = s._conn.scatter
-    return (scatter @ np.tile(g2 * fa, 3)) / (scatter @ np.tile(fa, 3))
+    fa = np.broadcast_to(geom["face_area"], (3, len(g2)))
+    return s._conn.to_vertices(g2 * fa) / s._conn.to_vertices(fa)
 
 
 def second_fundamental_norm(s: DiscreteImmersion) -> np.ndarray:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import EXP_GUARD, DomainError, InvalidConfig, OverflowGuard
 
@@ -167,7 +166,8 @@ def applicable_bound(p: RadialParams) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# quadrature oracle (independent route: separable form + Gauss-Kronrod)
+# quadrature oracle (independent route: separable form + Gauss-Kronrod); quad
+# is imported in the oracles, so the command line starts without it
 
 
 def collapse_time_quadrature(p: RadialParams) -> float:
@@ -180,6 +180,7 @@ def collapse_time_quadrature(p: RadialParams) -> float:
         raise DomainError("quadrature oracle requires constant c")
     if p.regime() != "shrink":
         raise DomainError("collapse oracle requires the shrink regime")
+    from scipy.integrate import quad
 
     def integrand(s: float) -> float:
         return 1.0 / (2.0 * math.exp(p.a * s / p.m) * (p.m * p.c0 - p.b * s))
@@ -199,6 +200,7 @@ def escape_time_quadrature(p: RadialParams) -> float:
         raise DomainError("quadrature oracle requires constant c")
     if p.regime() != "expand":
         raise DomainError("escape oracle requires the expand regime")
+    from scipy.integrate import quad
 
     def integrand(s: float) -> float:
         return 1.0 / (2.0 * math.exp(p.a * s / p.m) * (p.b * s - p.m * p.c0))

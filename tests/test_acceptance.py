@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from gaussflow import cli, comparison, engine, harness, radial, shapes
+from gaussflow import cli, comparison, engine, fileio, harness, radial, shapes
 from gaussflow.ambient import GaussianAmbient, sectional_curvature
 from gaussflow.engine import (FLOW, FLOW0, HORIZON_REACHED, FlowParams,
                               Thresholds)
@@ -299,11 +299,21 @@ def test_criterion_11_deterministic_reruns(tmp_path, monkeypatch):
                          initial_n=64, snapshot_stride=8, save_meshes=False,
                          output_dir="scenario")
     run_scenario(EXPAND_OUTSIDE, scenario)
+    # a mesh-file input is copied into its artifact, so the artifact replays
+    # once the original mesh is gone
+    (tmp_path / "mesh").mkdir()
+    fileio.write_pline(tmp_path / "mesh" / "loop.pline",
+                       shapes.perturbed_circle(0.8, 0.05, 3, 7, 128))
+    (tmp_path / "mesh" / "run.cfg").write_text(
+        "initial.kind = file\ninitial.path = loop.pline\n"
+        "horizon = 0.02\nsnapshot_stride = 8\noutput_dir = from_file\n")
+    assert cli.main(["simulate", "--config", "mesh/run.cfg"]) == 0
+    (tmp_path / "mesh" / "loop.pline").unlink()
     replays = {}
     (tmp_path / "replay").mkdir()
     monkeypatch.chdir(tmp_path / "replay")
-    for sub in ("first", "scenario"):
-        code = cli.main(["simulate", "--config", str(tmp_path / sub / "run.cfg")])
+    for sub in ("first", "scenario", "from_file"):
+        code = cli.main(["simulate", "--config", f"../{sub}/run.cfg"])
         replays[sub] = code == 0 and _streams(tmp_path / "replay" / sub) == _streams(tmp_path / sub)
     ok = rerun_ok and all(replays.values())
     report(11, ok, "re-running the seeded config reproduces diagnostics.csv "

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,33 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_COLD_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import gaussflow.cli
+print(sum(name.startswith("scipy") for name in sys.modules))
+from gaussflow import radial
+print(repr(radial.collapse_time_quadrature(
+    radial.RadialParams(m=2, a=1.0, b=1.0, c0=1.0, R0_sq=1.0))))
+"""
+
+
+def test_cli_starts_without_scipy():
+    # scipy serves only the quadrature oracles, which import it when called
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", _COLD_START, str(src)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    n_scipy, oracle = done.stdout.split()
+    assert n_scipy == "0"
+
+    def ei(x):  # exponential integral, by its power series
+        return 0.5772156649015329 + math.log(x) + sum(
+            x ** k / (k * math.factorial(k)) for k in range(1, 40))
+
+    # closed form of the collapse time for m = 2 and a = b = c0 = R0_sq = 1
+    assert float(oracle) == pytest.approx((ei(1.0) - ei(0.5)) / (2.0 * math.e), rel=1e-12)
 
 
 def test_ambient_command(capsys):

@@ -273,6 +273,29 @@ def test_artifact_config_replays_the_run(tmp_path, small_run):
     assert parse_config_text(format_config(effective)) == effective
 
 
+def test_scenario_artifact_carries_its_mesh_file(tmp_path, monkeypatch):
+    # a relative initial.path is read from the config's directory, and the
+    # artifact's run.cfg names a copy of the mesh, not the original
+    loop = shapes.circle(1.2, 64)
+    (tmp_path / "in").mkdir()
+    fileio.write_pline(tmp_path / "in" / "loop.pline", loop)
+    (tmp_path / "in" / "run.cfg").write_text(
+        "initial.kind = file\ninitial.path = loop.pline\nsnapshot_stride = 8\n"
+        f"save_meshes = false\noutput_dir = {tmp_path / 'out'}\n")
+    monkeypatch.chdir(tmp_path)
+    cfg = load_config(Path("in") / "run.cfg")
+    assert cfg.mesh_path == os.path.join("in", "loop.pline")
+    verdict = run_scenario(EXPAND_OUTSIDE, cfg)
+    assert str(tmp_path / "out" / "initial.pline") in verdict.artifacts
+    replay = load_config(tmp_path / "out" / "run.cfg")
+    assert replay.mesh_path == str(tmp_path / "out" / "initial.pline")
+    assert replace(replay, mesh_path=cfg.mesh_path) == replace(
+        cfg, horizon=1.1 * verdict.bound_time,
+        thresholds=replace(cfg.thresholds, F2_max=ODE_WINDOW[1]))
+    copy = replay.build_initial()
+    assert np.array_equal(copy.vertices, loop.vertices)
+
+
 def test_format_config_round_trips(tmp_path):
     file_cfg = parse_config_text(f"initial.kind = file\ninitial.path = {tmp_path / 'loop.pline'}\n"
                                  "horizon = 0.5\noutput_dir = out\n")

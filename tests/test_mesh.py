@@ -200,6 +200,35 @@ def test_laplacian_spectral_bound_covers_the_spectrum():
     assert mesh.laplacian_spectral_bound(c) == pytest.approx(4.0 / h ** 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("build", [lambda: shapes.perturbed_sphere(0.8, 0.1, 3, 7, 2),
+                                   lambda: shapes.ellipsoid(3.0, 1.0, 0.4, 3)])
+def test_corner_sums_follow_vertex_labels(build):
+    # relabel the vertices and rotate each face's corners: every per-vertex
+    # result must follow its vertex, so a corner value that reaches the
+    # wrong vertex shows up (the ellipsoid has obtuse and acute faces)
+    s = build()
+    rng = np.random.default_rng(11)
+    perm = rng.permutation(s.n_vertices)
+    relabel = np.argsort(perm)
+    faces = relabel[s.faces]
+    rows = np.arange(len(faces))[:, None]
+    faces = faces[rows, (np.arange(3) + rng.integers(0, 3, size=(len(faces), 1))) % 3]
+    t = DiscreteImmersion(2, s.vertices[perm], faces)
+
+    def same(got, want, tol=1e-12):
+        assert np.abs(got - want[perm]).max() <= tol * np.abs(want).max()
+
+    f2 = (s.vertices ** 2).sum(axis=1)
+    same(mesh.vertex_areas(t), mesh.vertex_areas(s))
+    same(mesh.mean_curvature_vector(t), mesh.mean_curvature_vector(s))
+    same(mesh.normal_projection(t, t.vertices), mesh.normal_projection(s, s.vertices))
+    same(mesh.laplace_beltrami(t, f2[perm]), mesh.laplace_beltrami(s, f2))
+    same(mesh.gradient_norm_sq(t, f2[perm]), mesh.gradient_norm_sq(s, f2))
+    same(mesh.second_fundamental_norm(t), mesh.second_fundamental_norm(s), tol=1e-10)
+    assert mesh.laplacian_spectral_bound(t) == pytest.approx(
+        mesh.laplacian_spectral_bound(s), rel=1e-12)
+
+
 def test_area_first_variation_matches_mean_curvature():
     rng = np.random.default_rng(123)
     for s in (shapes.ellipse(0.9, 0.6, 128), shapes.ellipsoid(1.2, 1.0, 0.8, 2)):
@@ -245,8 +274,9 @@ def test_quality_edge_ratio():
 
 
 def test_quality_degenerate_returns_zero():
+    square = DiscreteImmersion(1, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     v = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-15], [0.0, 1e-15]])
-    s = DiscreteImmersion(1, v, validate=False)
+    s = square.replace_vertices(v)
     assert mesh.mesh_quality(s) == 0.0
 
 
