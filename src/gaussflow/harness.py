@@ -228,14 +228,27 @@ def write_diagnostics_csv(traj: FlowTrajectory, path) -> None:
                 traj.max_h2, traj.weighted_area, traj.mesh_quality)) + "\n")
 
 
+def _snapshot_names(snap_dir) -> list[str]:
+    """The numbered mesh snapshots in snap_dir, in row order."""
+    if not os.path.isdir(snap_dir):
+        return []
+    return sorted(name for name in os.listdir(snap_dir)
+                  if name.endswith((".pline", ".off", ".obj")) and name.split(".")[0].isdigit())
+
+
 def save_trajectory(traj: FlowTrajectory, outdir, save_meshes: bool = True) -> list[str]:
     """Write a trajectory's artifact files.  ``result.json`` goes last, under
     a temporary name then renamed, and any older one is removed first, so a
-    directory holds a result record only once every other file is complete."""
+    directory holds a result record only once every other file is complete.
+    An older run's numbered snapshots are removed too, so none of them load
+    with this run's rows."""
     os.makedirs(outdir, exist_ok=True)
     result_path = os.path.join(outdir, "result.json")
     with contextlib.suppress(FileNotFoundError):
         os.remove(result_path)
+    snap_dir = os.path.join(outdir, "snapshots")
+    for name in _snapshot_names(snap_dir):
+        os.remove(os.path.join(snap_dir, name))
     paths = []
 
     csv_path = os.path.join(outdir, "diagnostics.csv")
@@ -249,7 +262,6 @@ def save_trajectory(traj: FlowTrajectory, outdir, save_meshes: bool = True) -> l
     paths.append(ev_path)
 
     if save_meshes and traj.snapshots:
-        snap_dir = os.path.join(outdir, "snapshots")
         os.makedirs(snap_dir, exist_ok=True)
         ext = ".pline" if traj.m == 1 else ".off"
         for i, s in enumerate(traj.snapshots):
@@ -312,12 +324,11 @@ def load_trajectory(indir) -> FlowTrajectory:
         with open(ev_path) as fh:
             events = [json.loads(line) for line in fh if line.strip()]
 
-    snaps = []
     snap_dir = os.path.join(indir, "snapshots")
-    if os.path.isdir(snap_dir):
-        for name in sorted(os.listdir(snap_dir)):
-            if name.endswith((".pline", ".off", ".obj")):
-                snaps.append(fileio.read_immersion(os.path.join(snap_dir, name)))
+    names = _snapshot_names(snap_dir)
+    if names and len(names) != len(data):
+        raise IoError(f"{snap_dir} holds {len(names)} snapshots for {len(data)} diagnostics rows")
+    snaps = [fileio.read_immersion(os.path.join(snap_dir, name)) for name in names]
 
     return FlowTrajectory(
         **meta, times=cols[0], dts=cols[1], min_F2=cols[2], max_F2=cols[3],

@@ -13,8 +13,8 @@ the cotangent Laplacian with mixed Voronoi vertex areas.  The blow-up
 monitor needs the full |h|^2, not |H|^2; on surfaces it comes from
 |h|^2 = |H|^2 - 2K with the angle-defect Gauss curvature K over the same
 mixed areas, so one pass over the faces yields every surface quantity.
-That pass works on per-corner values and sums them onto vertices with one
-bincount over corner-to-vertex indices built once per topology.
+That pass reads corners coordinate-major, P[coord, corner, face], and sums
+each corner field onto vertices with one bincount over a per-topology index.
 
 Each immersion caches the result of its one geometry pass, and every
 operator reads from that cache.  The cache also holds |F|^2 per vertex and
@@ -37,8 +37,8 @@ DEGENERACY_TOL = 1e-12
 
 class _Connectivity:
     """Static per-topology data, shared across an evolving mesh: the face
-    list and the vertex of each corner, which sums per-corner values onto
-    vertices.
+    list, its corners (row k of the (3, n_faces) array holds corner k of every
+    face) and the coordinate-major index that sums corner vectors onto vertices.
 
     Everything here depends only on the face list, so a flow run computes
     it once and passes it along as vertices move.
@@ -48,17 +48,16 @@ class _Connectivity:
         self.faces = faces
         self.n_vertices = n_vertices
         self._validate_closed_oriented()
-        # corner k of face j is entry k * n_faces + j of a flattened
-        # corner-major array; vector entries interleave their coordinates
-        self._corner_vertex = faces.T.ravel()
-        self._corner_coord = (3 * self._corner_vertex[:, None] + np.arange(3)).ravel()
+        self.corners = np.ascontiguousarray(faces.T)
+        # coordinate i of corner k of face j sums into i * n_vertices + vertex
+        self._corner_coord = (np.arange(3)[:, None] * n_vertices + self.corners.ravel()).ravel()
 
     def to_vertices(self, values: np.ndarray) -> np.ndarray:
-        """Sum corner-major (3, n_faces) or (3, n_faces, 3) values onto vertices."""
+        """Sum (3, n_faces) scalars or coordinate-major (3, 3, n_faces) vectors onto vertices."""
         if values.ndim == 2:
-            return np.bincount(self._corner_vertex, values.ravel(), minlength=self.n_vertices)
+            return np.bincount(self.corners.ravel(), values.ravel(), minlength=self.n_vertices)
         return np.bincount(self._corner_coord, values.ravel(),
-                           minlength=3 * self.n_vertices).reshape(-1, 3)
+                           minlength=3 * self.n_vertices).reshape(3, -1)
 
     def _validate_closed_oriented(self):
         f = self.faces
@@ -224,26 +223,28 @@ def _curve_tangent(s: DiscreteImmersion) -> np.ndarray:
 
 
 def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
-    # corner-major layout: row k holds corner k of every face, e1 / e2 are
-    # the edges leaving it towards corners k+1 / k+2
-    p = v[conn.faces.T]                          # (3, n_faces, 3)
-    e1 = np.roll(p, -1, axis=0) - p
-    e2 = np.roll(p, 1, axis=0) - p
-    cross = np.cross(e1[0], e2[0])
-    cross_norm = np.linalg.norm(cross, axis=1)
+    # P[i, k, j] is coordinate i of corner k of face j; the edges leaving
+    # corner k are E[:, k] (to corner k+1) and -Ep[:, k] (to corner k+2)
+    vc = np.ascontiguousarray(v.T)
+    P = np.take(vc, conn.corners, axis=1)         # (3, 3, n_faces)
+    E = np.roll(P, -1, axis=1) - P
+    Ep = np.roll(E, 1, axis=1)
+    (ax, ay, az), (bx, by, bz) = E[:, 0], Ep[:, 0]
+    cross = np.stack([by * az - bz * ay, bz * ax - bx * az, bx * ay - by * ax])   # Ep x E
+    cross_norm = np.sqrt((cross * cross).sum(axis=0))
     face_area = 0.5 * cross_norm
     if face_area.min() <= DEGENERACY_TOL:
         raise DegenerateMesh(f"triangle area below {DEGENERACY_TOL:g}")
 
-    # all three corners span the same triangle, so they share |e1 x e2|:
-    # cot = <e1, e2> / |e1 x e2| and angle = atan2(|e1 x e2|, <e1, e2>)
-    dots = np.einsum("kfi,kfi->kf", e1, e2)
+    # all three corners span the same triangle, so they share |E x Ep|:
+    # cot = <E, -Ep> / |E x Ep| and angle = atan2(|E x Ep|, <E, -Ep>)
+    dots = -(E * Ep).sum(axis=0)                 # (3, n_faces)
     cots = dots / cross_norm
     angles = np.arctan2(cross_norm, dots)
-    cot_next = np.roll(cots, -1, axis=0)         # cot at corner k+1, opposite e2
-    cot_prev = np.roll(cots, 1, axis=0)          # cot at corner k+2, opposite e1
-    l1 = np.einsum("kfi,kfi->kf", e1, e1)
-    l2 = np.einsum("kfi,kfi->kf", e2, e2)
+    cot_next = np.roll(cots, -1, axis=0)         # cot at corner k+1, opposite -Ep
+    cot_prev = np.roll(cots, 1, axis=0)          # cot at corner k+2, opposite E
+    l1 = (E * E).sum(axis=0)                     # |E|^2, edge k runs from corner k to k+1
+    l2 = np.roll(l1, 1, axis=0)                  # |Ep|^2
 
     # mixed Voronoi area: circumcentric for acute triangles, half/quarter
     # of the face area at/off the obtuse corner otherwise
@@ -255,31 +256,34 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
     if areas.min() <= DEGENERACY_TOL:
         raise DegenerateMesh("vertex area underflow")
 
-    # cotan Laplacian of the position map = mean curvature vector
-    corner_H = 0.5 * (cot_prev[:, :, None] * e1 + cot_next[:, :, None] * e2)
-    H = conn.to_vertices(corner_H) / areas[:, None]
+    # cotan Laplacian of the position map = mean curvature vector; its corner
+    # vectors and the normals' overwrite E and P, which are not read again
+    E *= cot_prev
+    E -= np.multiply(cot_next, Ep, out=Ep)
+    H = 0.5 * conn.to_vertices(E) / areas
 
-    vertex_normal = conn.to_vertices(np.broadcast_to(0.5 * cross, p.shape))
-    nn = np.linalg.norm(vertex_normal, axis=1)
+    P[...] = 0.5 * cross[:, None]
+    vertex_normal = conn.to_vertices(P)
+    nn = np.sqrt((vertex_normal * vertex_normal).sum(axis=0))
     if nn.min() <= DEGENERACY_TOL:
         raise DegenerateMesh("vanishing vertex normal")
-    vertex_normal /= nn[:, None]
+    vertex_normal /= nn
 
     # |h|^2 = |H|^2 - 2K with K the angle defect over the same mixed area;
     # the clamp absorbs discretization error on nearly flat vertices
     gauss = (2.0 * np.pi - conn.to_vertices(angles)) / areas
-    h2 = np.maximum(np.einsum("ij,ij->i", H, H) - 2.0 * gauss, 0.0)
+    h2 = np.maximum((H * H).sum(axis=0) - 2.0 * gauss, 0.0)
 
-    edge = np.sqrt(l1)                           # edge k runs from corner k to k+1
+    edge = np.sqrt(l1)
     semi = 0.5 * edge.sum(axis=0)
     q = 8.0 * face_area ** 2 / (semi * edge.prod(axis=0))
-    F2 = np.einsum("ij,ij->i", v, v)
+    F2 = (vc * vc).sum(axis=0)
 
     return {
         "face_area": face_area,
         "vertex_areas": areas,
-        "H": H,
-        "normal": vertex_normal,
+        "H": np.ascontiguousarray(H.T),
+        "normal": np.ascontiguousarray(vertex_normal.T),
         "h2": h2,
         "F2": F2,
         "F2_max": float(F2.max()),
@@ -292,7 +296,7 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
 
 def _surface_laplacian(s: DiscreteImmersion, geom: dict, f_vals: np.ndarray) -> np.ndarray:
     cots = geom["cots"]
-    fc = f_vals[s.faces.T]                       # (3, n_faces) corner values
+    fc = np.take(f_vals, s._conn.corners)        # (3, n_faces) corner values
     corner = 0.5 * (np.roll(cots, 1, axis=0) * (np.roll(fc, -1, axis=0) - fc)
                     + np.roll(cots, -1, axis=0) * (np.roll(fc, 1, axis=0) - fc))
     return s._conn.to_vertices(corner) / geom["vertex_areas"]
@@ -405,17 +409,13 @@ def gradient_norm_sq(s: DiscreteImmersion, f) -> np.ndarray:
         lengths = geom["edge_lengths"]
         g = (vals[nxt] - vals[prv]) / (lengths[prv] + lengths)
         return g * g
-    i0, i1, i2 = s.faces.T
-    v = s.vertices
-    p0, p1, p2 = v[i0], v[i1], v[i2]
-    nrm = np.cross(p1 - p0, p2 - p0)
-    two_area = np.linalg.norm(nrm, axis=1)
-    nrm = nrm / two_area[:, None]
-    # P1 gradient: sum of f at each corner times the rotated opposite edge
-    grad = (vals[i0][:, None] * np.cross(nrm, p2 - p1)
-            + vals[i1][:, None] * np.cross(nrm, p0 - p2)
-            + vals[i2][:, None] * np.cross(nrm, p1 - p0)) / two_area[:, None]
-    g2 = (grad * grad).sum(axis=1)
+    # P1 gradient n x g / 2A, g the sum of f at each corner times the opposite
+    # edge (corner k+1 to k+2); g lies in the face plane, so |n x g| = |g|
+    corners = s._conn.corners
+    P = np.take(np.ascontiguousarray(s.vertices.T), corners, axis=1)
+    fc = np.take(vals, corners)                  # (3, n_faces)
+    g = ((np.roll(P, -1, axis=1) - P) * np.roll(fc, 1, axis=0)).sum(axis=1)
+    g2 = (g * g).sum(axis=0) / (2.0 * geom["face_area"]) ** 2
     fa = np.broadcast_to(geom["face_area"], (3, len(g2)))
     return s._conn.to_vertices(g2 * fa) / s._conn.to_vertices(fa)
 

@@ -259,6 +259,28 @@ def test_interrupted_rerun_does_not_load(tmp_path, small_run, monkeypatch):
         load_trajectory(tmp_path)
 
 
+def test_rerun_removes_older_snapshots(tmp_path, small_run):
+    # a shorter rerun into the same directory writes fewer snapshots; the
+    # older run's extra ones must not load with the new rows
+    cfg = replace(small_run[0], output_dir=str(tmp_path), snapshot_stride=4)
+    assert simulate(cfg).n_snapshots > 2
+    short = simulate(replace(cfg, horizon=0.005))
+    back = load_trajectory(tmp_path)
+    assert len(back.snapshots) == len(back.times) == short.n_snapshots
+    np.testing.assert_array_equal(back.snapshots[-1].vertices, short.snapshots[-1].vertices)
+    simulate(replace(cfg, save_meshes=False))
+    assert load_trajectory(tmp_path).snapshots == []
+
+
+def test_load_rejects_snapshot_count_mismatch(tmp_path, small_run):
+    cfg = replace(small_run[0], output_dir=str(tmp_path))
+    simulate(cfg)
+    snaps = sorted((tmp_path / "snapshots").iterdir())
+    snaps[-1].unlink()
+    with pytest.raises(IoError, match="snapshots for"):
+        load_trajectory(tmp_path)
+
+
 def test_artifact_config_replays_the_run(tmp_path, small_run):
     cfg, _ = small_run
     assert load_config(Path(cfg.output_dir) / "run.cfg") == cfg

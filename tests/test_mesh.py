@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussflow import mesh, shapes
-from gaussflow.errors import InvalidConfig
+from gaussflow.errors import DegenerateMesh, InvalidConfig
 from gaussflow.mesh import DiscreteImmersion
 
 
@@ -227,6 +227,96 @@ def test_corner_sums_follow_vertex_labels(build):
     same(mesh.second_fundamental_norm(t), mesh.second_fundamental_norm(s), tol=1e-10)
     assert mesh.laplacian_spectral_bound(t) == pytest.approx(
         mesh.laplacian_spectral_bound(s), rel=1e-12)
+
+
+def reference_surface_geometry(s: DiscreteImmersion) -> dict:
+    """The surface geometry pass as a plain loop over faces and corners."""
+    def sub(a, b):
+        return [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    def cross(a, b):
+        return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0]]
+
+    v = s.vertices.tolist()
+    n = len(v)
+    areas, angle_sum = [0.0] * n, [0.0] * n
+    H_sum = [[0.0] * 3 for _ in range(n)]
+    normal_sum = [[0.0] * 3 for _ in range(n)]
+    face_area, cots, edges, quality = [], [], [], []
+    for face in s.faces.tolist():
+        p = [v[i] for i in face]
+        c = cross(sub(p[1], p[0]), sub(p[2], p[0]))
+        two_area = math.sqrt(dot(c, c))
+        face_area.append(0.5 * two_area)
+        # corner k: edges to the next corner (opposite corner k+2) and to the
+        # previous one (opposite corner k+1)
+        to_next = [sub(p[(k + 1) % 3], p[k]) for k in range(3)]
+        to_prev = [sub(p[(k + 2) % 3], p[k]) for k in range(3)]
+        cot = [dot(to_next[k], to_prev[k]) / two_area for k in range(3)]
+        cots.append(cot)
+        lengths = [math.sqrt(dot(e, e)) for e in to_next]
+        edges.extend(lengths)
+        semi = 0.5 * sum(lengths)
+        quality.append(8.0 * (0.5 * two_area) ** 2 / (semi * lengths[0] * lengths[1] * lengths[2]))
+        obtuse = any(x < 0 for x in cot)
+        for k, i in enumerate(face):
+            cot_next, cot_prev = cot[(k + 1) % 3], cot[(k + 2) % 3]
+            if obtuse:
+                areas[i] += 0.5 * two_area / (2.0 if cot[k] < 0 else 4.0)
+            else:
+                areas[i] += (dot(to_prev[k], to_prev[k]) * cot_next
+                             + dot(to_next[k], to_next[k]) * cot_prev) / 8.0
+            angle_sum[i] += math.atan2(two_area, dot(to_next[k], to_prev[k]))
+            for a in range(3):
+                H_sum[i][a] += 0.5 * (cot_prev * to_next[k][a] + cot_next * to_prev[k][a])
+                normal_sum[i][a] += 0.5 * c[a]
+    H = [[x / areas[i] for x in H_sum[i]] for i in range(n)]
+    normal = [[x / math.sqrt(dot(row, row)) for x in row] for row in normal_sum]
+    h2 = [max(dot(H[i], H[i]) - 2.0 * (2.0 * math.pi - angle_sum[i]) / areas[i], 0.0)
+          for i in range(n)]
+    F2 = [dot(p, p) for p in v]
+    return {
+        "face_area": face_area, "vertex_areas": areas, "H": H, "normal": normal,
+        "h2": h2, "F2": F2, "F2_max": max(F2), "quality": min(quality),
+        "cots": np.transpose(cots), "min_edge": min(edges), "max_edge": max(edges),
+    }
+
+
+@pytest.mark.parametrize("build, obtuse", [
+    (lambda: shapes.ellipsoid(3.0, 1.0, 0.4, 2), True),
+    (lambda: shapes.perturbed_sphere(0.8, 0.1, 3, 7, 2), False)])
+def test_surface_geometry_matches_reference_loop(build, obtuse):
+    s = build()
+    got = mesh._surface_geometry(s.vertices, s._conn)
+    want = reference_surface_geometry(s)
+    assert got.keys() == want.keys()
+    for key, ref in want.items():
+        ref = np.asarray(ref)
+        assert np.shape(got[key]) == ref.shape, key
+        assert np.abs(got[key] - ref).max() <= 1e-12 * np.abs(ref).max(), key
+    for key in ("H", "normal"):
+        assert got[key].shape == (s.n_vertices, 3) and got[key].dtype == np.float64
+        assert got[key].flags.c_contiguous
+    assert (want["cots"] < 0).any() == obtuse    # the ellipsoid runs the obtuse branches
+
+
+def test_collapsed_vertex_is_degenerate():
+    # move one vertex onto the midpoint of the opposite edge of a face it
+    # belongs to, so that face has zero area
+    s = shapes.icosphere(1.0, 1)
+    i, a, b = s.faces[0]
+    v = s.vertices.copy()
+    v[i] = 0.5 * (v[a] + v[b])
+    with pytest.raises(InvalidConfig, match="degenerate immersion: triangle area"):
+        DiscreteImmersion(2, v, s.faces)
+    flat = s.replace_vertices(v)
+    with pytest.raises(DegenerateMesh, match="triangle area"):
+        mesh.mean_curvature_vector(flat)
+    assert mesh.mesh_quality(flat) == 0.0
 
 
 def test_area_first_variation_matches_mean_curvature():
