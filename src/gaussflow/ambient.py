@@ -46,12 +46,12 @@ class GaussianAmbient:
             raise UnsupportedParam(f"a must be positive, got {self.a}")
 
 
-def as_ambient_vector(x, dim_total: int | None = None) -> np.ndarray:
-    """Validate and return a finite float64 vector."""
+def as_ambient_vector(x, dim_total: int) -> np.ndarray:
+    """Validate and return a finite float64 vector of dim_total components."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise UnsupportedParam(f"ambient vector must be 1-d, got shape {v.shape}")
-    if dim_total is not None and v.shape[0] != dim_total:
+    if v.shape[0] != dim_total:
         raise UnsupportedParam(
             f"ambient vector has {v.shape[0]} components, expected {dim_total}"
         )

@@ -134,8 +134,8 @@ def _cmd_scenario(args) -> int:
                 named.append((name, load_config(path)))
         if not named:
             raise GaussFlowError(f"no <SCENARIO>.cfg files found in {args.config}")
-        for verdict in harness.run_scenarios(named):
-            print(verdict.summary())
+        for name, cfg in named:
+            print(harness.run_scenario(name, cfg).summary())
         return 0
     cfg = load_config(args.config)
     verdict = harness.run_scenario(args.name, cfg)
@@ -146,14 +146,12 @@ def _cmd_scenario(args) -> int:
 def _cmd_verify(args) -> int:
     traj = load_trajectory(args.trajectory)
     claim = args.claim
-    if claim == comparison.SIGN_PRESERVATION_BELOW:
+    signs = {comparison.SIGN_PRESERVATION_BELOW: comparison.check_sign_below,
+             comparison.SIGN_PRESERVATION_ABOVE: comparison.check_sign_above}
+    if claim in signs:
         if args.eps is None:
             raise GaussFlowError("--eps is required for sign-preservation claims")
-        report = comparison.check_sign_below(traj, traj.params, args.eps)
-    elif claim == comparison.SIGN_PRESERVATION_ABOVE:
-        if args.eps is None:
-            raise GaussFlowError("--eps is required for sign-preservation claims")
-        report = comparison.check_sign_above(traj, traj.params, args.eps)
+        report = signs[claim](traj, traj.params, args.eps)
     elif claim in (comparison.SPHERE_BARRIER_BELOW, comparison.SPHERE_BARRIER_ABOVE):
         if args.eps is None or args.rp0sq is None:
             raise GaussFlowError("--eps and --rp0sq are required for sphere barriers")

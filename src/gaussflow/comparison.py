@@ -47,11 +47,30 @@ def _report(claim: str, margins: np.ndarray, times: np.ndarray, tol: float,
                          worst_time=float(times[idx]), tolerance=tol, detail=detail)
 
 
-def _ratio_params(p: FlowParams) -> tuple[float, float]:
-    if p.variant == FLOWP and p.b == 0.0:
+def _check_sign(traj: FlowTrajectory, p: FlowParams, eps: float,
+                below: bool) -> BarrierReport:
+    # FLOW pins b = c = 1 and c_slope = 0, so the balance sphere (c(t)/b) m is exact for it too
+    if p.variant not in (FLOW, FLOWP):
+        raise HypothesisViolated("sign-preservation checks need FLOW or FLOWP runs")
+    if (p.c_slope < 0) if below else (p.c_slope > 0):
+        raise HypothesisViolated("below-claim needs nondecreasing c/b" if below
+                                 else "above-claim needs nonincreasing c/b")
+    if p.b == 0.0:
         raise HypothesisViolated("sign-preservation claims need b > 0")
-    b = p.b if p.variant == FLOWP else 1.0
-    return p.c_at(0.0) / b, b
+    balance0 = p.c_at(0.0) / p.b * traj.m
+    edge = traj.max_F2 if below else traj.min_F2
+    gap = balance0 - edge[0] if below else edge[0] - balance0
+    if not gap > 0:
+        raise HypothesisViolated(
+            f"initial data not {'inside: max' if below else 'outside: min'}|F0|^2 = "
+            f"{edge[0]:.6g} vs (c/b)m = {balance0:.6g}"
+        )
+    if not 0.0 < eps < gap:
+        raise HypothesisViolated(f"eps = {eps:.6g} outside the admissible interval (0, {gap:.6g})")
+    balance = p.c_at(traj.times) / p.b * traj.m
+    margins = balance - eps - edge if below else edge - balance - eps
+    return _report(SIGN_PRESERVATION_BELOW if below else SIGN_PRESERVATION_ABOVE, margins,
+                   traj.times, traj.discretization_tolerance(), f"eps={eps:g}")
 
 
 def check_sign_below(traj: FlowTrajectory, p: FlowParams, eps: float) -> BarrierReport:
@@ -61,44 +80,12 @@ def check_sign_below(traj: FlowTrajectory, p: FlowParams, eps: float) -> Barrier
     max|F0|^2 < (c/b)(0) * m; admissible eps lie strictly between 0 and
     the initial gap.
     """
-    if p.variant not in (FLOW, FLOWP):
-        raise HypothesisViolated("sign-preservation checks need FLOW or FLOWP runs")
-    if p.c_slope < 0:
-        raise HypothesisViolated("below-claim needs nondecreasing c/b")
-    ratio0, b = _ratio_params(p)
-    m = traj.m
-    gap = ratio0 * m - traj.max_F2[0]
-    if not gap > 0:
-        raise HypothesisViolated(
-            f"initial data not inside: max|F0|^2 = {traj.max_F2[0]:.6g} vs (c/b)m = {ratio0 * m:.6g}"
-        )
-    if not 0.0 < eps < gap:
-        raise HypothesisViolated(f"eps = {eps:.6g} outside the admissible interval (0, {gap:.6g})")
-    ratio_t = (p.c_at(traj.times) if p.variant == FLOWP else np.ones_like(traj.times)) / b
-    margins = ratio_t * m - eps - traj.max_F2
-    return _report(SIGN_PRESERVATION_BELOW, margins, traj.times,
-                   traj.discretization_tolerance(), f"eps={eps:g}")
+    return _check_sign(traj, p, eps, below=True)
 
 
 def check_sign_above(traj: FlowTrajectory, p: FlowParams, eps: float) -> BarrierReport:
     """Mirror claim: once strictly outside the balance sphere, stay outside."""
-    if p.variant not in (FLOW, FLOWP):
-        raise HypothesisViolated("sign-preservation checks need FLOW or FLOWP runs")
-    if p.c_slope > 0:
-        raise HypothesisViolated("above-claim needs nonincreasing c/b")
-    ratio0, b = _ratio_params(p)
-    m = traj.m
-    gap = traj.min_F2[0] - ratio0 * m
-    if not gap > 0:
-        raise HypothesisViolated(
-            f"initial data not outside: min|F0|^2 = {traj.min_F2[0]:.6g} vs (c/b)m = {ratio0 * m:.6g}"
-        )
-    if not 0.0 < eps < gap:
-        raise HypothesisViolated(f"eps = {eps:.6g} outside the admissible interval (0, {gap:.6g})")
-    ratio_t = (p.c_at(traj.times) if p.variant == FLOWP else np.ones_like(traj.times)) / b
-    margins = traj.min_F2 - ratio_t * m - eps
-    return _report(SIGN_PRESERVATION_ABOVE, margins, traj.times,
-                   traj.discretization_tolerance(), f"eps={eps:g}")
+    return _check_sign(traj, p, eps, below=False)
 
 
 def admissible_barrier_interval(traj: FlowTrajectory) -> tuple[float, float, str]:
@@ -152,8 +139,7 @@ def check_sphere_barrier(traj: FlowTrajectory, Rp0_sq: float, eps: float) -> Bar
                    f"Rp0_sq={Rp0_sq:g} eps={eps:g} overlap={n}")
 
 
-def check_sphericity(traj: FlowTrajectory,
-                     sphericity_tol: float = SPHERICITY_TOL) -> BarrierReport:
+def check_sphericity(traj: FlowTrajectory) -> BarrierReport:
     """Spherical initial data stays spherical: the vertexwise relative
     spread of |F|^2 remains below the drift-scaled tolerance
     tol * (1 + elapsed time) at every snapshot."""
@@ -162,7 +148,7 @@ def check_sphericity(traj: FlowTrajectory,
         raise HypothesisViolated(
             f"initial spread {spread[0]:.3e} exceeds {SPHERICITY_INITIAL_SPREAD:g}; data not spherical"
         )
-    allowed = sphericity_tol * (1.0 + traj.times)
+    allowed = SPHERICITY_TOL * (1.0 + traj.times)
     margins = allowed - spread
     return _report(SPHERICITY, margins, traj.times, 0.0,
-                   f"tol={sphericity_tol:g} scaled by (1 + t)")
+                   f"tol={SPHERICITY_TOL:g} scaled by (1 + t)")

@@ -62,6 +62,7 @@ POSITION_COLLAPSE = "POSITION_COLLAPSE"
 MESH_DEGENERATE = "MESH_DEGENERATE"
 HORIZON_REACHED = "HORIZON_REACHED"
 
+DT_MIN = 1e-12           # shortest stable step; below it the run stops
 DT_MAX = 1e-2            # longest step of either integrator
 RTOL = 1e-8              # RKC2 error tolerance, relative to |position|
 ATOL = 1e-10             # and absolute, in position units
@@ -90,6 +91,8 @@ class FlowParams:
                     f"{self.variant} is the fixed specialization a = b = c = 1"
                 )
         else:
+            if not all(map(math.isfinite, (self.a, self.b, self.c, self.c_slope))):
+                raise InvalidConfig("FLOWP needs finite a, b, c and c_slope")
             if self.a < 0 or self.b < 0 or self.c <= 0:
                 raise InvalidConfig("FLOWP needs a >= 0, b >= 0, c > 0")
 
@@ -237,21 +240,19 @@ def velocity(s: DiscreteImmersion, p: FlowParams, t: float = 0.0) -> np.ndarray:
     return w[:, None] * drive
 
 
-def stability_dt(s: DiscreteImmersion, p: FlowParams, t: float = 0.0,
-                 cfl: float = 0.25, dt_min: float = 1e-12,
-                 dt_max: float = DT_MAX) -> float:
-    """Stable explicit step: cfl * h_min^2 / (c(t) * exp(a max|F|^2 / m)).
+def stability_dt(s: DiscreteImmersion, p: FlowParams, t: float = 0.0, cfl: float = 0.25) -> float:
+    """Stable explicit step cfl * h_min^2 / (c(t) * exp(a max|F|^2 / m)), at most DT_MAX.
 
-    Raises TimestepUnderflow when the unclamped step falls below dt_min;
+    Raises TimestepUnderflow when the unclamped step falls below DT_MIN;
     the caller then terminates with the currently indicated blow-up kind.
     """
     geom = s._geometry()
     _, peak = _conformal_exponent(geom, p, s.m)
     h_min = geom["min_edge"]
     dt = cfl * h_min * h_min / (p.c_at(t) * math.exp(peak))
-    if dt < dt_min:
-        raise TimestepUnderflow(dt, dt_min)
-    return min(dt, dt_max)
+    if dt < DT_MIN:
+        raise TimestepUnderflow(dt, DT_MIN)
+    return min(dt, DT_MAX)
 
 
 def _spectral_radius(s: DiscreteImmersion, p: FlowParams, t: float) -> float:
@@ -341,7 +342,7 @@ def _land(t: float, dt: float, horizon: float, sample: float | None) -> tuple[fl
 
 
 def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
-             dt_stab: float, dt_max: float, horizon: float = math.inf,
+             dt_stab: float, horizon: float = math.inf,
              sample: float | None = None):
     """One accepted step from (s, t): RK4 at dt_stab or RKC2 at the accuracy
     step, whichever costs fewer velocity evaluations per unit time.
@@ -357,10 +358,10 @@ def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
     while True:
         dt, rkc = dt_stab, False
         # RKC2 takes at least two stages, so below dt_stab / 2 RK4 is cheaper
-        if dt_acc is not None and min(dt_acc, dt_max) > 0.5 * dt_stab:
+        if dt_acc is not None and min(dt_acc, DT_MAX) > 0.5 * dt_stab:
             if rho is None:
                 rho = _spectral_radius(s, p, t)
-            dt_rkc, stages = _rkc_stages(min(dt_acc, dt_max), rho)
+            dt_rkc, stages = _rkc_stages(min(dt_acc, DT_MAX), rho)
             if stages / dt_rkc < 4.0 / dt_stab:
                 dt, rkc = dt_rkc, True
         dt, landed = _land(t, dt, horizon, sample)
@@ -418,7 +419,7 @@ def step(state: FlowState, p: FlowParams, cfl: float = 0.25) -> FlowState:
     repeated calls take the steps ``run`` takes."""
     s, t = state.immersion, state.t
     nxt, t1, dt, _, ctl = _advance(s, t, state.control, p,
-                                   stability_dt(s, p, t, cfl=cfl), DT_MAX)
+                                   stability_dt(s, p, t, cfl=cfl))
     return FlowState(t1, nxt, compute_diagnostics(nxt, dt), ctl)
 
 
@@ -480,9 +481,12 @@ def _locate_crossing(s: DiscreteImmersion, t: float, f0: np.ndarray, p: FlowPara
 
 def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         thresholds: Thresholds | None = None, stride: int = 16,
-        snapshot_times=None, cfl: float = 0.25, dt_min: float = 1e-12,
-        dt_max: float = DT_MAX, keep_snapshots: bool = True) -> FlowTrajectory:
+        snapshot_times=None, cfl: float = 0.25, keep_snapshots: bool = True) -> FlowTrajectory:
     """Run the flow until the horizon or the first terminal event.
+
+    ``horizon`` must be >= 0: NaN is rejected, infinity is allowed.  Every
+    step is at most DT_MAX long, and a stable step below DT_MIN stops the
+    run with the blow-up kind the monitor indicates.
 
     Snapshots (CSV rows) are recorded every ``stride`` steps, or exactly at
     ``snapshot_times`` when given; the initial and terminal states are
@@ -492,12 +496,12 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
     max|h|^2 and mesh quality the stop classification reads.
 
     ``t_stop_error`` is zero for a horizon stop, whose time is landed on,
-    and otherwise 4 * bracket + 4 * dt_min + E / |d max|F|^2 / dt| at the
+    and otherwise 4 * bracket + 4 * DT_MIN + E / |d max|F|^2 / dt| at the
     stop: the bracket is the last step, or the bisection bracket of a
     crossing inside an RKC2 step, and E the summed RKC2 error estimate of
     |F|^2.
     """
-    if horizon < 0:
+    if not horizon >= 0:
         raise InvalidConfig(f"horizon must be >= 0, got {horizon}")
     if stride < 1:
         raise InvalidConfig("stride must be >= 1")
@@ -561,7 +565,7 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
             break
 
         try:
-            dt_stab = stability_dt(cur, p, t, cfl=cfl, dt_min=dt_min, dt_max=dt_max)
+            dt_stab = stability_dt(cur, p, t, cfl=cfl)
         except TimestepUnderflow as exc:
             kind, detail = _underflow_kind(p, initial.m, mon, th)
             events.append({"event": "timestep_underflow", "t": t})
@@ -576,8 +580,7 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         if sample_times is not None and next_sample < len(sample_times):
             sample = sample_times[next_sample]
         try:
-            nxt, t1, dt, landed, nctl = _advance(cur, t, ctl, p, dt_stab, dt_max,
-                                                 horizon, sample)
+            nxt, t1, dt, landed, nctl = _advance(cur, t, ctl, p, dt_stab, horizon, sample)
         except OverflowGuard:
             events.append({"event": "overflow_guard", "t": t})
             stop = StopReason(POSITION_BLOWUP, t, "conformal exponent guard fired mid-step")
@@ -611,7 +614,7 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
     err_sum = ctl.err_sum
     t_stop_error = 0.0
     if stop.kind != HORIZON_REACHED:
-        t_stop_error = 4.0 * bracket + 4.0 * dt_min
+        t_stop_error = 4.0 * bracket + 4.0 * DT_MIN
         if err_sum > 0.0 and f2_rate > 0.0:
             t_stop_error += err_sum / f2_rate
     return FlowTrajectory(

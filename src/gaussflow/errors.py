@@ -21,10 +21,9 @@ EXP_GUARD = 700.0
 class OverflowGuard(GaussFlowError):
     """Conformal exponent exceeded the binary64 guard (position blow-up regime)."""
 
-    def __init__(self, exponent: float, limit: float = EXP_GUARD):
+    def __init__(self, exponent: float):
         self.exponent = float(exponent)
-        self.limit = float(limit)
-        super().__init__(f"conformal exponent {exponent:.6g} exceeds guard {limit:g}")
+        super().__init__(f"conformal exponent {exponent:.6g} exceeds guard {EXP_GUARD:g}")
 
 
 class DegenerateMesh(GaussFlowError):

@@ -114,24 +114,21 @@ def read_obj(path) -> DiscreteImmersion:
                              np.array(faces, dtype=np.int64))
 
 
-_READERS = {".off": read_off, ".obj": read_obj, ".pline": read_pline}
+_FORMATS = {".off": (read_off, write_off), ".obj": (read_obj, write_obj),
+            ".pline": (read_pline, write_pline)}
+
+
+def _format(path):
+    ext = os.path.splitext(str(path))[1].lower()
+    if ext not in _FORMATS:
+        raise IoError(f"unsupported mesh extension {ext!r}")
+    return _FORMATS[ext]
 
 
 def read_immersion(path) -> DiscreteImmersion:
     """Dispatch on file extension (.off, .obj, .pline)."""
-    ext = os.path.splitext(str(path))[1].lower()
-    if ext not in _READERS:
-        raise IoError(f"unsupported mesh extension {ext!r}")
-    return _READERS[ext](path)
+    return _format(path)[0](path)
 
 
 def write_immersion(path, s: DiscreteImmersion) -> None:
-    ext = os.path.splitext(str(path))[1].lower()
-    if ext == ".off":
-        write_off(path, s)
-    elif ext == ".obj":
-        write_obj(path, s)
-    elif ext == ".pline":
-        write_pline(path, s)
-    else:
-        raise IoError(f"unsupported mesh extension {ext!r}")
+    _format(path)[1](path, s)

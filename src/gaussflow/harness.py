@@ -88,9 +88,8 @@ class RunConfig:
             return fileio.read_immersion(self.mesh_path)
         if self.initial_kind != "builtin":
             raise InvalidConfig(f"unknown initial.kind {self.initial_kind!r}")
-        params = dict(self.initial_params)
-        params.setdefault("seed", self.seed)
-        return builtin_shape(self.initial_name, params, self.initial_n)
+        return builtin_shape(self.initial_name, {**self.initial_params, "seed": self.seed},
+                             self.initial_n)
 
 
 # Every config key: the RunConfig field it sets and the type of its value.
@@ -104,7 +103,7 @@ _KEYS: dict[str, tuple[str, type]] = {
     "initial.n": ("initial_n", int),
     **{f"initial.{k}": (f"initial_params.{k}", float)
        for k in ("radius", "rx", "ry", "rz", "amp")},
-    **{f"initial.{k}": (f"initial_params.{k}", int) for k in ("mode", "subdiv", "seed")},
+    **{f"initial.{k}": (f"initial_params.{k}", int) for k in ("mode", "subdiv")},
     "params.variant": ("params.variant", str),
     **{f"params.{k}": (f"params.{k}", float) for k in ("a", "b", "c", "c_slope")},
     "horizon": ("horizon", float),
@@ -117,6 +116,14 @@ _KEYS: dict[str, tuple[str, type]] = {
     "output_dir": ("output_dir", str),
 }
 _SHAPE_KEYS = {f.split(".")[1] for f, _ in _KEYS.values() if f.startswith("initial_params.")}
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of true/false/yes/no/1/0, got {text!r}") from None
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -132,7 +139,7 @@ def parse_config_text(text: str) -> RunConfig:
             raise InvalidConfig(f"unknown config key {key!r}")
         name, kind = _KEYS[key]
         try:
-            values[name] = val.lower() in ("1", "true", "yes") if kind is bool else kind(val)
+            values[name] = _parse_bool(val) if kind is bool else kind(val)
         except ValueError as exc:
             raise InvalidConfig(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 
@@ -147,7 +154,7 @@ def parse_config_text(text: str) -> RunConfig:
     cfg = RunConfig(**top, initial_params=sections["initial_params"],
                     params=FlowParams(**sections["params"]),
                     thresholds=Thresholds(**sections["thresholds"]))
-    if cfg.horizon is not None and cfg.horizon < 0:
+    if cfg.horizon is not None and not cfg.horizon >= 0:
         raise InvalidConfig("horizon must be >= 0")
     if cfg.snapshot_stride < 1:
         raise InvalidConfig("snapshot_stride must be >= 1")
@@ -514,7 +521,3 @@ def run_scenario(name: str, cfg: RunConfig) -> ScenarioVerdict:
         verdict.artifacts.append(vpath)
     return verdict
 
-
-def run_scenarios(named_configs: list[tuple[str, RunConfig]]) -> list[ScenarioVerdict]:
-    """Run several scenarios one after another, in the given order."""
-    return [run_scenario(n, c) for n, c in named_configs]

@@ -160,10 +160,8 @@ class DiscreteImmersion:
         except DegenerateMesh as exc:
             raise InvalidConfig(f"degenerate immersion: {exc}") from exc
 
-    def replace_vertices(self, vertices, validate: bool = False) -> "DiscreteImmersion":
+    def replace_vertices(self, vertices) -> "DiscreteImmersion":
         """New immersion with the same connectivity and new positions."""
-        if validate:
-            return DiscreteImmersion(self.m, vertices, self.faces, _conn=self._conn)
         # a successor shares m, faces and connectivity already checked, so
         # the flow's per-stage immersions skip the constructor's checks
         new = object.__new__(DiscreteImmersion)

@@ -26,8 +26,9 @@ import numpy as np
 
 from .errors import EXP_GUARD, DomainError, InvalidConfig, OverflowGuard
 
-COLLAPSE_FLOOR = 1e-12
+COLLAPSE_FLOOR = 1e-12   # COLLAPSE fires when R^2 crosses this from above
 EVENT_TIME_TOL = 1e-10
+RTOL = 1e-10             # relative step tolerance; the absolute one is RTOL * 1e-4
 
 COLLAPSE = "COLLAPSE"
 ESCAPE = "ESCAPE"
@@ -53,6 +54,8 @@ class RadialParams:
             raise InvalidConfig("a, b, c0 must all be positive")
         if not self.R0_sq > 0:
             raise InvalidConfig(f"R0_sq must be positive, got {self.R0_sq}")
+        if not math.isfinite(self.c_slope):
+            raise InvalidConfig(f"c_slope must be finite, got {self.c_slope}")
 
     def c(self, t: float) -> float:
         return self.c0 + self.c_slope * t
@@ -264,11 +267,13 @@ def _bisect_event(f, t0, y0, h, p, crossed) -> float:
 # integrator
 
 
-def integrate_radial(p: RadialParams, horizon: float, t_eval=None,
-                     collapse_floor: float = COLLAPSE_FLOOR,
-                     escape_ceiling: float | None = None,
-                     rtol: float = 1e-10) -> RadialTrajectory:
+def integrate_radial(p: RadialParams, horizon: float, t_eval=None) -> RadialTrajectory:
     """Integrate the radius ODE up to the horizon or the first event.
+
+    COLLAPSE fires when R^2 falls to COLLAPSE_FLOOR, and ESCAPE when it
+    reaches 690*m/a, where u = exp(-a R^2/m) meets the 1e-300 floor, i.e.
+    numerically indistinguishable from escape to infinity.  ``horizon``
+    must be >= 0: NaN is rejected, infinity is allowed.
 
     Parameters
     ----------
@@ -276,18 +281,11 @@ def integrate_radial(p: RadialParams, horizon: float, t_eval=None,
         Sorted times the integrator must land on exactly; the values there
         are returned in ``eval_times`` / ``eval_R_sq`` (truncated at the
         event when one fires first).
-    collapse_floor : float
-        COLLAPSE fires when R^2 crosses this from above.
-    escape_ceiling : float, optional
-        ESCAPE fires when R^2 crosses this from below.  The default
-        690*m/a corresponds to u = exp(-a R^2/m) reaching the 1e-300
-        floor, i.e. numerically indistinguishable from escape to infinity.
     """
-    if horizon < 0:
+    if not horizon >= 0:
         raise InvalidConfig(f"horizon must be >= 0, got {horizon}")
-    if escape_ceiling is None:
-        escape_ceiling = 690.0 * p.m / p.a
-    if not collapse_floor < p.R0_sq < escape_ceiling:
+    escape_ceiling = 690.0 * p.m / p.a
+    if not COLLAPSE_FLOOR < p.R0_sq < escape_ceiling:
         raise InvalidConfig("R0_sq must sit between collapse floor and escape ceiling")
     if p.c(0.0) <= 0 or p.c(horizon) <= 0:
         raise InvalidConfig("c(t) must stay positive over the horizon")
@@ -321,8 +319,8 @@ def integrate_radial(p: RadialParams, horizon: float, t_eval=None,
     if horizon == 0.0:
         return _finish(p, times, values, RadialEvent(HORIZON, 0.0), eval_t, eval_r)
 
-    atol = rtol * 1e-4
-    h = min(1e-4, horizon) if horizon > 0 else 1e-4
+    atol = RTOL * 1e-4
+    h = min(1e-4, horizon)
     event = None
     max_steps = 2_000_000
 
@@ -342,17 +340,17 @@ def integrate_radial(p: RadialParams, horizon: float, t_eval=None,
 
         h_step = min(h, cap)
         y_new, err = _dp_step(f, t, y, h_step, p)
-        scale = atol + rtol * max(abs(y), abs(y_new))
+        scale = atol + RTOL * max(abs(y), abs(y_new))
         if err > scale:
             h = max(h_step * max(0.2, 0.9 * (scale / err) ** 0.2), 1e-16)
             continue
 
         r_new = _to_r(p, y_new, use_u)
-        if r_new <= collapse_floor:
+        if r_new <= COLLAPSE_FLOOR:
             t_ev = _bisect_event(f, t, y, h_step, p,
-                                 lambda yy: _to_r(p, yy, use_u) <= collapse_floor)
+                                 lambda yy: _to_r(p, yy, use_u) <= COLLAPSE_FLOOR)
             t = t_ev
-            y = math.exp(-p.a * collapse_floor / p.m) if use_u else collapse_floor
+            y = math.exp(-p.a * COLLAPSE_FLOOR / p.m) if use_u else COLLAPSE_FLOOR
             event = RadialEvent(COLLAPSE, t_ev)
         elif r_new >= escape_ceiling:
             t_ev = _bisect_event(f, t, y, h_step, p,

@@ -8,12 +8,9 @@ from .errors import InvalidConfig
 from .mesh import DiscreteImmersion
 
 
-def circle(radius: float, n: int, center=None) -> DiscreteImmersion:
+def circle(radius: float, n: int) -> DiscreteImmersion:
     theta = 2.0 * np.pi * np.arange(n) / n
-    v = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    if center is not None:
-        v = v + np.asarray(center, dtype=np.float64)
-    return DiscreteImmersion(1, v)
+    return DiscreteImmersion(1, radius * np.stack([np.cos(theta), np.sin(theta)], axis=1))
 
 
 def ellipse(rx: float, ry: float, n: int) -> DiscreteImmersion:

@@ -85,6 +85,13 @@ def test_sphere_command_with_csv(tmp_path, capsys):
     assert t_last == pytest.approx(t_event, abs=1e-9)
 
 
+@pytest.mark.parametrize("flag", ["--c-slope", "--horizon"])
+def test_sphere_command_rejects_nan(capsys, flag):
+    # a NaN c_slope would print event=HORIZON t=10 for a sphere that collapses at 0.358
+    code, out, err = run_cli(capsys, "sphere", "--m", "1", "--r0sq", "0.64", flag, "nan")
+    assert code == 1 and out == "" and flag.lstrip("-").replace("-", "_") in err
+
+
 def test_simulate_verify_render_pipeline(tmp_path, capsys):
     out_dir = tmp_path / "run"
     cfg = tmp_path / "run.cfg"
@@ -158,3 +165,5 @@ def test_scenario_all(tmp_path, capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 2 and all(line.startswith("PASS") for line in lines)
+    # one line per scenario, in the order SCENARIOS lists them
+    assert [line.split()[1] for line in lines] == ["SHRINK_INSIDE:", "STATIONARY:"]

@@ -8,8 +8,9 @@ from gaussflow.engine import (CURVATURE_BLOWUP, FLOW, FLOW0, FLOWP,
                               HORIZON_REACHED, MESH_DEGENERATE,
                               POSITION_BLOWUP, POSITION_COLLAPSE, FlowParams,
                               Thresholds)
-from gaussflow.errors import (InsufficientSnapshots, InvalidConfig,
-                              MismatchedTimes, TimestepUnderflow)
+from gaussflow.errors import (DegenerateMesh, InsufficientSnapshots,
+                              InvalidConfig, MismatchedTimes, OverflowGuard,
+                              TimestepUnderflow)
 from gaussflow.radial import RadialParams
 
 P_FLOW = FlowParams(variant=FLOW)
@@ -29,6 +30,14 @@ def test_fixed_specializations_reject_other_constants():
         FlowParams(variant=FLOWP, c=0.0)
     with pytest.raises(InvalidConfig):
         FlowParams(variant="WAVE")
+
+
+@pytest.mark.parametrize("name", ["a", "b", "c", "c_slope"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_flowp_rejects_non_finite_constants(name, value):
+    # a NaN a would make every step time NaN, so a run would never reach its horizon
+    with pytest.raises(InvalidConfig, match="finite"):
+        FlowParams(variant=FLOWP, **{name: value})
 
 
 def test_pure_mcf_mode_is_flagged_as_extension():
@@ -121,10 +130,11 @@ def test_stability_dt_independent_of_radius_in_pure_mcf():
     assert dt2 / dt1 == pytest.approx(4.0, rel=1e-12)  # h^2 scaling only
 
 
-def test_stability_dt_underflow():
+def test_stability_dt_underflow(monkeypatch):
+    monkeypatch.setattr(engine, "DT_MIN", 1.0)
     c = shapes.circle(1.0, 64)
     with pytest.raises(TimestepUnderflow):
-        engine.stability_dt(c, P_FLOW, dt_min=1.0)
+        engine.stability_dt(c, P_FLOW)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +189,63 @@ def test_run_validation():
         Thresholds(h2_max=0.0)
     with pytest.raises(InvalidConfig):
         engine.run(c, FlowParams(variant=FLOWP, c=1.0, c_slope=-2.0), horizon=1.0)
+
+
+def test_run_rejects_nan_horizon_and_allows_infinite():
+    c = shapes.circle(0.5, 32)
+    with pytest.raises(InvalidConfig, match="horizon"):
+        engine.run(c, P_FLOW, horizon=math.nan)
+    traj = engine.run(c, P_FLOW, horizon=math.inf, stride=64, keep_snapshots=False)
+    assert traj.stop.kind in (POSITION_COLLAPSE, CURVATURE_BLOWUP)
+
+
+def _patch_velocity(monkeypatch, exc, fails):
+    """Make engine.velocity raise exc on its n-th call (from 1) where fails(n)."""
+    real, count = engine.velocity, [0]
+
+    def velocity(*args, **kwargs):
+        count[0] += 1
+        if fails(count[0]):
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "velocity", velocity)
+
+
+@pytest.mark.parametrize("exc", [OverflowGuard(800.0), DegenerateMesh("edge collapsed")])
+def test_failed_rkc2_trial_is_retried_at_a_quarter(monkeypatch, exc):
+    s = shapes.circle(0.8, 256)
+    dt_stab = engine.stability_dt(s, P_FLOW)
+    ctl = engine.StepControl(f0=engine.velocity(s, P_FLOW), dt_acc=1e-3)
+    _, _, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, dt_stab)
+    assert nctl.rkc and dt == 1e-3
+    _patch_velocity(monkeypatch, exc, lambda n: n == 1)
+    _, _, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, dt_stab)
+    assert nctl.rkc and dt == 0.25e-3
+
+
+@pytest.mark.parametrize("exc, kind", [(OverflowGuard(800.0), POSITION_BLOWUP),
+                                       (DegenerateMesh("edge collapsed"), MESH_DEGENERATE)])
+def test_mid_step_guard_or_degeneration_stops_run(monkeypatch, exc, kind):
+    _patch_velocity(monkeypatch, exc, lambda n: n > 40)
+    traj = engine.run(shapes.circle(0.8, 64), P_FLOW, horizon=1.0)
+    assert traj.stop.kind == kind and traj.stop.t_stop > 0.0
+    if kind == POSITION_BLOWUP:
+        assert traj.stop.detail == "conformal exponent guard fired mid-step"
+        assert any(ev["event"] == "overflow_guard" for ev in traj.events)
+    else:
+        assert traj.stop.detail == "edge collapsed"
+
+
+@pytest.mark.parametrize("F2_min, kind", [(1e-6, CURVATURE_BLOWUP), (0.1, POSITION_COLLAPSE)])
+def test_timestep_underflow_classification(monkeypatch, F2_min, kind):
+    # max|F|^2 = 0.64 is far from the origin under the default F2_min, so the
+    # underflow is put down to edge collapse; within 10 * F2_min it is collapse
+    monkeypatch.setattr(engine, "DT_MIN", 1.0)
+    traj = engine.run(shapes.circle(0.8, 64), P_FLOW, horizon=1.0,
+                      thresholds=Thresholds(F2_min=F2_min))
+    assert traj.stop.kind == kind and traj.stop.t_stop == 0.0
+    assert any(ev["event"] == "timestep_underflow" for ev in traj.events)
 
 
 def test_shrinking_circle_terminates_inside_bound():

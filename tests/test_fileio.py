@@ -28,8 +28,8 @@ def test_pline_round_trip_bit_exact(tmp_path, wobbled_curve):
 def test_surface_round_trip_bit_exact(tmp_path, ext):
     rng = np.random.default_rng(7)
     s = shapes.icosphere(1.0, 1)
-    jittered = s.replace_vertices(
-        s.vertices * (1.0 + 0.01 * rng.standard_normal((s.n_vertices, 1))), validate=True)
+    jittered = DiscreteImmersion(
+        2, s.vertices * (1.0 + 0.01 * rng.standard_normal((s.n_vertices, 1))), s.faces)
     path = tmp_path / f"mesh{ext}"
     fileio.write_immersion(path, jittered)
     back = fileio.read_immersion(path)

@@ -14,8 +14,7 @@ from gaussflow.errors import InvalidConfig, IoError
 from gaussflow.harness import (EXPAND_OUTSIDE, ODE_WINDOW, SHRINK_INSIDE,
                                SPHERE_ODE_MATCH, STATIONARY, RunConfig,
                                format_config, load_config, load_trajectory,
-                               parse_config_text, run_scenario, run_scenarios,
-                               simulate)
+                               parse_config_text, run_scenario, simulate)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +125,23 @@ def test_parse_rejects_unknown_keys_and_bad_values():
         parse_config_text("thresholds.bogus = 1\n")
     with pytest.raises(InvalidConfig):
         parse_config_text("params.m_override = 2\n")
+
+
+def test_parse_rejects_non_finite_values():
+    with pytest.raises(InvalidConfig, match="horizon"):
+        parse_config_text("horizon = nan\n")
+    with pytest.raises(InvalidConfig, match="finite"):
+        parse_config_text("params.variant = FLOWP\nparams.a = nan\n")
+    assert parse_config_text("horizon = inf\n").horizon == math.inf
+
+
+def test_parse_booleans():
+    for text, value in [("true", True), ("YES", True), ("1", True),
+                        ("False", False), ("no", False), ("0", False)]:
+        assert parse_config_text(f"save_meshes = {text}\n").save_meshes is value
+    # a misspelling must not read as False
+    with pytest.raises(InvalidConfig, match="line 2: bad value for 'save_meshes'"):
+        parse_config_text("horizon = 0.1\nsave_meshes = flase\n")
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -432,18 +448,6 @@ def test_scenario_artifacts_and_verdict_json(tmp_path):
     back = load_trajectory(str(tmp_path / "scenario"))
     assert back.stop.kind == data["observed_kind"]
     assert back.stop.t_stop == data["t_stop"]
-
-
-def test_run_scenarios_keeps_order():
-    configs = [
-        (STATIONARY, RunConfig(initial_name="circle", initial_params={"radius": 1.0},
-                               initial_n=64, snapshot_stride=32)),
-        (SHRINK_INSIDE, RunConfig(initial_name="circle", initial_params={"radius": 0.8},
-                                  initial_n=64, horizon=0.01, snapshot_stride=8,
-                                  save_meshes=False)),
-    ]
-    verdicts = run_scenarios(configs)
-    assert [v.scenario for v in verdicts] == [STATIONARY, SHRINK_INSIDE]
 
 
 # ---------------------------------------------------------------------------

@@ -324,8 +324,8 @@ def test_area_first_variation_matches_mean_curvature():
     for s in (shapes.ellipse(0.9, 0.6, 128), shapes.ellipsoid(1.2, 1.0, 0.8, 2)):
         direction = rng.normal(size=s.vertices.shape)
         eps = 1e-6
-        plus = mesh.area(s.replace_vertices(s.vertices + eps * direction, validate=True))
-        minus = mesh.area(s.replace_vertices(s.vertices - eps * direction, validate=True))
+        plus = mesh.area(DiscreteImmersion(s.m, s.vertices + eps * direction, s.faces))
+        minus = mesh.area(DiscreteImmersion(s.m, s.vertices - eps * direction, s.faces))
         fd = (plus - minus) / (2 * eps)
         predicted = -float((mesh.vertex_areas(s)
                             * (mesh.mean_curvature_vector(s) * direction).sum(axis=1)).sum())
@@ -348,7 +348,7 @@ def test_weighted_area_icosphere():
 
 def test_weighted_area_decays_with_scale():
     base = shapes.circle(1.0, 64)
-    values = [mesh.weighted_area(base.replace_vertices(s * base.vertices, validate=True))
+    values = [mesh.weighted_area(DiscreteImmersion(1, s * base.vertices))
               for s in (1.0, 2.0, 4.0, 8.0)]
     assert all(b < a for a, b in zip(values, values[1:]))
 

@@ -221,6 +221,15 @@ def test_config_validation():
         integrate_radial(std_params(2, 1.0, c_slope=-10.0), horizon=1.0)
 
 
+def test_non_finite_inputs_rejected():
+    # a NaN c_slope would report a HORIZON event for a sphere that collapses
+    with pytest.raises(InvalidConfig, match="c_slope"):
+        std_params(1, 0.64, c_slope=math.nan)
+    with pytest.raises(InvalidConfig, match="horizon"):
+        integrate_radial(std_params(1, 0.64), horizon=math.nan)
+    assert integrate_radial(std_params(1, 0.64), horizon=math.inf).event.kind == COLLAPSE
+
+
 def test_horizon_zero():
     traj = integrate_radial(std_params(2, 1.0), horizon=0.0)
     assert traj.event.kind == HORIZON and traj.event.t == 0.0
