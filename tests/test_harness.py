@@ -434,6 +434,31 @@ def test_scenario_sign_gates():
         run_scenario("IMPLODE", small)
 
 
+def test_run_scenarios_keeps_order(tmp_path, monkeypatch, capsys):
+    # `scenario ALL` runs each <NAME>.cfg through run_scenario, in SCENARIOS order
+    from gaussflow import harness
+    from gaussflow.cli import main
+    (tmp_path / "STATIONARY.cfg").write_text(
+        "initial.name = circle\ninitial.radius = 1.0\ninitial.n = 64\n"
+        "snapshot_stride = 32\n")
+    (tmp_path / "SHRINK_INSIDE.cfg").write_text(
+        "initial.name = circle\ninitial.radius = 0.8\ninitial.n = 64\n"
+        "horizon = 0.01\nsnapshot_stride = 8\nsave_meshes = false\n")
+    calls = []
+
+    def recording(name, cfg):
+        verdict = run_scenario(name, cfg)
+        calls.append((name, cfg.initial_params["radius"], verdict))
+        return verdict
+
+    monkeypatch.setattr(harness, "run_scenario", recording)
+    assert main(["scenario", "ALL", "--config", str(tmp_path)]) == 0
+    assert [(name, r) for name, r, _ in calls] == [(SHRINK_INSIDE, 0.8), (STATIONARY, 1.0)]
+    assert [v.scenario for _, _, v in calls] == [SHRINK_INSIDE, STATIONARY]
+    printed = capsys.readouterr().out.strip().splitlines()
+    assert printed == [v.summary() for _, _, v in calls]
+
+
 def test_scenario_artifacts_and_verdict_json(tmp_path):
     cfg = RunConfig(initial_name="circle", initial_params={"radius": 0.8},
                     initial_n=64, horizon=0.02, snapshot_stride=8,
