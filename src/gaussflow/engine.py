@@ -68,6 +68,13 @@ RTOL = 1e-8              # RKC2 error tolerance, relative to |position|
 ATOL = 1e-10             # and absolute, in position units
 S_MAX = 400              # RKC2 stage cap: stable up to dt * rho ~ 0.65 * S_MAX^2
 BISECT_FRACTION = 1e-3   # threshold crossings inside an RKC2 step, located to this share of it
+CFL_MAX = 0.69           # RK4's real-axis limit 2.785 over the curve Laplacian bound 4 / h_min^2
+
+# The diagnostics series, in column order: CSV column name -> FlowTrajectory
+# field.  run's rows and the artifact's diagnostics.csv are both built from it.
+COLUMNS = {"t": "times", "dt": "dts", "min_F2": "min_F2", "max_F2": "max_F2",
+           "max_h2": "max_h2", "weighted_area": "weighted_area",
+           "mesh_quality": "mesh_quality"}
 
 
 @dataclass(frozen=True)
@@ -238,6 +245,13 @@ def velocity(s: DiscreteImmersion, p: FlowParams, t: float = 0.0) -> np.ndarray:
     else:
         drive = p.c_at(t) * H + p.b * v
     return w[:, None] * drive
+
+
+def check_cfl(cfl: float) -> None:
+    """Reject a step factor outside (0, CFL_MAX], NaN included: a NaN step
+    never reaches the horizon, and above CFL_MAX RK4 is unstable."""
+    if not 0.0 < cfl <= CFL_MAX:
+        raise InvalidConfig(f"cfl must lie in (0, {CFL_MAX}], got {cfl}")
 
 
 def stability_dt(s: DiscreteImmersion, p: FlowParams, t: float = 0.0, cfl: float = 0.25) -> float:
@@ -417,6 +431,7 @@ def compute_diagnostics(s: DiscreteImmersion, dt_used: float = 0.0) -> Diagnosti
 def step(state: FlowState, p: FlowParams, cfl: float = 0.25) -> FlowState:
     """One step of a FlowState, RK4 or RKC2 as its controller state picks;
     repeated calls take the steps ``run`` takes."""
+    check_cfl(cfl)
     s, t = state.immersion, state.t
     nxt, t1, dt, _, ctl = _advance(s, t, state.control, p,
                                    stability_dt(s, p, t, cfl=cfl))
@@ -505,6 +520,7 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         raise InvalidConfig(f"horizon must be >= 0, got {horizon}")
     if stride < 1:
         raise InvalidConfig("stride must be >= 1")
+    check_cfl(cfl)
     th = thresholds if thresholds is not None else Thresholds()
     if p.c_at(0.0) <= 0 or p.c_at(horizon) <= 0:
         raise InvalidConfig("c(t) must remain positive over the horizon")
@@ -515,20 +531,14 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         if any(x < 0 or x > horizon for x in sample_times):
             raise InvalidConfig("snapshot times must lie in [0, horizon]")
 
-    rows = {k: [] for k in ("t", "dt", "min_F2", "max_F2", "max_h2",
-                            "weighted_area", "mesh_quality")}
+    rows = {k: [] for k in COLUMNS}
     snaps: list[DiscreteImmersion] = []
     events: list[dict] = []
 
     def record(t, cur, dt):
-        diag = compute_diagnostics(cur, dt)
-        rows["t"].append(t)
-        rows["dt"].append(diag.dt_used)
-        rows["min_F2"].append(diag.min_F2)
-        rows["max_F2"].append(diag.max_F2)
-        rows["max_h2"].append(diag.max_h2)
-        rows["weighted_area"].append(diag.weighted_area)
-        rows["mesh_quality"].append(diag.mesh_quality)
+        row = {"t": t, "dt": dt, **vars(compute_diagnostics(cur))}
+        for name, series in rows.items():
+            series.append(row[name])
         if keep_snapshots:
             # a fresh immersion on the same positions, without the geometry
             # cache, so the kept snapshots hold positions only
@@ -619,11 +629,7 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
             t_stop_error += err_sum / f2_rate
     return FlowTrajectory(
         params=p, m=initial.m, thresholds=th, horizon=horizon,
-        times=np.asarray(rows["t"]), dts=np.asarray(rows["dt"]),
-        min_F2=np.asarray(rows["min_F2"]), max_F2=np.asarray(rows["max_F2"]),
-        max_h2=np.asarray(rows["max_h2"]),
-        weighted_area=np.asarray(rows["weighted_area"]),
-        mesh_quality=np.asarray(rows["mesh_quality"]),
+        **{COLUMNS[name]: np.asarray(series) for name, series in rows.items()},
         stop=stop, t_stop_error=t_stop_error,
         initial_h_max=initial._geometry()["max_edge"], integration_error=err_sum,
         events=events, snapshots=snaps,
@@ -652,16 +658,18 @@ def _three_point_derivative(f0, f1, f2, h0, h1):
 
 
 def verify_scalar_evolution(traj: FlowTrajectory, p: FlowParams) -> ResidualReport:
-    """Check d/dt |F|^2 = exp(a|F|^2/m) (c lap|F|^2 + 2(b|F|^2 - m c))
-    vertexwise along a recorded trajectory, by central time differences
-    against the discrete spatial operators.
+    """Check the scalar evolution identities of the law that ran, vertexwise
+    along a recorded trajectory, by central time differences against the
+    discrete spatial operators.
 
-    Restricted to FLOW0/FLOWP: under FLOW the tangential part of the
-    velocity makes the vertexwise time derivative differ from the
-    geometric identity off spherical data.
+    Under the full-position laws FLOW and FLOWP a vertex moves with
+    w (c H + b F), w = exp(a|F|^2/m), so
+    d/dt |F|^2 = w (c lap|F|^2 + 2(b|F|^2 - m c)) and the log vertex area
+    changes at w ((ab/2m) |grad|F|^2|^2 - c|H|^2 + b m).  FLOW0 drops the
+    tangential part F_tan of F, and |F_tan|^2 = |grad|F|^2|^2 / 4, so
+    d/dt |F|^2 loses w |grad|F|^2|^2 / 2 and the area changes by the normal
+    velocity alone, at w (m - |H|^2 - lap|F|^2 / 2).
     """
-    if p.variant == FLOW:
-        raise InvalidConfig("verify_scalar_evolution accepts FLOW0 or FLOWP runs")
     if len(traj.snapshots) < 3:
         raise InsufficientSnapshots(
             f"need >= 3 snapshots with meshes, have {len(traj.snapshots)}"
@@ -683,8 +691,16 @@ def verify_scalar_evolution(traj: FlowTrajectory, p: FlowParams) -> ResidualRepo
         dfdt = _three_point_derivative(f_prev, f_mid, f_next, h0, h1)
         c_mid = p.c_at(times[i])
         w = np.exp((p.a / m) * f_mid)
-        rhs = w * (c_mid * meshops.laplace_beltrami(s_mid, f_mid)
-                   + 2.0 * (p.b * f_mid - m * c_mid))
+        lap = meshops.laplace_beltrami(s_mid, f_mid)
+        grad2 = meshops.gradient_norm_sq(s_mid, f_mid)
+        H2 = (meshops.mean_curvature_vector(s_mid) ** 2).sum(axis=1)
+        rhs = w * (c_mid * lap + 2.0 * (p.b * f_mid - m * c_mid))
+        if p.variant == FLOW0:
+            rhs -= 0.5 * w * grad2
+            area_rate = w * (m - H2 - 0.5 * lap)
+        else:
+            area_rate = 0.5 * (w * ((p.a * p.b / m) * grad2
+                                    - 2.0 * c_mid * H2 + 2.0 * p.b * m))
         res = np.abs(dfdt - rhs) / np.maximum(1.0, np.abs(rhs))
         worst = max(worst, float(res.max()))
         sq_sum += float((res * res).sum())
@@ -693,11 +709,7 @@ def verify_scalar_evolution(traj: FlowTrajectory, p: FlowParams) -> ResidualRepo
         a_prev, a_mid, a_next = (np.log(meshops.vertex_areas(s))
                                  for s in (s_prev, s_mid, s_next))
         dloga = _three_point_derivative(a_prev, a_mid, a_next, h0, h1)
-        H = meshops.mean_curvature_vector(s_mid)
-        grad2 = meshops.gradient_norm_sq(s_mid, f_mid)
-        trace = w * ((p.a * p.b / m) * grad2
-                     - 2.0 * c_mid * (H * H).sum(axis=1) + 2.0 * p.b * m)
-        ares = np.abs(dloga - 0.5 * trace) / np.maximum(1.0, np.abs(0.5 * trace))
+        ares = np.abs(dloga - area_rate) / np.maximum(1.0, np.abs(area_rate))
         area_worst = max(area_worst, float(ares.max()))
         area_sq_sum += float((ares * ares).sum())
 

@@ -23,7 +23,12 @@ the format.
 
 Scenario names reproduce the qualitative regimes of the flow: shrink
 strictly inside the critical sphere, expand strictly outside, hold on the
-stationary sphere, and lockstep agreement with the radius ODE.
+stationary sphere, and lockstep agreement with the radius ODE.  One table
+(``_REGIMES``) gives each regime's expected stop kinds and bound time.  A
+scenario writes its default horizon and threshold windows into the config
+and then runs and saves it on the one path ``simulate`` takes, so it keeps
+meshes only when ``save_meshes`` is set; STATIONARY measures its drift from
+the diagnostics rows.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .mesh import DiscreteImmersion
 from .radial import RadialParams
 from .shapes import builtin_shape
 
-CSV_HEADER = "t,dt,min_F2,max_F2,max_h2,weighted_area,mesh_quality"
+CSV_HEADER = ",".join(engine.COLUMNS)
 
 SHRINK_INSIDE = "SHRINK_INSIDE"
 EXPAND_OUTSIDE = "EXPAND_OUTSIDE"
@@ -158,8 +163,7 @@ def parse_config_text(text: str) -> RunConfig:
         raise InvalidConfig("horizon must be >= 0")
     if cfg.snapshot_stride < 1:
         raise InvalidConfig("snapshot_stride must be >= 1")
-    if not 0.0 < cfg.cfl <= 0.69:
-        raise InvalidConfig("cfl must lie in (0, 0.69]")
+    engine.check_cfl(cfg.cfl)
     return cfg
 
 
@@ -227,12 +231,11 @@ def _fmt(x: float) -> str:
 
 def write_diagnostics_csv(traj: FlowTrajectory, path) -> None:
     """Write the diagnostics series under CSV_HEADER, floats in repr()."""
+    cols = [getattr(traj, name) for name in engine.COLUMNS.values()]
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for i in range(traj.n_snapshots):
-            fh.write(",".join(_fmt(col[i]) for col in (
-                traj.times, traj.dts, traj.min_F2, traj.max_F2,
-                traj.max_h2, traj.weighted_area, traj.mesh_quality)) + "\n")
+            fh.write(",".join(_fmt(col[i]) for col in cols) + "\n")
 
 
 def _snapshot_names(snap_dir) -> list[str]:
@@ -320,9 +323,15 @@ def load_trajectory(indir) -> FlowTrajectory:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise IoError(f"unexpected CSV header {header!r}")
-        data = [[float(tok) for tok in line.split(",")] for line in fh if line.strip()]
+        try:
+            data = [[float(tok) for tok in line.split(",")] for line in fh if line.strip()]
+        except ValueError as exc:
+            raise IoError(f"{csv_path}: malformed row: {exc}") from exc
     if not data:
         raise IoError("empty diagnostics stream")
+    if any(len(row) != len(engine.COLUMNS) for row in data):
+        raise IoError(f"{csv_path}: a row does not have the {len(engine.COLUMNS)} columns "
+                      "of its header")
     cols = np.asarray(data).T
 
     events = []
@@ -337,11 +346,22 @@ def load_trajectory(indir) -> FlowTrajectory:
         raise IoError(f"{snap_dir} holds {len(names)} snapshots for {len(data)} diagnostics rows")
     snaps = [fileio.read_immersion(os.path.join(snap_dir, name)) for name in names]
 
-    return FlowTrajectory(
-        **meta, times=cols[0], dts=cols[1], min_F2=cols[2], max_F2=cols[3],
-        max_h2=cols[4], weighted_area=cols[5], mesh_quality=cols[6],
-        events=events, snapshots=snaps,
-    )
+    return FlowTrajectory(**meta, **dict(zip(engine.COLUMNS.values(), cols)),
+                          events=events, snapshots=snaps)
+
+
+def _run(cfg: RunConfig, initial: DiscreteImmersion) -> tuple[FlowTrajectory, list[str]]:
+    """Run a config with an explicit horizon from its initial immersion and,
+    when it names an output directory, write ``run.cfg`` and the trajectory
+    there.  Returns the trajectory and the paths written."""
+    traj = engine.run(initial, cfg.params, cfg.horizon, thresholds=cfg.thresholds,
+                      stride=cfg.snapshot_stride, cfl=cfg.cfl,
+                      keep_snapshots=cfg.save_meshes)
+    paths = []
+    if cfg.output_dir:
+        paths = [*_write_config(cfg, cfg.output_dir, initial),
+                 *save_trajectory(traj, cfg.output_dir, save_meshes=cfg.save_meshes)]
+    return traj, paths
 
 
 def simulate(cfg: RunConfig) -> FlowTrajectory:
@@ -349,13 +369,7 @@ def simulate(cfg: RunConfig) -> FlowTrajectory:
     initial = cfg.build_initial()
     if cfg.horizon is None:
         raise InvalidConfig("simulate needs an explicit horizon")
-    traj = engine.run(initial, cfg.params, cfg.horizon, thresholds=cfg.thresholds,
-                      stride=cfg.snapshot_stride, cfl=cfg.cfl,
-                      keep_snapshots=cfg.save_meshes)
-    if cfg.output_dir:
-        _write_config(cfg, cfg.output_dir, initial)
-        save_trajectory(traj, cfg.output_dir, save_meshes=cfg.save_meshes)
-    return traj
+    return _run(cfg, initial)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,20 +397,10 @@ class ScenarioVerdict:
         return all(gates)
 
     def to_json(self) -> str:
-        payload = {
-            "scenario": self.scenario,
-            "expected_kinds": list(self.expected_kinds),
-            "bound_time": self.bound_time,
-            "observed_kind": self.observed_kind,
-            "t_stop": self.t_stop,
-            "bound_satisfied": self.bound_satisfied,
-            "kind_matched": self.kind_matched,
-            "tolerance": self.tolerance,
-            "metrics": self.metrics,
-            "artifacts": self.artifacts,
-            "passed": self.passed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        """Every field but the in-memory trajectory, plus ``passed``."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name != "trajectory"}
+        return json.dumps({**payload, "passed": self.passed}, indent=2, sort_keys=True)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -405,17 +409,13 @@ class ScenarioVerdict:
                 f"t_stop={self.t_stop:.6g}{bound}")
 
 
-def _spherical_radius_sq(initial: DiscreteImmersion) -> float:
-    f2 = (initial.vertices ** 2).sum(axis=1)
-    spread = (f2.max() - f2.min()) / max(1.0, f2.max())
-    if spread > 1e-8:
-        raise InvalidConfig("scenario needs spherical initial data")
-    return float(f2.max())
-
-
-def _radial_params(p: FlowParams, m: int, r0_sq: float) -> RadialParams:
-    """The radius ODE of the configured law; FLOW0 and FLOW pin a = b = c = 1."""
-    return RadialParams(m=m, a=p.a, b=p.b, c0=p.c, R0_sq=r0_sq, c_slope=p.c_slope)
+# What the dichotomy predicts on each side of the balance sphere: the stop
+# kinds a run may end with, and the closed-form bound on the stop time.
+_REGIMES = {
+    "shrink": ((CURVATURE_BLOWUP, POSITION_COLLAPSE), radial.bound_time_shrink),
+    "expand": ((POSITION_BLOWUP, CURVATURE_BLOWUP), radial.bound_time_expand),
+    "stationary": ((HORIZON_REACHED,), None),
+}
 
 
 def run_scenario(name: str, cfg: RunConfig) -> ScenarioVerdict:
@@ -425,72 +425,63 @@ def run_scenario(name: str, cfg: RunConfig) -> ScenarioVerdict:
     configured law: the initial data must lie on the scenario's side of the
     balance sphere |F|^2 = (c/b) m.  Tolerances (2% on bound times, the
     drift and ODE-match limits) are recorded in the verdict so every claim
-    is auditable from the artifacts alone.  The artifact's ``run.cfg`` is
-    the config that ran, with the scenario's default horizon and threshold
-    windows written in, so ``simulate`` replays it.
+    is auditable from the artifacts alone.  The scenario's default horizon
+    and threshold windows are written into the config, which then runs and
+    saves as ``simulate`` runs and saves it, so the artifact's ``run.cfg``
+    replays the run.
     """
     if name not in SCENARIOS:
         raise InvalidConfig(f"unknown scenario {name!r}; choose from {SCENARIOS}")
     initial = cfg.build_initial()
     f2 = (initial.vertices ** 2).sum(axis=1)
-    max0, min0 = float(f2.max()), float(f2.min())
-    th, keep_snapshots = cfg.thresholds, cfg.save_meshes
-
     if name == SHRINK_INSIDE:
-        rp = _radial_params(cfg.params, initial.m, max0)
-        if rp.regime() != "shrink":
-            raise InvalidConfig(f"SHRINK_INSIDE needs max|F0|^2 < (c/b)m, "
-                                f"got {max0:.6g} vs {rp.balance_sq:.6g}")
-        bound = radial.bound_time_shrink(rp)
-        expected = (CURVATURE_BLOWUP, POSITION_COLLAPSE)
-
+        r0_sq = float(f2.max())
     elif name == EXPAND_OUTSIDE:
-        rp = _radial_params(cfg.params, initial.m, min0)
-        if rp.regime() != "expand":
-            raise InvalidConfig(f"EXPAND_OUTSIDE needs min|F0|^2 > (c/b)m, "
-                                f"got {min0:.6g} vs {rp.balance_sq:.6g}")
-        bound = radial.bound_time_expand(rp)
-        expected = (POSITION_BLOWUP, CURVATURE_BLOWUP)
-        if th.F2_max >= 1e6:
-            # the explicit scheme cannot ride the escape to 1e6; detect
-            # position blow-up at the resolvable window edge instead
-            th = replace(th, F2_max=ODE_WINDOW[1])
+        r0_sq = float(f2.min())
+    elif (f2.max() - f2.min()) / max(1.0, f2.max()) > 1e-8:
+        raise InvalidConfig("scenario needs spherical initial data")
+    else:
+        r0_sq = float(f2.max())
+    # the radius ODE of the configured law; FLOW0 and FLOW pin a = b = c = 1
+    p = cfg.params
+    rp = RadialParams(m=initial.m, a=p.a, b=p.b, c0=p.c, R0_sq=r0_sq, c_slope=p.c_slope)
+    regime = rp.regime()
 
-    elif name == STATIONARY:
-        r0_sq = _spherical_radius_sq(initial)
-        balance = _radial_params(cfg.params, initial.m, r0_sq).balance_sq
-        if abs(r0_sq - balance) > 1e-6:
-            raise InvalidConfig(f"STATIONARY needs |F0|^2 = (c/b)m = {balance:.8g}, "
+    if name == SHRINK_INSIDE and regime != "shrink":
+        raise InvalidConfig(f"SHRINK_INSIDE needs max|F0|^2 < (c/b)m, "
+                            f"got {r0_sq:.6g} vs {rp.balance_sq:.6g}")
+    if name == EXPAND_OUTSIDE and regime != "expand":
+        raise InvalidConfig(f"EXPAND_OUTSIDE needs min|F0|^2 > (c/b)m, "
+                            f"got {r0_sq:.6g} vs {rp.balance_sq:.6g}")
+    if name == STATIONARY:
+        if abs(r0_sq - rp.balance_sq) > 1e-6:
+            raise InvalidConfig(f"STATIONARY needs |F0|^2 = (c/b)m = {rp.balance_sq:.8g}, "
                                 f"got {r0_sq:.8g}")
-        bound, expected, keep_snapshots = None, (HORIZON_REACHED,), True
+        regime = "stationary"
+    if name == SPHERE_ODE_MATCH and abs(r0_sq - rp.balance_sq) <= 1e-12:
+        raise InvalidConfig("SPHERE_ODE_MATCH needs |F0|^2 != (c/b)m")
+    expected, bound_time = _REGIMES[regime]
+    bound = bound_time(rp) if bound_time else None
 
-    else:  # SPHERE_ODE_MATCH
-        rp = _radial_params(cfg.params, initial.m, _spherical_radius_sq(initial))
-        if abs(rp.R0_sq - rp.balance_sq) <= 1e-12:
-            raise InvalidConfig("SPHERE_ODE_MATCH needs |F0|^2 != (c/b)m")
-        shrinking = rp.regime() == "shrink"
-        bound = (radial.bound_time_shrink(rp) if shrinking
-                 else radial.bound_time_expand(rp))
-        expected = ((CURVATURE_BLOWUP, POSITION_COLLAPSE) if shrinking
-                    else (POSITION_BLOWUP, CURVATURE_BLOWUP))
-        if shrinking and th.F2_min <= 1e-6:
-            th = replace(th, F2_min=0.8 * ODE_WINDOW[0])
-        if not shrinking and th.F2_max >= 1e6:
-            th = replace(th, F2_max=ODE_WINDOW[1])
-
+    th = cfg.thresholds
+    if regime == "expand" and th.F2_max >= 1e6:
+        # the explicit scheme cannot ride the escape to 1e6; detect
+        # position blow-up at the resolvable window edge instead
+        th = replace(th, F2_max=ODE_WINDOW[1])
+    if name == SPHERE_ODE_MATCH and regime == "shrink" and th.F2_min <= 1e-6:
+        th = replace(th, F2_min=0.8 * ODE_WINDOW[0])
     horizon = cfg.horizon
     if horizon is None:
         horizon = 0.05 if bound is None else 1.1 * bound
-    traj = engine.run(initial, cfg.params, horizon, thresholds=th,
-                      stride=cfg.snapshot_stride, cfl=cfg.cfl,
-                      keep_snapshots=keep_snapshots)
+    traj, artifacts = _run(replace(cfg, horizon=horizon, thresholds=th), initial)
 
     if name == STATIONARY:
-        radius = math.sqrt(balance)
-        drift = max(
-            float(np.abs(np.linalg.norm(s.vertices, axis=1) - radius).max())
-            for s in traj.snapshots[1:]
-        ) / max(horizon, 1e-300)
+        # the farthest vertex from the sphere is the nearest to or the
+        # farthest from the origin
+        radius = math.sqrt(rp.balance_sq)
+        dev = np.maximum(np.abs(np.sqrt(traj.max_F2[1:]) - radius),
+                         np.abs(np.sqrt(traj.min_F2[1:]) - radius))
+        drift = float(dev.max(initial=0.0)) / max(horizon, 1e-300)
         metrics = {"drift_per_unit_time": drift,
                    "drift_ok": drift < STATIONARY_DRIFT_LIMIT}
     elif name == SPHERE_ODE_MATCH:
@@ -507,17 +498,11 @@ def run_scenario(name: str, cfg: RunConfig) -> ScenarioVerdict:
         observed_kind=traj.stop.kind, t_stop=traj.stop.t_stop,
         bound_satisfied=bound is None or traj.stop.t_stop <= bound * (1.0 + BOUND_SLACK),
         kind_matched=traj.stop.kind in expected, tolerance=BOUND_SLACK,
-        metrics=metrics, trajectory=traj,
+        metrics=metrics, artifacts=artifacts, trajectory=traj,
     )
-
     if cfg.output_dir:
-        effective = replace(cfg, horizon=horizon, thresholds=th)
-        verdict.artifacts = [*_write_config(effective, cfg.output_dir, initial),
-                             *save_trajectory(traj, cfg.output_dir,
-                                              save_meshes=cfg.save_meshes)]
         vpath = os.path.join(cfg.output_dir, "verdict.json")
         with open(vpath, "w") as fh:
             fh.write(verdict.to_json() + "\n")
         verdict.artifacts.append(vpath)
     return verdict
-

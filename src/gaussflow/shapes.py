@@ -98,7 +98,6 @@ def perturbed_sphere(radius: float, amp: float, mode: int, seed: int, subdiv: in
 
 
 _CURVE_SHAPES = ("circle", "ellipse", "perturbed_circle")
-_SURFACE_SHAPES = ("icosphere", "ellipsoid", "perturbed_sphere")
 
 
 def builtin_shape(name: str, params: dict, n: int | None = None) -> DiscreteImmersion:

@@ -154,6 +154,16 @@ def test_step_expands_outside_circle():
     assert st1.diagnostics.min_F2 > st0.diagnostics.min_F2
 
 
+@pytest.mark.parametrize("cfl", [math.nan, 0.0, 5.0])
+def test_cfl_outside_the_rk4_bound_is_refused(cfl):
+    # a NaN step never reaches the horizon, and above 0.69 RK4 is unstable
+    c = shapes.circle(0.8, 32)
+    with pytest.raises(InvalidConfig, match="cfl"):
+        engine.step(engine.initial_state(c), P_FLOW, cfl=cfl)
+    with pytest.raises(InvalidConfig, match="cfl"):
+        engine.run(c, P_FLOW, horizon=1e-4, cfl=cfl)
+
+
 def test_step_deterministic():
     st0 = engine.initial_state(shapes.ellipse(0.9, 0.6, 96))
     a = engine.step(st0, P_FLOW)
@@ -416,10 +426,22 @@ def test_scalar_evolution_pure_mcf():
     assert report.max_residual < 5e-2
 
 
+@pytest.mark.parametrize("p", [P_FLOW, P_FLOW0], ids=["FLOW", "FLOW0"])
+def test_scalar_evolution_checks_the_law_that_ran(p):
+    # off spherical data FLOW0 drops F's tangential part, which the
+    # full-position identities of FLOW and FLOWP count
+    traj = engine.run(shapes.ellipse(0.9, 0.6, 128), p, horizon=0.01,
+                      snapshot_times=np.linspace(0.0, 0.01, 11))
+    report = engine.verify_scalar_evolution(traj, p)
+    assert report.max_residual < 5e-2
+    assert report.area_max_residual < 5e-2
+
+
 def test_scalar_evolution_gates():
-    traj = engine.run(shapes.circle(0.8, 64), P_FLOW, horizon=0.001, stride=1)
-    with pytest.raises(InvalidConfig):
-        engine.verify_scalar_evolution(traj, P_FLOW)
+    rows_only = engine.run(shapes.circle(0.8, 64), P_FLOW, horizon=0.001, stride=1,
+                           keep_snapshots=False)
+    with pytest.raises(InsufficientSnapshots):
+        engine.verify_scalar_evolution(rows_only, P_FLOW)
     short = engine.run(shapes.circle(0.8, 64), P_FLOW0, horizon=0.0)
     with pytest.raises(InsufficientSnapshots):
         engine.verify_scalar_evolution(short, P_FLOW0)

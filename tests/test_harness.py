@@ -239,6 +239,19 @@ def test_load_rejects_non_trajectory(tmp_path, small_run):
             load_trajectory(partial)
 
 
+def test_load_rejects_malformed_diagnostics_rows(tmp_path, small_run):
+    cfg, _ = small_run
+    lines = (Path(cfg.output_dir) / "diagnostics.csv").read_text().splitlines()
+    for name, row in (("short", lines[2].rsplit(",", 1)[0]), ("text", "x" + lines[2])):
+        bad = tmp_path / name
+        bad.mkdir()
+        for f in ("result.json", "events.jsonl"):
+            (bad / f).write_bytes((Path(cfg.output_dir) / f).read_bytes())
+        (bad / "diagnostics.csv").write_text("\n".join([*lines[:2], row, *lines[3:]]) + "\n")
+        with pytest.raises(IoError, match="diagnostics.csv"):
+            load_trajectory(bad)
+
+
 def test_tolerance_does_not_grow_with_the_step(tmp_path, small_run):
     # the time term is the integration-error estimate, not the step taken,
     # and result.json keeps it, so a loaded artifact reports the same tolerance
@@ -395,6 +408,23 @@ def test_stationary_scenario():
     assert verdict.metrics["drift_ok"] and verdict.passed
 
 
+def test_stationary_drift_needs_no_meshes():
+    # the drift comes from the diagnostics rows, so save_meshes = false
+    # keeps no meshes in memory and measures the same drift
+    drifts = []
+    for save_meshes in (True, False):
+        cfg = RunConfig(initial_name="circle", initial_params={"radius": 1.0},
+                        initial_n=64, snapshot_stride=2, save_meshes=save_meshes)
+        verdict = run_scenario(STATIONARY, cfg)
+        assert len(verdict.trajectory.snapshots) == (
+            verdict.trajectory.n_snapshots if save_meshes else 0)
+        drifts.append(verdict.metrics["drift_per_unit_time"])
+    assert drifts[0] == drifts[1]
+    # a zero horizon records the initial row only, which cannot drift
+    at_start = run_scenario(STATIONARY, replace(cfg, horizon=0.0))
+    assert at_start.metrics["drift_per_unit_time"] == 0.0 and at_start.passed
+
+
 def test_sphere_ode_match_scenario():
     cfg = RunConfig(initial_name="circle", initial_params={"radius": 0.8},
                     initial_n=128, snapshot_stride=32, save_meshes=False)
@@ -465,6 +495,9 @@ def test_scenario_artifacts_and_verdict_json(tmp_path):
                     output_dir=str(tmp_path / "scenario"))
     verdict = run_scenario(SHRINK_INSIDE, cfg)
     data = json.loads((tmp_path / "scenario" / "verdict.json").read_text())
+    assert set(data) == {"scenario", "expected_kinds", "bound_time", "observed_kind",
+                         "t_stop", "bound_satisfied", "kind_matched", "tolerance",
+                         "metrics", "artifacts", "passed"}
     assert data["scenario"] == SHRINK_INSIDE
     assert data["observed_kind"] == HORIZON_REACHED  # horizon shorter than collapse
     assert data["kind_matched"] is False and data["passed"] is False
