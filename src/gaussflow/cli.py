@@ -144,7 +144,7 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    traj = load_trajectory(args.trajectory)
+    traj = load_trajectory(args.trajectory, meshes=False)
     claim = args.claim
     signs = {comparison.SIGN_PRESERVATION_BELOW: comparison.check_sign_below,
              comparison.SIGN_PRESERVATION_ABOVE: comparison.check_sign_above}

@@ -17,14 +17,15 @@ from .errors import IoError
 from .mesh import DiscreteImmersion
 
 
-def _fmt_row(row) -> str:
-    return " ".join(repr(float(x)) for x in row)
+def _fmt_row(row: list) -> str:
+    # rows of ndarray.tolist(): numpy 2 reprs a numpy scalar as 'np.float64(...)'
+    return " ".join(map(repr, row))
 
 
 def write_pline(path, s: DiscreteImmersion) -> None:
     if s.m != 1:
         raise IoError("PLINE stores curves only")
-    lines = [_fmt_row(row) for row in s.vertices]
+    lines = [_fmt_row(row) for row in s.vertices.tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -48,13 +49,11 @@ def read_pline(path) -> DiscreteImmersion:
 def write_off(path, s: DiscreteImmersion) -> None:
     if s.m != 2:
         raise IoError("OFF stores surfaces only")
+    lines = [f"OFF\n{s.n_vertices} {len(s.faces)} 0"]
+    lines += [_fmt_row(row) for row in s.vertices.tolist()]
+    lines += [f"3 {a} {b} {c}" for a, b, c in s.faces.tolist()]
     with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{s.n_vertices} {len(s.faces)} 0\n")
-        for row in s.vertices:
-            fh.write(_fmt_row(row) + "\n")
-        for f in s.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_off(path) -> DiscreteImmersion:
@@ -84,11 +83,10 @@ def read_off(path) -> DiscreteImmersion:
 def write_obj(path, s: DiscreteImmersion) -> None:
     if s.m != 2:
         raise IoError("OBJ stores surfaces only")
+    lines = ["v " + _fmt_row(row) for row in s.vertices.tolist()]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in s.faces.tolist()]
     with open(path, "w") as fh:
-        for row in s.vertices:
-            fh.write("v " + _fmt_row(row) + "\n")
-        for f in s.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_obj(path) -> DiscreteImmersion:

@@ -17,9 +17,9 @@ A run writes a self-describing artifact directory:
 * for scenarios, a ``verdict.json``.
 
 ``load_trajectory`` rebuilds a trajectory from ``diagnostics.csv``,
-``events.jsonl``, the snapshots and ``result.json`` alone, for post-hoc
-claim verification and rendering; this module is the only one that knows
-the format.
+``events.jsonl``, ``result.json`` and the snapshots alone; with
+``meshes=False``, as claims load it, it reads no snapshot file and only
+counts their names against the rows.  No other module knows the format.
 
 Scenario names reproduce the qualitative regimes of the flow: shrink
 strictly inside the critical sphere, expand strictly outside, hold on the
@@ -293,9 +293,10 @@ def save_trajectory(traj: FlowTrajectory, outdir, save_meshes: bool = True) -> l
     return paths
 
 
-def load_trajectory(indir) -> FlowTrajectory:
-    """Rebuild a trajectory (diagnostics, stop reason, optional meshes)
-    from an artifact directory written by save_trajectory."""
+def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
+    """Rebuild a trajectory from an artifact directory written by
+    save_trajectory.  ``meshes=False`` reads no snapshot file, but still
+    checks that the snapshot names number one per diagnostics row."""
     result_path = os.path.join(indir, "result.json")
     csv_path = os.path.join(indir, "diagnostics.csv")
     if not (os.path.exists(result_path) and os.path.exists(csv_path)):
@@ -344,7 +345,7 @@ def load_trajectory(indir) -> FlowTrajectory:
     names = _snapshot_names(snap_dir)
     if names and len(names) != len(data):
         raise IoError(f"{snap_dir} holds {len(names)} snapshots for {len(data)} diagnostics rows")
-    snaps = [fileio.read_immersion(os.path.join(snap_dir, name)) for name in names]
+    snaps = [fileio.read_immersion(os.path.join(snap_dir, n)) for n in names if meshes]
 
     return FlowTrajectory(**meta, **dict(zip(engine.COLUMNS.values(), cols)),
                           events=events, snapshots=snaps)
@@ -460,6 +461,9 @@ def run_scenario(name: str, cfg: RunConfig) -> ScenarioVerdict:
         regime = "stationary"
     if name == SPHERE_ODE_MATCH and abs(r0_sq - rp.balance_sq) <= 1e-12:
         raise InvalidConfig("SPHERE_ODE_MATCH needs |F0|^2 != (c/b)m")
+    if name == SPHERE_ODE_MATCH and not ODE_WINDOW[0] <= r0_sq <= ODE_WINDOW[1]:
+        raise InvalidConfig(f"SPHERE_ODE_MATCH compares radii in the window "
+                            f"{ODE_WINDOW}, so |F0|^2 must lie in it; got {r0_sq:.6g}")
     expected, bound_time = _REGIMES[regime]
     bound = bound_time(rp) if bound_time else None
 

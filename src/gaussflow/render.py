@@ -32,10 +32,11 @@ def _curve_svg(vertices: np.ndarray, m: int, max_f2: float, bbox) -> str:
     pad = 0.05 * span
     scale = SIZE / (span + 2 * pad)
 
-    def to_px(pt):
-        return ((pt[0] - lo[0] + pad) * scale, SIZE - (pt[1] - lo[1] + pad) * scale)
+    def to_px(x, y):  # scalars or whole columns, the same operations in the same order
+        return (x - lo[0] + pad) * scale, SIZE - (y - lo[1] + pad) * scale
 
-    cx, cy = to_px((0.0, 0.0))
+    cx, cy = to_px(0.0, 0.0)
+    px, py = to_px(*vertices.T)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
         f'viewBox="0 0 {SIZE} {SIZE}">',
@@ -46,7 +47,7 @@ def _curve_svg(vertices: np.ndarray, m: int, max_f2: float, bbox) -> str:
             f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(radius * scale)}" fill="none" '
             f'stroke="{REFERENCE}" stroke-dasharray="{dash}"/>'
         )
-    pts = " ".join(f"{_f(px)},{_f(py)}" for px, py in (to_px(v) for v in vertices))
+    pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in zip(px.tolist(), py.tolist()))
     lines.append(
         f'<polygon points="{pts}" fill="none" stroke="{STROKE}" '
         f'stroke-width="{STROKE_WIDTH}"/>'

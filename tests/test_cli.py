@@ -167,3 +167,50 @@ def test_scenario_all(tmp_path, capsys):
     assert len(lines) == 2 and all(line.startswith("PASS") for line in lines)
     # one line per scenario, in the order SCENARIOS lists them
     assert [line.split()[1] for line in lines] == ["SHRINK_INSIDE:", "STATIONARY:"]
+
+
+
+def _simulate_circle(tmp_path, capsys, name, radius):
+    out_dir = tmp_path / name
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(
+        f"initial.name = circle\ninitial.radius = {radius}\ninitial.n = 32\n"
+        f"horizon = 0.01\nsnapshot_stride = 4\noutput_dir = {out_dir}\n")
+    assert run_cli(capsys, "simulate", "--config", str(cfg))[0] == 0
+    assert len(os.listdir(out_dir / "snapshots")) > 1
+    return out_dir
+
+
+def test_verify_reads_no_mesh(tmp_path, capsys, monkeypatch):
+    # every claim reads the diagnostics rows only
+    dirs = {side: _simulate_circle(tmp_path, capsys, side, radius)
+            for side, radius in (("inside", 0.8), ("outside", 1.2))}
+
+    def no_mesh(path):
+        raise AssertionError(f"verify read the mesh {path}")
+
+    monkeypatch.setattr("gaussflow.fileio.read_immersion", no_mesh)
+    claims = [
+        ("inside", "SIGN_PRESERVATION_BELOW", "--eps", "0.1"),
+        ("outside", "SIGN_PRESERVATION_ABOVE", "--eps", "0.1"),
+        ("inside", "SPHERE_BARRIER_BELOW", "--eps", "0.05", "--rp0sq", "0.75"),
+        ("outside", "SPHERE_BARRIER_ABOVE", "--eps", "0.05", "--rp0sq", "1.33"),
+        ("inside", "SPHERICITY"),
+        ("outside", "SPHERICITY"),
+    ]
+    for side, claim, *extra in claims:
+        code, out, err = run_cli(capsys, "verify", "--trajectory", str(dirs[side]),
+                                 "--claim", claim, *extra)
+        assert (code, err) == (0, "") and out.startswith(f"{claim}: holds")
+
+
+def test_verify_checks_snapshot_count(tmp_path, capsys):
+    # the snapshots are not loaded, but their names still number one per row
+    out_dir = _simulate_circle(tmp_path, capsys, "run", 0.8)
+    snaps = out_dir / "snapshots"
+    rows = len(os.listdir(snaps))
+    (snaps / sorted(os.listdir(snaps))[-1]).unlink()
+    code, out, err = run_cli(capsys, "verify", "--trajectory", str(out_dir),
+                             "--claim", "SPHERICITY")
+    assert code == 1 and out == ""
+    assert f"holds {rows - 1} snapshots for {rows} diagnostics rows" in err

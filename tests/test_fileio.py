@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaussflow import fileio, shapes
+from gaussflow import fileio, render, shapes
 from gaussflow.errors import IoError
 from gaussflow.mesh import DiscreteImmersion
 
@@ -102,3 +102,51 @@ def test_off_comments_and_obj_texture_indices(tmp_path):
     obj.write_text(text)
     again = fileio.read_obj(obj)
     np.testing.assert_array_equal(again.faces, tetra.faces)
+
+
+def test_writers_golden_bytes(tmp_path):
+    # exact bytes, so a change of float or index formatting shows; a round
+    # trip alone would pass with any format the reader accepts
+    s = 1 / 3
+    tetra = DiscreteImmersion(
+        2, [[0.0, 0.0, 1.0], [0.9428090415820634, 0.0, -s],
+            [-0.4714045207910317, 0.816496580927726, -s],
+            [-0.4714045207910317, -0.816496580927726, -s]],
+        [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
+    coords = [[0.1, 1 / 3, -2.5e-17], [1e300, -1.5, 0.0],
+              [2 / 3, -0.1, 1e-05], [-0.0, 12345678.9, 0.25]]
+    surface = tetra.replace_vertices(coords)
+    square = DiscreteImmersion(1, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    curve = square.replace_vertices([row[:2] for row in coords])
+    fileio.write_pline(tmp_path / "c.pline", curve)
+    fileio.write_off(tmp_path / "s.off", surface)
+    fileio.write_obj(tmp_path / "s.obj", surface)
+    assert (tmp_path / "c.pline").read_bytes() == (
+        b"0.1 0.3333333333333333\n1e+300 -1.5\n0.6666666666666666 -0.1\n"
+        b"-0.0 12345678.9\n")
+    assert (tmp_path / "s.off").read_bytes() == (
+        b"OFF\n4 4 0\n0.1 0.3333333333333333 -2.5e-17\n1e+300 -1.5 0.0\n"
+        b"0.6666666666666666 -0.1 1e-05\n-0.0 12345678.9 0.25\n"
+        b"3 0 1 2\n3 0 2 3\n3 0 3 1\n3 1 3 2\n")
+    assert (tmp_path / "s.obj").read_bytes() == (
+        b"v 0.1 0.3333333333333333 -2.5e-17\nv 1e+300 -1.5 0.0\n"
+        b"v 0.6666666666666666 -0.1 1e-05\nv -0.0 12345678.9 0.25\n"
+        b"f 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n")
+
+
+def test_curve_svg_golden_bytes():
+    pts = np.array([[0.1, 1 / 3], [-0.7, 0.2], [-1 / 3, -0.45], [0.6, -2 / 7]])
+    lo = np.minimum(pts.min(axis=0), [-1.0, -1.0])
+    hi = np.maximum(pts.max(axis=0), [1.0, 1.0])
+    assert render._curve_svg(pts, 1, 0.49, (lo, hi)) == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+        'viewBox="0 0 640 640">\n'
+        '<rect width="640" height="640" fill="#ffffff"/>\n'
+        '<circle cx="320.000000" cy="320.000000" r="290.909091" fill="none" '
+        'stroke="#b0b0b0" stroke-dasharray="6 4"/>\n'
+        '<circle cx="320.000000" cy="320.000000" r="203.636364" fill="none" '
+        'stroke="#b0b0b0" stroke-dasharray="2 3"/>\n'
+        '<polygon points="349.090909,223.030303 116.363636,261.818182 '
+        '223.030303,450.909091 494.545455,403.116883" fill="none" '
+        'stroke="#1f4e8c" stroke-width="1.5"/>\n'
+        '</svg>\n')

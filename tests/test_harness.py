@@ -434,6 +434,22 @@ def test_sphere_ode_match_scenario():
     assert verdict.passed
 
 
+@pytest.mark.parametrize("radius", [0.1, 5.0])
+def test_sphere_ode_match_needs_start_in_window(tmp_path, capsys, radius):
+    # |F0|^2 = 0.01 or 25 lies outside ODE_WINDOW: no row would be compared
+    from gaussflow.cli import main
+    text = (f"initial.name = circle\ninitial.radius = {radius}\ninitial.n = 64\n"
+            "save_meshes = false\n")
+    assert not ODE_WINDOW[0] <= radius ** 2 <= ODE_WINDOW[1]
+    with pytest.raises(InvalidConfig, match="window"):
+        run_scenario(SPHERE_ODE_MATCH, parse_config_text(text))
+    cfg = tmp_path / "ode.cfg"
+    cfg.write_text(text)
+    assert main(["scenario", SPHERE_ODE_MATCH, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SPHERE_ODE_MATCH") and "window" in err
+
+
 def test_scenarios_check_the_configured_law():
     # FLOWP with c = 2 puts the balance circle at |F|^2 = (c/b) m = 2, so a
     # circle with |F|^2 = 1.44 lies inside it although 1.44 > m
