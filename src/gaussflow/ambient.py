@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EXP_GUARD, AxisError, OverflowGuard, UnsupportedParam
+from .errors import AxisError, UnsupportedParam, guard_exponent
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,7 @@ def sectional_curvature(ambient: GaussianAmbient, x, A: int, B: int) -> float:
         raise AxisError(f"axes must be distinct and in [0, {n}), got A={A}, B={B}")
     m = float(ambient.m)
     norm_sq = float(v @ v)
-    exponent = norm_sq / m
-    if exponent >= EXP_GUARD:
-        raise OverflowGuard(exponent)
+    exponent = guard_exponent(norm_sq / m)
     # sum the transverse squares themselves in index order: subtracting
     # x_A^2 and x_B^2 from norm_sq rounds differently when A and B swap
     t = np.delete(v, (A, B))
@@ -113,7 +111,5 @@ def gaussian_mean_curvature(ambient: GaussianAmbient, H, F_perp, F2: float) -> n
     fp = as_ambient_vector(F_perp, ambient.dim_total)
     if not np.isfinite(F2) or F2 < 0:
         raise UnsupportedParam(f"F2 must be finite and >= 0, got {F2}")
-    exponent = ambient.a * float(F2) / ambient.m
-    if exponent >= EXP_GUARD:
-        raise OverflowGuard(exponent)
+    exponent = guard_exponent(ambient.a * float(F2) / ambient.m)
     return np.exp(exponent) * (h + fp)

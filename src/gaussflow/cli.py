@@ -6,7 +6,8 @@ event detection), ``bounds`` (closed-form blow-up time bounds), ``simulate``
 ``verify`` (post-hoc barrier claims on a recorded trajectory), ``render``.
 
 Exit code 0 covers success and scenario-failed-with-report; nonzero is
-reserved for configuration and runtime errors.
+reserved for configuration, runtime and file errors, each reported as one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -75,8 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ambient(args) -> int:
-    point = [float(tok) for tok in args.point.split(",")]
-    axes = [int(tok) for tok in args.axes.split(",")]
+    try:
+        point = [float(tok) for tok in args.point.split(",")]
+        axes = [int(tok) for tok in args.axes.split(",")]
+    except ValueError as exc:
+        raise GaussFlowError(f"--point and --axes take comma-separated numbers: {exc}") from None
     if len(axes) != 2:
         raise GaussFlowError("--axes needs exactly two indices")
     amb = GaussianAmbient(dim_total=len(point), m=args.m)
@@ -196,7 +200,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except GaussFlowError as exc:
+    except (GaussFlowError, OSError) as exc:
+        # OSError: a path the user gave cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

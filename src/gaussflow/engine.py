@@ -35,7 +35,7 @@ controller state travels in ``FlowState``, so ``run`` and repeated
 and surfaces: every stage is an immersion evaluated through the mesh
 operators.  Runs terminate with a classified stop reason: curvature
 blow-up, position blow-up, collapse to the origin, mesh degeneration, or
-horizon.
+horizon.  The checks of recorded runs live in ``comparison``.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import mesh as meshops
-from .errors import (EXP_GUARD, DegenerateMesh, InsufficientSnapshots,
-                     InvalidConfig, MismatchedTimes, OverflowGuard,
-                     TimestepUnderflow)
+from .errors import (DegenerateMesh, InvalidConfig, OverflowGuard,
+                     TimestepUnderflow, guard_exponent)
 from .mesh import DiscreteImmersion
 
 FLOW0 = "FLOW0"
@@ -225,10 +224,7 @@ def _conformal_exponent(geom: dict, p: FlowParams, m: int) -> tuple[float, float
     """Rate a/m of the conformal factor exp(a|F|^2/m) and its peak exponent
     a max|F|^2 / m, from an immersion's geometry; raises OverflowGuard once
     the peak reaches EXP_GUARD.  FLOW0 and FLOW pin a = 1."""
-    peak = p.a * geom["F2_max"] / m
-    if peak >= EXP_GUARD:
-        raise OverflowGuard(peak)
-    return p.a / m, peak
+    return p.a / m, guard_exponent(p.a * geom["F2_max"] / m)
 
 
 def velocity(s: DiscreteImmersion, p: FlowParams, t: float = 0.0) -> np.ndarray:
@@ -634,134 +630,3 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         initial_h_max=initial._geometry()["max_edge"], integration_error=err_sum,
         events=events, snapshots=snaps,
     )
-
-
-# ---------------------------------------------------------------------------
-# trajectory verifiers
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Normalized residuals of the scalar evolution identities along a run."""
-
-    max_residual: float        # |d/dt |F|^2 - rhs| / max(1, |rhs|), worst vertex
-    l2_residual: float
-    area_max_residual: float   # d/dt log(vertex area) vs half the metric trace
-    area_l2_residual: float
-    interior_snapshots: int
-
-
-def _three_point_derivative(f0, f1, f2, h0, h1):
-    return (-(h1 / (h0 * (h0 + h1))) * f0
-            + ((h1 - h0) / (h0 * h1)) * f1
-            + (h0 / (h1 * (h0 + h1))) * f2)
-
-
-def verify_scalar_evolution(traj: FlowTrajectory, p: FlowParams) -> ResidualReport:
-    """Check the scalar evolution identities of the law that ran, vertexwise
-    along a recorded trajectory, by central time differences against the
-    discrete spatial operators.
-
-    Under the full-position laws FLOW and FLOWP a vertex moves with
-    w (c H + b F), w = exp(a|F|^2/m), so
-    d/dt |F|^2 = w (c lap|F|^2 + 2(b|F|^2 - m c)) and the log vertex area
-    changes at w ((ab/2m) |grad|F|^2|^2 - c|H|^2 + b m).  FLOW0 drops the
-    tangential part F_tan of F, and |F_tan|^2 = |grad|F|^2|^2 / 4, so
-    d/dt |F|^2 loses w |grad|F|^2|^2 / 2 and the area changes by the normal
-    velocity alone, at w (m - |H|^2 - lap|F|^2 / 2).
-    """
-    if len(traj.snapshots) < 3:
-        raise InsufficientSnapshots(
-            f"need >= 3 snapshots with meshes, have {len(traj.snapshots)}"
-        )
-    worst = 0.0
-    sq_sum = 0.0
-    count = 0
-    area_worst = 0.0
-    area_sq_sum = 0.0
-    times = traj.times
-    for i in range(1, len(traj.snapshots) - 1):
-        s_prev, s_mid, s_next = traj.snapshots[i - 1: i + 2]
-        h0 = times[i] - times[i - 1]
-        h1 = times[i + 1] - times[i]
-        if h0 <= 0 or h1 <= 0:
-            raise InsufficientSnapshots("snapshot times must be strictly increasing")
-        m = s_mid.m
-        f_prev, f_mid, f_next = (s._geometry()["F2"] for s in (s_prev, s_mid, s_next))
-        dfdt = _three_point_derivative(f_prev, f_mid, f_next, h0, h1)
-        c_mid = p.c_at(times[i])
-        w = np.exp((p.a / m) * f_mid)
-        lap = meshops.laplace_beltrami(s_mid, f_mid)
-        grad2 = meshops.gradient_norm_sq(s_mid, f_mid)
-        H2 = (meshops.mean_curvature_vector(s_mid) ** 2).sum(axis=1)
-        rhs = w * (c_mid * lap + 2.0 * (p.b * f_mid - m * c_mid))
-        if p.variant == FLOW0:
-            rhs -= 0.5 * w * grad2
-            area_rate = w * (m - H2 - 0.5 * lap)
-        else:
-            area_rate = 0.5 * (w * ((p.a * p.b / m) * grad2
-                                    - 2.0 * c_mid * H2 + 2.0 * p.b * m))
-        res = np.abs(dfdt - rhs) / np.maximum(1.0, np.abs(rhs))
-        worst = max(worst, float(res.max()))
-        sq_sum += float((res * res).sum())
-        count += res.size
-
-        a_prev, a_mid, a_next = (np.log(meshops.vertex_areas(s))
-                                 for s in (s_prev, s_mid, s_next))
-        dloga = _three_point_derivative(a_prev, a_mid, a_next, h0, h1)
-        ares = np.abs(dloga - area_rate) / np.maximum(1.0, np.abs(area_rate))
-        area_worst = max(area_worst, float(ares.max()))
-        area_sq_sum += float((ares * ares).sum())
-
-    return ResidualReport(
-        max_residual=worst,
-        l2_residual=math.sqrt(sq_sum / count),
-        area_max_residual=area_worst,
-        area_l2_residual=math.sqrt(area_sq_sum / count),
-        interior_snapshots=len(traj.snapshots) - 2,
-    )
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    times: np.ndarray
-    hausdorff: np.ndarray      # symmetric, normalized by the cloud diameter
-
-    @property
-    def max_distance(self) -> float:
-        return float(self.hausdorff.max())
-
-
-def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return math.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max()))
-
-
-def tangential_equivalence(traj_a: FlowTrajectory, traj_b: FlowTrajectory) -> EquivalenceReport:
-    """Image distance between a FLOW run and a FLOW0 run from the same data.
-
-    A tangential velocity does not change the flowing image, so the vertex
-    clouds should agree up to discretization; reported as the symmetric
-    Hausdorff distance normalized by the diameter, per matched snapshot.
-    """
-    if traj_a.params.variant != FLOW or traj_b.params.variant != FLOW0:
-        raise InvalidConfig("pass the tangentially augmented run first, "
-                            "the normal-velocity run second")
-    if not traj_a.snapshots or not traj_b.snapshots:
-        raise InsufficientSnapshots("both trajectories need mesh snapshots")
-    n = min(len(traj_a.snapshots), len(traj_b.snapshots))
-    ta, tb = traj_a.times[:n], traj_b.times[:n]
-    if not np.allclose(ta, tb, rtol=0.0, atol=1e-12):
-        raise MismatchedTimes("snapshot times differ; rerun with shared snapshot_times")
-    va0 = traj_a.snapshots[0].vertices
-    vb0 = traj_b.snapshots[0].vertices
-    if va0.shape != vb0.shape or not np.array_equal(va0, vb0):
-        raise MismatchedTimes("trajectories must share the initial immersion")
-    out = np.empty(n)
-    for i in range(n):
-        pa = traj_a.snapshots[i].vertices
-        pb = traj_b.snapshots[i].vertices
-        span = pa.max(axis=0) - pa.min(axis=0)
-        diameter = float(np.linalg.norm(span))
-        out[i] = _hausdorff(pa, pb) / max(diameter, 1e-300)
-    return EquivalenceReport(times=ta.copy(), hausdorff=out)

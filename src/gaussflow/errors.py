@@ -26,6 +26,13 @@ class OverflowGuard(GaussFlowError):
         super().__init__(f"conformal exponent {exponent:.6g} exceeds guard {EXP_GUARD:g}")
 
 
+def guard_exponent(exponent: float) -> float:
+    """Return a conformal exponent, or raise OverflowGuard once it reaches EXP_GUARD."""
+    if exponent >= EXP_GUARD:
+        raise OverflowGuard(exponent)
+    return exponent
+
+
 class DegenerateMesh(GaussFlowError):
     """An edge length or face area underflowed the degeneracy tolerance."""
 

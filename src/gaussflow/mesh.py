@@ -345,19 +345,6 @@ def normal_projection(s: DiscreteImmersion, v) -> np.ndarray:
     return ((field * nrm).sum(axis=1))[:, None] * nrm
 
 
-def tangent_basis(s: DiscreteImmersion) -> np.ndarray:
-    """Orthonormal tangent basis per vertex, shape (n, m, d)."""
-    if s.m == 1:
-        return _curve_tangent(s)[:, None, :]
-    nrm = s._geometry()["normal"]
-    ref = np.zeros_like(nrm)
-    ref[np.arange(len(nrm)), np.argmin(np.abs(nrm), axis=1)] = 1.0
-    t1 = np.cross(nrm, ref)
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = np.cross(nrm, t1)
-    return np.stack([t1, t2], axis=1)
-
-
 def laplace_beltrami(s: DiscreteImmersion, f) -> np.ndarray:
     """Discrete Laplace-Beltrami of a scalar vertex field.
 
@@ -445,14 +432,6 @@ def weighted_area(s: DiscreteImmersion) -> float:
     with np.errstate(under="ignore"):
         w = np.exp(-0.5 * geom["F2"])
     return float(w @ geom["vertex_areas"])
-
-
-def area(s: DiscreteImmersion) -> float:
-    """Unweighted total length (curves) or area (surfaces)."""
-    geom = s._geometry()
-    if s.m == 1:
-        return float(geom["edge_lengths"].sum())
-    return float(geom["face_area"].sum())
 
 
 def mesh_quality(s: DiscreteImmersion) -> float:

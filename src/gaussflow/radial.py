@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EXP_GUARD, DomainError, InvalidConfig, OverflowGuard
+from .errors import DomainError, InvalidConfig, guard_exponent
 
 COLLAPSE_FLOOR = 1e-12   # COLLAPSE fires when R^2 crosses this from above
 EVENT_TIME_TOL = 1e-10
@@ -94,9 +94,7 @@ def radial_rhs(R_sq: float, p: RadialParams, t: float = 0.0) -> float:
     """Right-hand side 2*exp(a*R_sq/m)*(b*R_sq - m*c(t)) of the radius ODE."""
     if R_sq < 0:
         raise DomainError(f"R_sq must be >= 0, got {R_sq}")
-    exponent = p.a * R_sq / p.m
-    if exponent >= EXP_GUARD:
-        raise OverflowGuard(exponent)
+    exponent = guard_exponent(p.a * R_sq / p.m)
     return 2.0 * math.exp(exponent) * (p.b * R_sq - p.m * p.c(t))
 
 

@@ -233,8 +233,8 @@ def test_criterion_06_sphericity_preserved(shrink_circle_verdict,
 
 def test_criterion_07_scalar_evolution_identity(flow0_circle_runs):
     coarse, fine = flow0_circle_runs
-    rep_c = engine.verify_scalar_evolution(coarse, P_FLOW0)
-    rep_f = engine.verify_scalar_evolution(fine, P_FLOW0)
+    rep_c = comparison.verify_scalar_evolution(coarse)
+    rep_f = comparison.verify_scalar_evolution(fine)
     ok = rep_c.max_residual < 5e-2 and rep_f.max_residual < rep_c.max_residual
     report(7, ok, f"normalized residual {rep_c.max_residual:.2e} < 5e-2 at 512, "
                   f"{rep_f.max_residual:.2e} after doubling vertices and halving stride")

@@ -59,6 +59,15 @@ def test_ambient_error_exit_code(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--point", "1,x,0"), ("--axes", "0,y")])
+def test_ambient_rejects_malformed_numbers(capsys, flag, value):
+    argv = {"--point": "1,0,0", "--axes": "0,1", flag: value}
+    code, out, err = run_cli(capsys, "ambient", "--m", "2",
+                             *(tok for pair in argv.items() for tok in pair))
+    assert code == 1 and out == ""
+    assert err.startswith("error: --point and --axes take comma-separated numbers")
+
+
 def test_bounds_command(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--m", "2", "--r0sq", "1")
     assert code == 0
@@ -83,6 +92,24 @@ def test_sphere_command_with_csv(tmp_path, capsys):
     assert (t0, r0) == (0.0, 1.0)
     t_last = float(lines[-1].split(",")[0])
     assert t_last == pytest.approx(t_event, abs=1e-9)
+
+
+def test_sphere_command_reports_unwritable_csv(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(capsys, "sphere", "--m", "2", "--r0sq", "1", "--csv", str(path))
+    assert code == 1
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_simulate_reports_unwritable_output_dir(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("initial.name = circle\ninitial.radius = 0.8\ninitial.n = 32\n"
+                   f"horizon = 0.005\noutput_dir = {blocker / 'run'}\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error: [Errno 20] Not a directory")
 
 
 @pytest.mark.parametrize("flag", ["--c-slope", "--horizon"])

@@ -6,7 +6,7 @@ from gaussflow.comparison import (SIGN_PRESERVATION_ABOVE, SIGN_PRESERVATION_BEL
                                   SPHERICITY, admissible_barrier_interval,
                                   check_sign_above, check_sign_below,
                                   check_sphere_barrier, check_sphericity)
-from gaussflow.engine import FLOW, FlowParams, Thresholds
+from gaussflow.engine import FLOW, FLOWP, FlowParams, Thresholds
 from gaussflow.errors import HypothesisViolated
 
 P_FLOW = FlowParams(variant=FLOW)
@@ -68,6 +68,18 @@ def test_sign_above_gates(icosphere_expand, circle_shrink):
         check_sign_above(icosphere_expand, P_FLOW, eps=2.0)  # = the initial gap
     with pytest.raises(HypothesisViolated):
         check_sign_above(circle_shrink, P_FLOW, eps=0.1)
+
+
+def test_sign_checks_refuse_another_law():
+    # a FLOWP run with c = 2 balances at |F|^2 = 2m; judged with FLOW's
+    # constants it would be measured against the sphere |F|^2 = m
+    p = FlowParams(variant=FLOWP, c=2.0)
+    traj = engine.run(shapes.circle(1.2, 64), p, horizon=0.01, stride=4,
+                      keep_snapshots=False)
+    for check in (check_sign_below, check_sign_above):
+        with pytest.raises(HypothesisViolated, match="but the run used"):
+            check(traj, P_FLOW, eps=0.1)
+    assert check_sign_below(traj, p, eps=0.1).holds
 
 
 def test_margin_nesting_in_eps(circle_shrink):
