@@ -521,11 +521,10 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
     if p.c_at(0.0) <= 0 or p.c_at(horizon) <= 0:
         raise InvalidConfig("c(t) must remain positive over the horizon")
 
-    sample_times = None
-    if snapshot_times is not None:
-        sample_times = sorted({float(x) for x in snapshot_times})
-        if any(x < 0 or x > horizon for x in sample_times):
-            raise InvalidConfig("snapshot times must lie in [0, horizon]")
+    pending = [] if snapshot_times is None else sorted({float(x) for x in snapshot_times})
+    if any(not 0 <= x <= horizon for x in pending):
+        raise InvalidConfig("snapshot times must lie in [0, horizon]")
+    pending = [x for x in pending if x > 1e-15]     # the initial row stands for these
 
     rows = {k: [] for k in COLUMNS}
     snaps: list[DiscreteImmersion] = []
@@ -549,15 +548,11 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
     t = 0.0
     ctl = StepControl()
     steps = 0
-    last_dt = bracket = f2_rate = 0.0
-    next_sample = 0
+    dt = bracket = f2_rate = 0.0
     if not p.in_paper_regime:
         events.append({"event": "out_of_paper_params", "t": 0.0})
 
     record(t, cur, 0.0)
-    if sample_times is not None and next_sample < len(sample_times) \
-            and sample_times[next_sample] <= 1e-15:
-        next_sample += 1
 
     while True:
         hit = _classify(mon, th)
@@ -582,11 +577,9 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
             stop = StopReason(POSITION_BLOWUP, t, "conformal exponent guard fired")
             break
 
-        sample = None
-        if sample_times is not None and next_sample < len(sample_times):
-            sample = sample_times[next_sample]
         try:
-            nxt, t1, dt, landed, nctl = _advance(cur, t, ctl, p, dt_stab, horizon, sample)
+            nxt, t1, dt, landed, nctl = _advance(cur, t, ctl, p, dt_stab, horizon,
+                                                 pending[0] if pending else None)
         except OverflowGuard:
             events.append({"event": "overflow_guard", "t": t})
             stop = StopReason(POSITION_BLOWUP, t, "conformal exponent guard fired mid-step")
@@ -604,16 +597,14 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         f2_rate = abs(nmon.max_F2 - mon.max_F2) / dt
         cur, t, ctl, mon = nxt, t1, nctl, nmon
         steps += 1
-        last_dt = dt
 
         if landed:
-            next_sample += 1
-            record(t, cur, dt)
-        elif sample_times is None and steps % stride == 0:
+            pending.pop(0)
+        if landed or (snapshot_times is None and steps % stride == 0):
             record(t, cur, dt)
 
     if rows["t"][-1] != t:
-        record(t, cur, last_dt)
+        record(t, cur, dt)
     events.append({"event": "stop", "kind": stop.kind, "t": stop.t_stop,
                    "detail": stop.detail})
 

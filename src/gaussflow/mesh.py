@@ -105,8 +105,7 @@ class DiscreteImmersion:
 
     __slots__ = ("m", "vertices", "faces", "_conn", "_geom")
 
-    def __init__(self, m: int, vertices, faces=None,
-                 _conn: _Connectivity | _CurveConnectivity | None = None):
+    def __init__(self, m: int, vertices, faces=None):
         v = np.asarray(vertices, dtype=np.float64)
         if v.ndim != 2:
             raise InvalidConfig("vertices must be a 2-d array")
@@ -118,14 +117,14 @@ class DiscreteImmersion:
             if faces is not None:
                 raise InvalidConfig("curves carry no face list")
             self.faces = None
-            self._conn = _conn if _conn is not None else _CurveConnectivity(len(v))
+            self._conn = _CurveConnectivity(len(v))
         elif self.m == 2:
             if faces is None:
                 raise InvalidConfig("surfaces need a face list")
             f = np.asarray(faces, dtype=np.int64)
             self.faces = f
             self.faces.flags.writeable = False
-            self._conn = _conn if _conn is not None else _Connectivity(f, len(v))
+            self._conn = _Connectivity(f, len(v))
         else:
             raise InvalidConfig(f"m must be 1 or 2, got {m}")
         self._validate()

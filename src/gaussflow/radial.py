@@ -13,7 +13,8 @@ u = exp(-a*r/m), whose equation
     u' = -(2*a*b/m) * (-(m/a)*ln(u) - c(t)*m/b)
 
 is free of the exponential stiffness and carries only a logarithmic
-singularity into the finite-time escape.  Events are bracketed on the
+singularity into the finite-time escape.  Steps land exactly on the
+requested sample times and on the horizon; events are bracketed on the
 accepted steps and localized by bisection.
 """
 
@@ -246,15 +247,16 @@ def _dp_step(f, t, y, h, p):
     return y5, abs(y5 - y4)
 
 
-def _bisect_event(f, t0, y0, h, p, crossed) -> float:
-    """Bisection on the step [t0, t0+h] for the first time crossed() holds,
-    stepping to each trial time with the integrator's own step."""
+def _bisect_event(f, t0, y0, h, p, use_u, ceiling) -> float:
+    """Bisection on the step [t0, t0+h] for the first time R^2 reaches
+    COLLAPSE_FLOOR or ``ceiling``, stepping with the integrator's own step."""
     lo, hi = 0.0, h
     for _ in range(200):
         if hi - lo < EVENT_TIME_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if crossed(_dp_step(f, t0, y0, mid, p)[0]):
+        r = _to_r(p, _dp_step(f, t0, y0, mid, p)[0], use_u)
+        if r <= COLLAPSE_FLOOR or r >= ceiling:
             hi = mid
         else:
             lo = mid
@@ -276,9 +278,11 @@ def integrate_radial(p: RadialParams, horizon: float, t_eval=None) -> RadialTraj
     Parameters
     ----------
     t_eval : array_like, optional
-        Sorted times the integrator must land on exactly; the values there
-        are returned in ``eval_times`` / ``eval_R_sq`` (truncated at the
-        event when one fires first).
+        Times in [0, horizon] to sample.  Each step is capped at the next
+        one and ends exactly on it, so every sample time up to the event is
+        in ``times``; a sample within 1e-13 * max(1, t) of the current time
+        t is recorded there.  The values are returned in ``eval_times`` /
+        ``eval_R_sq`` (truncated at the event when one fires first).
     """
     if not horizon >= 0:
         raise InvalidConfig(f"horizon must be >= 0, got {horizon}")
@@ -287,56 +291,33 @@ def integrate_radial(p: RadialParams, horizon: float, t_eval=None) -> RadialTraj
         raise InvalidConfig("R0_sq must sit between collapse floor and escape ceiling")
     if p.c(0.0) <= 0 or p.c(horizon) <= 0:
         raise InvalidConfig("c(t) must stay positive over the horizon")
+    pending = [] if t_eval is None else sorted(float(t) for t in t_eval)
+    if any(not 0 <= t <= horizon for t in pending):
+        raise InvalidConfig("t_eval times must lie in [0, horizon]")
 
     switch_up = 3.0 * p.m / p.a      # beyond this, integrate u = exp(-a r / m)
     switch_down = 2.0 * p.m / p.a
-
-    eval_list = [] if t_eval is None else [float(t) for t in t_eval]
-    if any(t < 0 or t > horizon for t in eval_list):
-        raise InvalidConfig("t_eval times must lie in [0, horizon]")
-    eval_list.sort()
-
-    t = 0.0
-    r = float(p.R0_sq)
-    use_u = r > switch_up
-    y = math.exp(-p.a * r / p.m) if use_u else r
-
-    times = [t]
-    values = [r]
-    eval_t, eval_r = [], []
-    next_eval = 0
-
-    def record_evals_at(tc, rc):
-        nonlocal next_eval
-        while next_eval < len(eval_list) and abs(eval_list[next_eval] - tc) <= 1e-13 * max(1.0, tc):
-            eval_t.append(eval_list[next_eval])
-            eval_r.append(rc)
-            next_eval += 1
-
-    record_evals_at(t, r)
-    if horizon == 0.0:
-        return _finish(p, times, values, RadialEvent(HORIZON, 0.0), eval_t, eval_r)
-
     atol = RTOL * 1e-4
+    t, r = 0.0, float(p.R0_sq)
+    y, use_u = r, False
+    times, values, eval_t, eval_r = [t], [r], [], []
     h = min(1e-4, horizon)
     event = None
-    max_steps = 2_000_000
-
-    for _ in range(max_steps):
+    for _ in range(2_000_000):
+        while pending and pending[0] - t <= 1e-13 * max(1.0, t):
+            eval_t.append(pending.pop(0))
+            eval_r.append(r)
+        if event is not None or t >= horizon:
+            break
+        # phase switching with hysteresis; the first pass picks the initial phase
+        if not use_u and r > switch_up:
+            use_u, y = True, math.exp(-p.a * r / p.m)
+        elif use_u and r < switch_down:
+            use_u, y = False, r
         f = _u_rhs if use_u else _r_rhs_clamped
 
-        # forced landings: horizon and requested sample times
-        cap = horizon - t
-        if next_eval < len(eval_list):
-            cap = min(cap, eval_list[next_eval] - t)
-        if cap <= 1e-15 * max(1.0, t):
-            # landed on a forced point by construction
-            if next_eval < len(eval_list) and abs(eval_list[next_eval] - t) <= 1e-13 * max(1.0, t):
-                record_evals_at(t, _to_r(p, y, use_u))
-                continue
-            break  # at the horizon
-
-        h_step = min(h, cap)
+        end = min(horizon, pending[0]) if pending else horizon
+        h_step = min(h, end - t)
         y_new, err = _dp_step(f, t, y, h_step, p)
         scale = atol + RTOL * max(abs(y), abs(y_new))
         if err > scale:
@@ -344,43 +325,29 @@ def integrate_radial(p: RadialParams, horizon: float, t_eval=None) -> RadialTraj
             continue
 
         r_new = _to_r(p, y_new, use_u)
-        if r_new <= COLLAPSE_FLOOR:
-            t_ev = _bisect_event(f, t, y, h_step, p,
-                                 lambda yy: _to_r(p, yy, use_u) <= COLLAPSE_FLOOR)
-            t = t_ev
-            y = math.exp(-p.a * COLLAPSE_FLOOR / p.m) if use_u else COLLAPSE_FLOOR
-            event = RadialEvent(COLLAPSE, t_ev)
-        elif r_new >= escape_ceiling:
-            t_ev = _bisect_event(f, t, y, h_step, p,
-                                 lambda yy: _to_r(p, yy, use_u) >= escape_ceiling)
-            t = t_ev
-            y = math.exp(-p.a * escape_ceiling / p.m) if use_u else escape_ceiling
-            event = RadialEvent(ESCAPE, t_ev)
+        if r_new <= COLLAPSE_FLOOR or r_new >= escape_ceiling:
+            # an event: bisect for the time R^2 leaves the band, and end on its edge
+            kind, limit = ((COLLAPSE, COLLAPSE_FLOOR) if r_new <= COLLAPSE_FLOOR
+                           else (ESCAPE, escape_ceiling))
+            t = _bisect_event(f, t, y, h_step, p, use_u, escape_ceiling)
+            y = math.exp(-p.a * limit / p.m) if use_u else limit
+            event = RadialEvent(kind, t)
         else:
-            t, y = t + h_step, y_new
             grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
+            t = end if h_step == end - t else t + h_step
+            y = y_new
             h = h_step * max(grow, 1.0) if h_step < h else h_step * grow
-
-        r_cur = _to_r(p, y, use_u)
+        r = _to_r(p, y, use_u)
         times.append(t)
-        values.append(r_cur)
-        record_evals_at(t, r_cur)
-        if event is not None:
-            break
-        if t >= horizon * (1.0 - 1e-15) and next_eval >= len(eval_list):
-            break
-
-        # phase switching with hysteresis
-        if not use_u and r_cur > switch_up:
-            use_u, y = True, math.exp(-p.a * r_cur / p.m)
-        elif use_u and r_cur < switch_down:
-            use_u, y = False, r_cur
+        values.append(r)
     else:
         raise InvalidConfig("integrator exceeded the step budget")
 
-    if event is None:
-        event = RadialEvent(HORIZON, t)
-    return _finish(p, times, values, event, eval_t, eval_r)
+    return RadialTrajectory(
+        params=p, times=np.asarray(times), R_sq=np.asarray(values),
+        event=event or RadialEvent(HORIZON, t), bound_time=applicable_bound(p),
+        eval_times=np.asarray(eval_t), eval_R_sq=np.asarray(eval_r),
+    )
 
 
 def _to_r(p: RadialParams, y: float, use_u: bool) -> float:
@@ -389,15 +356,3 @@ def _to_r(p: RadialParams, y: float, use_u: bool) -> float:
     if y <= 0.0:
         return math.inf
     return -(p.m / p.a) * math.log(y)
-
-
-def _finish(p, times, values, event, eval_t, eval_r) -> RadialTrajectory:
-    return RadialTrajectory(
-        params=p,
-        times=np.asarray(times),
-        R_sq=np.asarray(values),
-        event=event,
-        bound_time=applicable_bound(p),
-        eval_times=np.asarray(eval_t),
-        eval_R_sq=np.asarray(eval_r),
-    )

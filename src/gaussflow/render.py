@@ -26,7 +26,8 @@ def _f(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _curve_svg(vertices: np.ndarray, m: int, max_f2: float, bbox) -> str:
+def _curve_svg(vertices: np.ndarray, balance_sq: float | None, max_f2: float, bbox) -> str:
+    """One SVG frame; the balance circle |F|^2 = balance_sq is left out when it is None."""
     lo, hi = bbox
     span = max(hi[0] - lo[0], hi[1] - lo[1], 1e-12)
     pad = 0.05 * span
@@ -42,11 +43,12 @@ def _curve_svg(vertices: np.ndarray, m: int, max_f2: float, bbox) -> str:
         f'viewBox="0 0 {SIZE} {SIZE}">',
         f'<rect width="{SIZE}" height="{SIZE}" fill="{BACKGROUND}"/>',
     ]
-    for radius, dash in ((math.sqrt(m), "6 4"), (math.sqrt(max(max_f2, 0.0)), "2 3")):
-        lines.append(
-            f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(radius * scale)}" fill="none" '
-            f'stroke="{REFERENCE}" stroke-dasharray="{dash}"/>'
-        )
+    for radius_sq, dash in ((balance_sq, "6 4"), (max(max_f2, 0.0), "2 3")):
+        if radius_sq is not None:
+            lines.append(
+                f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(math.sqrt(radius_sq) * scale)}" '
+                f'fill="none" stroke="{REFERENCE}" stroke-dasharray="{dash}"/>'
+            )
     pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in zip(px.tolist(), py.tolist()))
     lines.append(
         f'<polygon points="{pts}" fill="none" stroke="{STROKE}" '
@@ -64,14 +66,18 @@ def render(traj: FlowTrajectory, outdir: str = "render") -> list[str]:
     os.makedirs(outdir, exist_ok=True)
     paths = []
     if traj.m == 1:
+        # the balance sphere |F|^2 = (c(t)/b) m of the law that ran; with b = 0 there is none
+        p = traj.params
+        balance = p.c_at(traj.times) / p.b * traj.m if p.b > 0 else None
         all_pts = np.concatenate([s.vertices[:, :2] for s in traj.snapshots])
-        guide = math.sqrt(max(traj.m, float(traj.max_F2.max())))
+        guide = math.sqrt(max(traj.max_F2.max(), 0.0 if balance is None else balance.max()))
         lo = np.minimum(all_pts.min(axis=0), [-guide, -guide])
         hi = np.maximum(all_pts.max(axis=0), [guide, guide])
         for i, s in enumerate(traj.snapshots):
             path = os.path.join(outdir, f"frame_{i:06d}.svg")
             with open(path, "w") as fh:
-                fh.write(_curve_svg(s.vertices[:, :2], traj.m,
+                fh.write(_curve_svg(s.vertices[:, :2],
+                                    None if balance is None else float(balance[i]),
                                     float(traj.max_F2[i]), (lo, hi)))
             paths.append(path)
     else:

@@ -167,6 +167,23 @@ def test_verify_argument_validation(tmp_path, capsys):
     assert code == 1  # shrink trajectory cannot satisfy the above-claim
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("ambient", "--m", "2", "--point", "0,0,0", "--axes", "0"), "--axes needs exactly two"),
+    (("scenario", "ALL", "--config", "{cfg}"), "scenario ALL needs --config DIR"),
+    (("verify", "--trajectory", "{run}", "--claim", "SPHERE_BARRIER_BELOW", "--eps", "0.05"),
+     "--eps and --rp0sq are required"),
+], ids=["ambient_one_axis", "scenario_all_file", "barrier_without_rp0sq"])
+def test_cli_errors_exit_1(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("initial.name = circle\ninitial.radius = 0.8\ninitial.n = 32\n"
+                   f"horizon = 0.005\noutput_dir = {tmp_path / 'run'}\n")
+    if "{run}" in argv:
+        assert run_cli(capsys, "simulate", "--config", str(cfg))[0] == 0
+    code, out, err = run_cli(capsys, *(a.format(cfg=cfg, run=tmp_path / "run") for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_scenario_command_and_failure_exit_code(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(

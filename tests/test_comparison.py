@@ -6,7 +6,7 @@ from gaussflow.comparison import (SIGN_PRESERVATION_ABOVE, SIGN_PRESERVATION_BEL
                                   SPHERICITY, admissible_barrier_interval,
                                   check_sign_above, check_sign_below,
                                   check_sphere_barrier, check_sphericity)
-from gaussflow.engine import FLOW, FLOWP, FlowParams, Thresholds
+from gaussflow.engine import FLOW, FLOW0, FLOWP, FlowParams, Thresholds
 from gaussflow.errors import HypothesisViolated
 
 P_FLOW = FlowParams(variant=FLOW)
@@ -82,6 +82,18 @@ def test_sign_checks_refuse_another_law():
     assert check_sign_below(traj, p, eps=0.1).holds
 
 
+@pytest.mark.parametrize("p, match", [
+    (FlowParams(variant=FLOW0), "FLOW or FLOWP"),
+    (FlowParams(variant=FLOWP, c_slope=-0.5), "nondecreasing c/b"),
+    (FlowParams(variant=FLOWP, b=0.0), "b > 0"),
+], ids=["FLOW0", "decreasing_c", "b0"])
+def test_sign_below_refuses_laws_outside_its_hypotheses(p, match):
+    traj = engine.run(shapes.circle(0.8, 32), p, horizon=0.005, stride=4,
+                      keep_snapshots=False)
+    with pytest.raises(HypothesisViolated, match=match):
+        check_sign_below(traj, p, eps=0.1)
+
+
 def test_margin_nesting_in_eps(circle_shrink):
     r_small = check_sign_below(circle_shrink, P_FLOW, eps=0.05)
     r_big = check_sign_below(circle_shrink, P_FLOW, eps=0.2)
@@ -115,6 +127,14 @@ def test_sphere_barrier_interval_gates(ellipse_shrink):
         check_sphere_barrier(ellipse_shrink, Rp0_sq=0.95, eps=0.01)
     with pytest.raises(HypothesisViolated):
         check_sphere_barrier(ellipse_shrink, Rp0_sq=0.85, eps=0.2)
+
+
+def test_barrier_interval_refuses_straddling_data():
+    # max|F0|^2 = 1.44 and min|F0|^2 = 0.64 lie on both sides of |F|^2 = m = 1
+    traj = engine.run(shapes.ellipse(1.2, 0.8, 64), P_FLOW, horizon=0.002, stride=4,
+                      keep_snapshots=False)
+    with pytest.raises(HypothesisViolated, match="straddles"):
+        admissible_barrier_interval(traj)
 
 
 def test_sphere_barrier_requires_flow_variant():

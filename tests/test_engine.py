@@ -210,6 +210,13 @@ def test_run_rejects_nan_horizon_and_allows_infinite():
     assert traj.stop.kind in (POSITION_COLLAPSE, CURVATURE_BLOWUP)
 
 
+def test_run_rejects_nan_snapshot_time():
+    # a NaN sample is never landed on, so every sample after it was dropped
+    with pytest.raises(InvalidConfig, match="snapshot times"):
+        engine.run(shapes.circle(0.8, 32), P_FLOW, horizon=0.05,
+                   snapshot_times=[0.0, math.nan, 0.02, 0.04])
+
+
 def _patch_velocity(monkeypatch, exc, fails):
     """Make engine.velocity raise exc on its n-th call (from 1) where fails(n)."""
     real, count = engine.velocity, [0]

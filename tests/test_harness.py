@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -144,6 +145,25 @@ def test_parse_booleans():
         parse_config_text("horizon = 0.1\nsave_meshes = flase\n")
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: parse_config_text("snapshot_stride = 0"), "snapshot_stride"),
+    (lambda: RunConfig(initial_kind="file").build_initial(), "needs initial.path"),
+    (lambda: RunConfig(initial_kind="mesh").build_initial(), "unknown initial.kind"),
+    (lambda: simulate(RunConfig(initial_params={"radius": 0.8}, initial_n=32)),
+     "explicit horizon"),
+    (lambda: run_scenario(STATIONARY, RunConfig(
+        initial_name="ellipse", initial_params={"rx": 1.1, "ry": 0.9}, initial_n=32)),
+     "spherical initial data"),
+    (lambda: run_scenario(SPHERE_ODE_MATCH, RunConfig(initial_params={"radius": 1.0},
+                                                      initial_n=32)),
+     r"needs \|F0\|\^2 != \(c/b\)m"),
+], ids=["stride_0", "file_without_path", "unknown_kind", "simulate_without_horizon",
+        "stationary_ellipse", "ode_match_on_balance_sphere"])
+def test_config_errors(call, match):
+    with pytest.raises(InvalidConfig, match=match):
+        call()
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(FULL_CONFIG)
@@ -250,6 +270,20 @@ def test_load_rejects_malformed_diagnostics_rows(tmp_path, small_run):
         (bad / "diagnostics.csv").write_text("\n".join([*lines[:2], row, *lines[3:]]) + "\n")
         with pytest.raises(IoError, match="diagnostics.csv"):
             load_trajectory(bad)
+
+
+@pytest.mark.parametrize("name, damage, match", [
+    ("diagnostics.csv", lambda text: "t,dt\n" + text.split("\n", 1)[1], "CSV header"),
+    ("diagnostics.csv", lambda text: text.split("\n", 1)[0] + "\n", "empty diagnostics"),
+    ("result.json", lambda text: "not json\n", "malformed record"),
+], ids=["wrong_header", "header_only", "non_json_result"])
+def test_load_rejects_damaged_files(tmp_path, small_run, name, damage, match):
+    src = Path(small_run[0].output_dir)
+    for f in ("result.json", "diagnostics.csv", "events.jsonl"):
+        text = (src / f).read_text()
+        (tmp_path / f).write_text(damage(text) if f == name else text)
+    with pytest.raises(IoError, match=match):
+        load_trajectory(tmp_path, meshes=False)
 
 
 def test_tolerance_does_not_grow_with_the_step(tmp_path, small_run):
@@ -543,6 +577,29 @@ def test_render_curve_svgs(tmp_path):
     assert radii[0] > radii[1] > radii[2]
     again = render.render(traj, outdir=str(tmp_path / "r2"))
     assert Path(paths[0]).read_bytes() == Path(again[0]).read_bytes()
+
+
+def _svg_circles(path) -> dict:
+    """Center x and radius of each reference circle, keyed by its dash pattern."""
+    found = re.findall(r'<circle cx="([\d.]+)" cy="[\d.]+" r="([\d.]+)".*dasharray="([^"]+)"',
+                       Path(path).read_text())
+    return {dash: (float(cx), float(r)) for cx, r, dash in found}
+
+
+def test_render_draws_the_balance_circle_of_the_law_that_ran(tmp_path):
+    # FLOWP with c = 2 balances at |F|^2 = (c/b) m = 2, not at m = 1
+    from gaussflow import engine
+    traj = engine.run(shapes.circle(1.2, 64), FlowParams(variant=FLOWP, c=2.0),
+                      horizon=0.01, snapshot_times=[0.0, 0.01])
+    circles = _svg_circles(render.render(traj, outdir=str(tmp_path / "c2"))[0])
+    (cx, balance), (_, farthest) = circles["6 4"], circles["2 3"]
+    assert balance / farthest == pytest.approx(math.sqrt(2.0) / 1.2, rel=1e-5)
+    assert cx + balance <= render.SIZE      # the frame holds the balance circle
+    # with b = 0 there is no balance sphere, so no circle is drawn for it
+    traj = engine.run(shapes.circle(1.2, 64), FlowParams(variant=FLOWP, b=0.0),
+                      horizon=0.01, snapshot_times=[0.0, 0.01])
+    for path in render.render(traj, outdir=str(tmp_path / "b0")):
+        assert set(_svg_circles(path)) == {"2 3"}
 
 
 def test_render_surface_off_round_trip(tmp_path):

@@ -183,6 +183,18 @@ def test_forced_sample_times_are_exact():
     assert traj.eval_R_sq[0] == 0.64
 
 
+def test_steps_land_exactly_on_sample_times():
+    # each capped step ends on its sample, not one rounding error short of it
+    # (t + (s - t) != s for s = 0.003061224489795918 on this grid)
+    grid = np.linspace(0.0, 0.15, 50)
+    traj = integrate_radial(std_params(1, 0.64), 0.15, t_eval=grid)
+    assert set(grid.tolist()) <= set(traj.times.tolist())
+    np.testing.assert_array_equal(traj.eval_times, grid)
+    landed = np.searchsorted(traj.times, grid)
+    np.testing.assert_array_equal(traj.eval_R_sq, traj.R_sq[landed])
+    assert traj.event.kind == HORIZON and traj.event.t == 0.15
+
+
 def test_eval_times_truncate_at_event():
     p = std_params(2, 5.0)
     esc = integrate_radial(p, 1.0)
@@ -228,6 +240,12 @@ def test_non_finite_inputs_rejected():
     with pytest.raises(InvalidConfig, match="horizon"):
         integrate_radial(std_params(1, 0.64), horizon=math.nan)
     assert integrate_radial(std_params(1, 0.64), horizon=math.inf).event.kind == COLLAPSE
+
+
+def test_nan_sample_time_rejected():
+    # a NaN sample is never recorded, so every sample after it was dropped
+    with pytest.raises(InvalidConfig, match="t_eval"):
+        integrate_radial(std_params(1, 0.64), 0.15, t_eval=[0.0, math.nan, 0.05, 0.1])
 
 
 def test_horizon_zero():
