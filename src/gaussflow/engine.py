@@ -357,10 +357,12 @@ def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
     """One accepted step from (s, t): RK4 at dt_stab or RKC2 at the accuracy
     step, whichever costs fewer velocity evaluations per unit time.
 
-    Returns the new immersion, its time, the step length, whether it landed
-    on ``sample``, and the new controller state.  OverflowGuard or
-    DegenerateMesh out of an RK4 step, or out of f1 after it, propagates;
-    an RKC2 trial that raises them is retried at a quarter of its length.
+    Returns the new immersion, its monitor, its time, the step length,
+    whether it landed on ``sample``, and the new controller state.
+    OverflowGuard or DegenerateMesh out of an RK4 step, or out of the end
+    state's monitor or f1, propagates; an RKC2 trial that raises them is
+    retried at a quarter of its length.  The monitor is read before f1, so
+    a vanishing normal raises DegenerateMesh before the overflow guard.
     """
     f0 = ctl.f0 if ctl.f0 is not None else velocity(s, p, t)
     dt_acc, rho = ctl.dt_acc, None
@@ -378,6 +380,7 @@ def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
         t1 = sample if landed else t + dt
         if not rkc:
             y1 = _rk4_advance(s, p, t, dt, f0)
+            mon = _monitor(y1)
             f1 = velocity(y1, p, t1)
             err, est = _error_norm(s.vertices, y1.vertices, f0, f1, dt)
             # on y' = lambda y the estimate is z^3 / 15 for an exact step and
@@ -388,6 +391,7 @@ def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
             break
         try:
             y1 = _rkc_advance(s, p, t, dt, _rkc_stages(dt, rho)[1], f0)
+            mon = _monitor(y1)
             f1 = velocity(y1, p, t1)
         except (OverflowGuard, DegenerateMesh):
             dt_acc = retry = 0.25 * dt
@@ -403,7 +407,7 @@ def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
     err_sum = ctl.err_sum
     if rkc:
         err_sum += float(np.abs(2.0 * np.einsum("ij,ij->i", y1.vertices, est)).max())
-    return y1, t1, dt, landed, StepControl(f1, dt_next, err_sum, rkc)
+    return y1, mon, t1, dt, landed, StepControl(f1, dt_next, err_sum, rkc)
 
 
 def _monitor(s: DiscreteImmersion) -> _Monitor:
@@ -429,8 +433,8 @@ def step(state: FlowState, p: FlowParams, cfl: float = 0.25) -> FlowState:
     repeated calls take the steps ``run`` takes."""
     check_cfl(cfl)
     s, t = state.immersion, state.t
-    nxt, t1, dt, _, ctl = _advance(s, t, state.control, p,
-                                   stability_dt(s, p, t, cfl=cfl))
+    nxt, _, t1, dt, _, ctl = _advance(s, t, state.control, p,
+                                      stability_dt(s, p, t, cfl=cfl))
     return FlowState(t1, nxt, compute_diagnostics(nxt, dt), ctl)
 
 
@@ -578,8 +582,8 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
             break
 
         try:
-            nxt, t1, dt, landed, nctl = _advance(cur, t, ctl, p, dt_stab, horizon,
-                                                 pending[0] if pending else None)
+            nxt, nmon, t1, dt, landed, nctl = _advance(cur, t, ctl, p, dt_stab, horizon,
+                                                       pending[0] if pending else None)
         except OverflowGuard:
             events.append({"event": "overflow_guard", "t": t})
             stop = StopReason(POSITION_BLOWUP, t, "conformal exponent guard fired mid-step")
@@ -588,7 +592,6 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
             stop = StopReason(MESH_DEGENERATE, t, str(exc))
             break
 
-        nmon = _monitor(nxt)
         bracket = dt
         if nctl.rkc and _classify(nmon, th) is not None:
             end, end_mon, hi, bracket = _locate_crossing(cur, t, ctl.f0, p, dt, th)

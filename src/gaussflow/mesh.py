@@ -155,7 +155,7 @@ class DiscreteImmersion:
                 _curve_geometry(v, self._conn)
                 _curve_tangent(self)
             else:
-                _surface_geometry(v, self._conn)
+                _surface_geometry(v, self._conn)["h2"]     # the whole pass
         except DegenerateMesh as exc:
             raise InvalidConfig(f"degenerate immersion: {exc}") from exc
 
@@ -219,76 +219,105 @@ def _curve_tangent(s: DiscreteImmersion) -> np.ndarray:
 # surface internals
 
 
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])   # corners k+1 and k+2 of corner k
+_MONITOR_KEYS = frozenset({"normal", "h2", "quality", "min_edge", "max_edge"})
+
+
+class _SurfaceGeometry(dict):
+    """The cache of one surface pass.  The pass stores the fields the
+    velocity reads; the monitor group (vertex normal, |h|^2, quality, edge
+    extremes) is computed by ``fill`` from the pass's intermediates the
+    first time one of its keys is read."""
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill, fields: dict):
+        super().__init__(fields)
+        self._fill = fill
+
+    def __missing__(self, key):
+        if key not in _MONITOR_KEYS:
+            raise KeyError(key)
+        self._fill(self, key)
+        return dict.__getitem__(self, key)
+
+
 def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
     # P[i, k, j] is coordinate i of corner k of face j; the edges leaving
-    # corner k are E[:, k] (to corner k+1) and -Ep[:, k] (to corner k+2)
+    # corner k are E[:, k] (to corner k+1) and -Ep[:, k] (to corner k+2).
+    # Freed temporaries are faulted back in on the next pass, so Ep and later
+    # the normals' corner vectors overwrite P, and the H corner vectors E
     vc = np.ascontiguousarray(v.T)
     P = np.take(vc, conn.corners, axis=1)         # (3, 3, n_faces)
-    E = np.roll(P, -1, axis=1) - P
-    Ep = np.roll(E, 1, axis=1)
+    E = np.empty_like(P)
+    np.subtract(P[:, 1:], P[:, :2], out=E[:, :2])
+    np.subtract(P[:, 0], P[:, 2], out=E[:, 2])
+    Ep = P
+    Ep[:, 0], Ep[:, 1:] = E[:, 2], E[:, :2]
     (ax, ay, az), (bx, by, bz) = E[:, 0], Ep[:, 0]
     cross = np.stack([by * az - bz * ay, bz * ax - bx * az, bx * ay - by * ax])   # Ep x E
-    cross_norm = np.sqrt((cross * cross).sum(axis=0))
+    cross_norm = np.sqrt(np.einsum("ij,ij->j", cross, cross))
     face_area = 0.5 * cross_norm
     if face_area.min() <= DEGENERACY_TOL:
         raise DegenerateMesh(f"triangle area below {DEGENERACY_TOL:g}")
 
     # all three corners span the same triangle, so they share |E x Ep|:
     # cot = <E, -Ep> / |E x Ep| and angle = atan2(|E x Ep|, <E, -Ep>)
-    dots = -(E * Ep).sum(axis=0)                 # (3, n_faces)
+    dots = -np.einsum("ikj,ikj->kj", E, Ep)      # (3, n_faces)
     cots = dots / cross_norm
-    angles = np.arctan2(cross_norm, dots)
-    cot_next = np.roll(cots, -1, axis=0)         # cot at corner k+1, opposite -Ep
-    cot_prev = np.roll(cots, 1, axis=0)          # cot at corner k+2, opposite E
-    l1 = (E * E).sum(axis=0)                     # |E|^2, edge k runs from corner k to k+1
-    l2 = np.roll(l1, 1, axis=0)                  # |Ep|^2
+    cot_next, cot_prev = cots[_NEXT], cots[_PREV]   # opposite -Ep and E
+    l1 = np.einsum("ikj,ikj->kj", E, E)          # |E|^2, edge k runs from corner k to k+1
+    l2 = l1[_PREV]                               # |Ep|^2
 
     # mixed Voronoi area: circumcentric for acute triangles, half/quarter
     # of the face area at/off the obtuse corner otherwise
+    w = l2 * cot_next
+    w += l1 * cot_prev
+    w /= 8
     obtuse = cots < 0
-    w = np.where(obtuse.any(axis=0),
-                 np.where(obtuse, face_area / 2, face_area / 4),
-                 (l2 * cot_next + l1 * cot_prev) / 8)
+    blunt = np.flatnonzero(obtuse.any(axis=0))
+    w[:, blunt] = np.where(obtuse[:, blunt], face_area[blunt] / 2, face_area[blunt] / 4)
     areas = conn.to_vertices(w)
     if areas.min() <= DEGENERACY_TOL:
         raise DegenerateMesh("vertex area underflow")
 
-    # cotan Laplacian of the position map = mean curvature vector; its corner
-    # vectors and the normals' overwrite E and P, which are not read again
+    # cotan Laplacian of the position map = mean curvature vector
     E *= cot_prev
     E -= np.multiply(cot_next, Ep, out=Ep)
     H = 0.5 * conn.to_vertices(E) / areas
+    F2 = np.einsum("ij,ij->j", vc, vc)
 
-    P[...] = 0.5 * cross[:, None]
-    vertex_normal = conn.to_vertices(P)
-    nn = np.sqrt((vertex_normal * vertex_normal).sum(axis=0))
-    if nn.min() <= DEGENERACY_TOL:
-        raise DegenerateMesh("vanishing vertex normal")
-    vertex_normal /= nn
+    def monitor_group(geom: dict, key: str) -> None:
+        # the normal first: FLOW0 stages read it, and a vanishing one makes
+        # the whole group raise DegenerateMesh, on every read
+        if "normal" not in geom:
+            P[...] = 0.5 * cross[:, None]
+            vertex_normal = conn.to_vertices(P)
+            nn = np.sqrt(np.einsum("ij,ij->j", vertex_normal, vertex_normal))
+            if nn.min() <= DEGENERACY_TOL:
+                raise DegenerateMesh("vanishing vertex normal")
+            vertex_normal /= nn
+            geom["normal"] = np.ascontiguousarray(vertex_normal.T)
+        if key == "normal":
+            return
+        # |h|^2 = |H|^2 - 2K with K the angle defect over the same mixed area;
+        # the clamp absorbs discretization error on nearly flat vertices
+        gauss = (2.0 * np.pi - conn.to_vertices(np.arctan2(cross_norm, dots))) / areas
+        edge = np.sqrt(l1)
+        semi = 0.5 * np.einsum("ij->j", edge)
+        q = 8.0 * face_area ** 2 / (semi * edge.prod(axis=0))
+        geom.update(h2=np.maximum(np.einsum("ij,ij->j", H, H) - 2.0 * gauss, 0.0),
+                    quality=float(q.min()), min_edge=float(edge.min()),
+                    max_edge=float(edge.max()))
 
-    # |h|^2 = |H|^2 - 2K with K the angle defect over the same mixed area;
-    # the clamp absorbs discretization error on nearly flat vertices
-    gauss = (2.0 * np.pi - conn.to_vertices(angles)) / areas
-    h2 = np.maximum((H * H).sum(axis=0) - 2.0 * gauss, 0.0)
-
-    edge = np.sqrt(l1)
-    semi = 0.5 * edge.sum(axis=0)
-    q = 8.0 * face_area ** 2 / (semi * edge.prod(axis=0))
-    F2 = (vc * vc).sum(axis=0)
-
-    return {
+    return _SurfaceGeometry(monitor_group, {
         "face_area": face_area,
         "vertex_areas": areas,
         "H": np.ascontiguousarray(H.T),
-        "normal": np.ascontiguousarray(vertex_normal.T),
-        "h2": h2,
         "F2": F2,
         "F2_max": float(F2.max()),
-        "quality": float(q.min()),
         "cots": cots,
-        "min_edge": float(edge.min()),
-        "max_edge": float(edge.max()),
-    }
+    })
 
 
 def _surface_laplacian(s: DiscreteImmersion, geom: dict, f_vals: np.ndarray) -> np.ndarray:

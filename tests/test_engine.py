@@ -235,10 +235,10 @@ def test_failed_rkc2_trial_is_retried_at_a_quarter(monkeypatch, exc):
     s = shapes.circle(0.8, 256)
     dt_stab = engine.stability_dt(s, P_FLOW)
     ctl = engine.StepControl(f0=engine.velocity(s, P_FLOW), dt_acc=1e-3)
-    _, _, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, dt_stab)
+    *_, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, dt_stab)
     assert nctl.rkc and dt == 1e-3
     _patch_velocity(monkeypatch, exc, lambda n: n == 1)
-    _, _, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, dt_stab)
+    *_, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, dt_stab)
     assert nctl.rkc and dt == 0.25e-3
 
 
@@ -255,7 +255,94 @@ def test_mid_step_guard_or_degeneration_stops_run(monkeypatch, exc, kind):
         assert traj.stop.detail == "edge collapsed"
 
 
-@pytest.mark.parametrize("F2_min, kind", [(1e-6, CURVATURE_BLOWUP), (0.1, POSITION_COLLAPSE)])
+def _patch_surface_geometry(monkeypatch, after):
+    """Wrap every surface pass so that ``after(geom)`` runs on its result."""
+    real = mesh._surface_geometry
+
+    def surface_geometry(v, conn):
+        geom = real(v, conn)
+        after(geom)
+        return geom
+
+    monkeypatch.setattr(mesh, "_surface_geometry", surface_geometry)
+
+
+def _patch_monitor_group(monkeypatch, fails):
+    """Make the n-th computation (from 1) of a surface pass's deferred
+    monitor group raise DegenerateMesh where fails(n)."""
+    count = [0]
+
+    def after(geom):
+        fill = geom._fill
+
+        def patched(g, key):
+            count[0] += 1
+            if fails(count[0]):
+                raise DegenerateMesh("vanishing vertex normal")
+            fill(g, key)
+
+        geom._fill = patched
+
+    _patch_surface_geometry(monkeypatch, after)
+
+
+def _same_run(a, b):
+    for name in engine.COLUMNS.values():
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    assert (a.stop, a.t_stop_error, a.integration_error) == (b.stop, b.t_stop_error,
+                                                              b.integration_error)
+    assert a.events == b.events
+    for x, y in zip(a.snapshots, b.snapshots, strict=True):
+        np.testing.assert_array_equal(x.vertices, y.vertices)
+
+
+@pytest.mark.parametrize("shape, p, horizon", [
+    (shapes.ellipsoid(1.0, 0.8, 0.6, 2), P_FLOW, 0.1),
+    (shapes.icosphere(1.2, 2), P_FLOW0, 1.0),
+], ids=["FLOW", "FLOW0"])
+def test_deferred_monitor_group_leaves_runs_unchanged(monkeypatch, shape, p, horizon):
+    # stages compute only the fields the velocity reads; forcing the whole
+    # pass on every stage must not move a bit
+    deferred = engine.run(shape, p, horizon, stride=1)
+    _patch_surface_geometry(monkeypatch, lambda geom: geom["h2"])
+    forced = engine.run(shape, p, horizon, stride=1)
+    assert deferred.n_snapshots > 10
+    _same_run(deferred, forced)
+
+
+def test_degenerate_monitor_group_raises_on_every_read(monkeypatch):
+    s = shapes.icosphere(1.0, 1)
+    geom = s._geometry()                          # the velocity fields only
+    monkeypatch.setattr(mesh, "DEGENERACY_TOL", math.inf)
+    for key in ("h2", "normal", "quality", "h2", "min_edge"):
+        with pytest.raises(DegenerateMesh, match="vanishing vertex normal"):
+            geom[key]
+    assert mesh.mesh_quality(s) == 0.0
+    with pytest.raises(KeyError):
+        geom["edge_lengths"]                      # a curve key stays unknown
+
+
+def test_degenerate_monitor_group_stops_run(monkeypatch):
+    _patch_monitor_group(monkeypatch, lambda n: n > 5)
+    traj = engine.run(shapes.icosphere(2.0, 1), P_FLOW, horizon=1.0)
+    assert traj.stop.kind == MESH_DEGENERATE and traj.stop.t_stop > 0.0
+    assert traj.stop.detail == "vanishing vertex normal"
+
+
+def test_degenerate_monitor_group_rejects_rkc2_trial(monkeypatch):
+    # near the balance sphere the accuracy step 3e-3 passes as one RKC2 step
+    s = shapes.icosphere(math.sqrt(2.0), 3)
+    dt_stab = engine.stability_dt(s, P_FLOW)
+    ctl = engine.StepControl(f0=engine.velocity(s, P_FLOW), dt_acc=3e-3)
+    *_, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, dt_stab)
+    assert nctl.rkc and dt == 3e-3
+    _patch_monitor_group(monkeypatch, lambda n: n == 1)
+    *_, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, dt_stab)
+    # the retry at 0.75e-3 is below dt_stab / 2, so RK4 takes the step
+    assert not nctl.rkc and dt == dt_stab
+
+
+@pytest.mark.parametrize("F2_min, kind",[(1e-6, CURVATURE_BLOWUP), (0.1, POSITION_COLLAPSE)])
 def test_timestep_underflow_classification(monkeypatch, F2_min, kind):
     # max|F|^2 = 0.64 is far from the origin under the default F2_min, so the
     # underflow is put down to edge collapse; within 10 * F2_min it is collapse
