@@ -343,12 +343,17 @@ def _step_factor(err: float) -> float:
     return 10.0 if err == 0.0 else min(10.0, max(0.1, 0.8 / math.cbrt(err)))
 
 
-def _land(t: float, dt: float, horizon: float, sample: float | None) -> tuple[float, bool]:
-    """Shorten a step to end on the horizon, or exactly on the next sample time."""
-    dt = min(dt, horizon - t)
-    if sample is not None and sample - t <= dt * (1.0 + 1e-12):
-        return sample - t, True
-    return dt, False
+def _land(t: float, dt: float, horizon: float,
+          sample: float | None) -> tuple[float, float, bool]:
+    """Fit a step to end exactly on the next sample time, or on the horizon
+    when no sample is pending (samples lie in [0, horizon]); a step within
+    1e-12 of its length of that end stretches to it, so no sliver step
+    follows.  Returns the step length, its end time and whether it landed
+    on the sample."""
+    end = horizon if sample is None else sample
+    if end - t <= dt * (1.0 + 1e-12):
+        return end - t, end, sample is not None
+    return dt, t + dt, False
 
 
 def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
@@ -376,8 +381,7 @@ def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
             dt_rkc, stages = _rkc_stages(min(dt_acc, DT_MAX), rho)
             if stages / dt_rkc < 4.0 / dt_stab:
                 dt, rkc = dt_rkc, True
-        dt, landed = _land(t, dt, horizon, sample)
-        t1 = sample if landed else t + dt
+        dt, t1, landed = _land(t, dt, horizon, sample)
         if not rkc:
             y1 = _rk4_advance(s, p, t, dt, f0)
             mon = _monitor(y1)
@@ -565,7 +569,7 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
             events.append({"event": kind.lower() + "_threshold", "t": t})
             stop = StopReason(kind, t, detail)
             break
-        if t >= horizon * (1.0 - 1e-15):
+        if t >= horizon:
             stop = StopReason(HORIZON_REACHED, t, f"reached horizon {horizon:g}")
             break
 

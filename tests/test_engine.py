@@ -190,6 +190,15 @@ def test_run_horizon_zero():
     assert traj.n_snapshots == 1 and traj.times[0] == 0.0
 
 
+def test_horizon_stop_lands_on_the_horizon():
+    # ten DT_MAX steps sum to 0.09999999999999999; the last one ends on 0.1,
+    # with no sliver step after it
+    traj = engine.run(shapes.circle(0.8, 16), P_FLOW, horizon=0.1)
+    assert traj.stop.kind == HORIZON_REACHED
+    assert traj.stop.t_stop == traj.times[-1] == 0.1
+    assert traj.dts[-1] == pytest.approx(engine.DT_MAX, rel=1e-12)
+
+
 def test_run_validation():
     c = shapes.circle(0.8, 64)
     with pytest.raises(InvalidConfig):
