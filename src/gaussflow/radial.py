@@ -273,7 +273,8 @@ def integrate_radial(p: RadialParams, horizon: float, t_eval=None) -> RadialTraj
     COLLAPSE fires when R^2 falls to COLLAPSE_FLOOR, and ESCAPE when it
     reaches 690*m/a, where u = exp(-a R^2/m) meets the 1e-300 floor, i.e.
     numerically indistinguishable from escape to infinity.  ``horizon``
-    must be >= 0: NaN is rejected, infinity is allowed.
+    must be >= 0: NaN is rejected, infinity is allowed except on the
+    stationary sphere with constant c, where no event comes.
 
     Parameters
     ----------
@@ -318,6 +319,10 @@ def integrate_radial(p: RadialParams, horizon: float, t_eval=None) -> RadialTraj
 
         end = min(horizon, pending[0]) if pending else horizon
         h_step = min(h, end - t)
+        if not math.isfinite(t + h_step):
+            # only a stationary R^2 lets the step grow without bound
+            raise InvalidConfig("infinite horizon, but R^2 stays on the stationary "
+                                "sphere: no event ends the integration")
         y_new, err = _dp_step(f, t, y, h_step, p)
         scale = atol + RTOL * max(abs(y), abs(y_new))
         if err > scale:

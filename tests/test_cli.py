@@ -101,6 +101,14 @@ def test_sphere_command_reports_unwritable_csv(tmp_path, capsys):
     assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
 
+def test_sphere_command_refuses_infinite_stationary_run(tmp_path, capsys):
+    csv = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, "sphere", "--m", "2", "--r0sq", "2",
+                             "--horizon", "inf", "--csv", str(csv))
+    assert code == 1 and out == "" and "infinite horizon" in err
+    assert not csv.exists()
+
+
 def test_simulate_reports_unwritable_output_dir(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

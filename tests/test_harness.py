@@ -468,6 +468,18 @@ def test_sphere_ode_match_scenario():
     assert verdict.passed
 
 
+def test_sphere_ode_match_error_falls_second_order_on_shrinking_icospheres():
+    # the cotan mean curvature lags at the valence-5 vertices, so the
+    # shrinking R = 1.2 icosphere misses the 1e-3 gate below subdiv 4; the
+    # error falls ~4x per subdivision (6.8e-3 at subdiv 2, 1.7e-3 at 3)
+    errs = []
+    for subdiv in (2, 3):
+        cfg = RunConfig(initial_name="icosphere",
+                        initial_params={"radius": 1.2, "subdiv": subdiv}, save_meshes=False)
+        errs.append(run_scenario(SPHERE_ODE_MATCH, cfg).metrics["max_rel_radius_error"])
+    assert errs[0] / errs[1] >= 3.0
+
+
 @pytest.mark.parametrize("radius", [0.1, 5.0])
 def test_sphere_ode_match_needs_start_in_window(tmp_path, capsys, radius):
     # |F0|^2 = 0.01 or 25 lies outside ODE_WINDOW: no row would be compared

@@ -240,6 +240,9 @@ def test_non_finite_inputs_rejected():
     with pytest.raises(InvalidConfig, match="horizon"):
         integrate_radial(std_params(1, 0.64), horizon=math.nan)
     assert integrate_radial(std_params(1, 0.64), horizon=math.inf).event.kind == COLLAPSE
+    # on the stationary sphere no event comes, and no time may become inf
+    with pytest.raises(InvalidConfig, match="infinite horizon"):
+        integrate_radial(RadialParams(2, 1.0, 1.0, 1.0, 2.0), horizon=math.inf)
 
 
 def test_nan_sample_time_rejected():
