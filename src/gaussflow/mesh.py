@@ -19,7 +19,14 @@ each corner field onto vertices with one bincount over a per-topology index.
 Each immersion caches the result of its one geometry pass, and every
 operator reads from that cache.  The cache also holds |F|^2 per vertex and
 its maximum, the edge-length extremes and the quality proxy, so the flow
-engine steps curves and surfaces through these operators alone.  The static per-topology data
+engine steps curves and surfaces through these operators alone.  A surface
+pass computes the fields the velocity reads (cotangents, mixed areas, H,
+|F|^2) when it runs; the monitor group (vertex normal, then angle defect,
+|h|^2, quality and edge extremes) is computed from the pass's cached
+intermediates the first time one of its keys is read.  So the flow's
+stages skip it, FLOW0 stages compute the normal only, and the engine's
+monitor computes it once per accepted state; a vanishing normal raises
+DegenerateMesh on every read of the group.  The static per-topology data
 lives in a connectivity object that an evolving immersion shares with its
 successors: the neighbour index arrays of a closed curve, or the face list
 and corner-to-vertex indices of a surface.  The curve tangent (normalized
@@ -323,8 +330,7 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
 def _surface_laplacian(s: DiscreteImmersion, geom: dict, f_vals: np.ndarray) -> np.ndarray:
     cots = geom["cots"]
     fc = np.take(f_vals, s._conn.corners)        # (3, n_faces) corner values
-    corner = 0.5 * (np.roll(cots, 1, axis=0) * (np.roll(fc, -1, axis=0) - fc)
-                    + np.roll(cots, -1, axis=0) * (np.roll(fc, 1, axis=0) - fc))
+    corner = 0.5 * (cots[_PREV] * (fc[_NEXT] - fc) + cots[_NEXT] * (fc[_PREV] - fc))
     return s._conn.to_vertices(corner) / geom["vertex_areas"]
 
 
@@ -405,7 +411,7 @@ def laplacian_spectral_bound(s: DiscreteImmersion) -> float:
         lengths = geom["edge_lengths"]
         return float((4.0 / (lengths * lengths[s._conn.prv])).max())
     cots = np.abs(geom["cots"])
-    row = s._conn.to_vertices(np.roll(cots, 1, axis=0) + np.roll(cots, -1, axis=0))
+    row = s._conn.to_vertices(cots[_PREV] + cots[_NEXT])
     return float((row / geom["vertex_areas"]).max())
 
 
@@ -427,7 +433,7 @@ def gradient_norm_sq(s: DiscreteImmersion, f) -> np.ndarray:
     corners = s._conn.corners
     P = np.take(np.ascontiguousarray(s.vertices.T), corners, axis=1)
     fc = np.take(vals, corners)                  # (3, n_faces)
-    g = ((np.roll(P, -1, axis=1) - P) * np.roll(fc, 1, axis=0)).sum(axis=1)
+    g = ((P[:, _NEXT] - P) * fc[_PREV]).sum(axis=1)
     g2 = (g * g).sum(axis=0) / (2.0 * geom["face_area"]) ** 2
     fa = np.broadcast_to(geom["face_area"], (3, len(g2)))
     return s._conn.to_vertices(g2 * fa) / s._conn.to_vertices(fa)
