@@ -316,6 +316,7 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
         geom.update(h2=np.maximum(np.einsum("ij,ij->j", H, H) - 2.0 * gauss, 0.0),
                     quality=float(q.min()), min_edge=float(edge.min()),
                     max_edge=float(edge.max()))
+        geom._fill = None          # complete: an accepted state keeps no intermediates
 
     return _SurfaceGeometry(monitor_group, {
         "face_area": face_area,
