@@ -233,8 +233,8 @@ _MONITOR_KEYS = frozenset({"normal", "h2", "quality", "min_edge", "max_edge"})
 class _SurfaceGeometry(dict):
     """The cache of one surface pass.  The pass stores the fields the
     velocity reads; the monitor group (vertex normal, |h|^2, quality, edge
-    extremes) is computed by ``fill`` from the pass's intermediates the
-    first time one of its keys is read."""
+    extremes) is computed by ``_fill`` from the pass's intermediates the
+    first time one of its keys is read, and drops them once complete."""
 
     __slots__ = ("_fill",)
 

@@ -351,7 +351,7 @@ def test_degenerate_monitor_group_rejects_rkc2_trial(monkeypatch):
     assert not nctl.rkc and dt == dt_stab
 
 
-@pytest.mark.parametrize("F2_min, kind",[(1e-6, CURVATURE_BLOWUP), (0.1, POSITION_COLLAPSE)])
+@pytest.mark.parametrize("F2_min, kind", [(1e-6, CURVATURE_BLOWUP), (0.1, POSITION_COLLAPSE)])
 def test_timestep_underflow_classification(monkeypatch, F2_min, kind):
     # max|F|^2 = 0.64 is far from the origin under the default F2_min, so the
     # underflow is put down to edge collapse; within 10 * F2_min it is collapse
