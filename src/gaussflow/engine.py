@@ -228,10 +228,12 @@ def _conformal_exponent(geom: dict, p: FlowParams, m: int) -> tuple[float, float
 
 
 def velocity(s: DiscreteImmersion, p: FlowParams, t: float = 0.0) -> np.ndarray:
-    """Per-vertex velocity of the configured flow variant."""
+    """Per-vertex velocity of the configured flow variant, a fresh array on
+    every call; ``_rkc_advance`` reuses it as scratch."""
     geom = s._geometry()
     rate, _ = _conformal_exponent(geom, p, s.m)
-    w = np.exp(rate * geom["F2"])
+    w = rate * geom["F2"]
+    np.exp(w, out=w)
     H = geom["H"]
     v = s.vertices
     if p.variant == FLOW0:
@@ -240,7 +242,8 @@ def velocity(s: DiscreteImmersion, p: FlowParams, t: float = 0.0) -> np.ndarray:
         drive = H + v
     else:
         drive = p.c_at(t) * H + p.b * v
-    return w[:, None] * drive
+    drive *= w[:, None]
+    return drive
 
 
 def check_cfl(cfl: float) -> None:
@@ -294,7 +297,12 @@ def _rkc_advance(s: DiscreteImmersion, p: FlowParams, t: float, dt: float,
                  stages: int, f0: np.ndarray) -> DiscreteImmersion:
     """One damped (eps = 2/13) RKC2 step of ``stages`` stages, from the
     three-term Chebyshev recursion of Sommeijer, Shampine & Verwer (1997);
-    f0 is the velocity at s, so the step makes stages - 1 evaluations."""
+    f0 is the velocity at s, so the step makes stages - 1 evaluations.
+
+    Each stage's recursion is computed in place, with the operations of
+    mu y1 + nu y2 + (1 - mu - nu) y0 + (dt mus) (f - a1 f0) in that order:
+    into the new stage's array, one scratch buffer, and the stage's
+    velocity array f, which it consumes.  f0 is only read."""
     w0 = 1.0 + 2.0 / (13.0 * stages * stages)
     q = w0 * w0 - 1.0
     arg = stages * math.log(w0 + math.sqrt(q))
@@ -305,6 +313,7 @@ def _rkc_advance(s: DiscreteImmersion, p: FlowParams, t: float, dt: float,
     y0 = s.vertices
     y2, y1 = y0, y0 + (dt * w1 * b1) * f0
     th2, th1 = 0.0, w1 * b1                  # stage times, in units of dt
+    tmp = np.empty_like(y0)
     for _ in range(2, stages + 1):
         z = 2.0 * w0 * z1 - z2
         dz = 2.0 * w0 * dz1 - dz2 + 2.0 * z1
@@ -315,7 +324,12 @@ def _rkc_advance(s: DiscreteImmersion, p: FlowParams, t: float, dt: float,
         nu = -b / b2
         mus = mu * w1 / w0
         f = velocity(s.replace_vertices(y1), p, t + th1 * dt)
-        y = mu * y1 + nu * y2 + (1.0 - mu - nu) * y0 + (dt * mus) * (f - a1 * f0)
+        y = np.multiply(mu, y1)
+        y += np.multiply(nu, y2, out=tmp)
+        y += np.multiply(1.0 - mu - nu, y0, out=tmp)
+        f -= np.multiply(a1, f0, out=tmp)
+        f *= dt * mus
+        y += f
         th = mu * th1 + nu * th2 + mus * (1.0 - a1)
         y2, y1, th2, th1 = y1, y, th1, th
         z2, z1, dz2, dz1, d2z2, d2z1, b2, b1 = z1, z, dz1, dz, d2z1, d2z, b1, b
@@ -326,15 +340,29 @@ def _error_norm(y0: np.ndarray, y1: np.ndarray, f0: np.ndarray, f1: np.ndarray,
                 dt: float) -> tuple[float, np.ndarray]:
     """The RKC error estimate of a step from y0 to y1 and its RMS norm
     weighted by ATOL + RTOL * |y|; a norm above 1 fails the tolerance."""
-    est = 0.8 * (y0 - y1) + (0.4 * dt) * (f0 + f1)
-    r = np.abs(est) / (ATOL + RTOL * np.maximum(np.abs(y0), np.abs(y1)))
+    # in place, the same operations in the same order as the expression form
+    # est = 0.8 (y0 - y1) + 0.4 dt (f0 + f1), r = |est| / (ATOL + RTOL max(|y0|, |y1|))
+    est = np.subtract(y0, y1)
+    est *= 0.8
+    tmp = np.add(f0, f1)
+    tmp *= 0.4 * dt
+    est += tmp
+    r = np.abs(est)
+    scale = np.abs(y0)
+    np.maximum(scale, np.abs(y1, out=tmp), out=scale)
+    scale *= RTOL
+    scale += ATOL
+    r /= scale
     peak = float(r.max())
     if not math.isfinite(peak):
         return math.inf, est
     if peak == 0.0:
         return 0.0, est
-    # scaled by the peak, so the squares of a trial far off tolerance cannot overflow
-    return peak * math.sqrt(float(np.mean(np.square(r / peak)))), est
+    # scaled by the peak, so the squares of a trial far off tolerance cannot
+    # overflow; the mean is np.mean's own sum over its count
+    r /= peak
+    np.square(r, out=r)
+    return peak * math.sqrt(float(np.add.reduce(r, axis=None)) / r.size), est
 
 
 def _step_factor(err: float) -> float:

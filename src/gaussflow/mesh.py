@@ -192,18 +192,27 @@ class DiscreteImmersion:
 
 
 def _curve_geometry(v: np.ndarray, conn: _CurveConnectivity) -> dict:
-    e = v[conn.nxt] - v                          # edge i -> i+1
-    lengths = np.sqrt(np.einsum("ij,ij->i", e, e))
+    # in place, the same operations in the same order as the expression form
+    # (u - u[prv]) / (0.5 * (l[prv] + l))[:, None] with u = e / l[:, None]
+    e = v.take(conn.nxt, axis=0)
+    e -= v                                       # edge i -> i+1
+    lengths = np.einsum("ij,ij->i", e, e)
+    np.sqrt(lengths, out=lengths)
     l_min, l_max = float(lengths.min()), float(lengths.max())
     if l_min <= DEGENERACY_TOL:
         raise DegenerateMesh(f"curve edge length below {DEGENERACY_TOL:g}")
-    u = e / lengths[:, None]
-    areas = 0.5 * (lengths[conn.prv] + lengths)
+    e /= lengths[:, None]                        # the unit edges
+    areas = lengths.take(conn.prv)
+    areas += lengths
+    areas *= 0.5
+    H = e.take(conn.prv, axis=0)
+    np.subtract(e, H, out=H)
+    H /= areas[:, None]
     F2 = np.einsum("ij,ij->i", v, v)
     return {
         "edge_lengths": lengths,
         "vertex_areas": areas,
-        "H": (u - u[conn.prv]) / areas[:, None],
+        "H": H,
         "F2": F2,
         "F2_max": float(F2.max()),
         "quality": l_min / l_max,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 
 import numpy as np
 
@@ -20,6 +21,7 @@ STROKE = "#1f4e8c"          # the curve
 STROKE_WIDTH = 1.5
 REFERENCE = "#b0b0b0"       # the balance circle and the max-radius circle
 BACKGROUND = "#ffffff"
+_FRAME = re.compile(r"frame_\d+\.(svg|off)")
 
 
 def _f(x: float) -> str:
@@ -60,10 +62,17 @@ def _curve_svg(vertices: np.ndarray, balance_sq: float | None, max_f2: float, bb
 
 def render(traj: FlowTrajectory, outdir: str = "render") -> list[str]:
     """Write one SVG per curve snapshot, or OFF files plus a diagnostics CSV
-    for surface snapshots.  Returns the written paths."""
+    for surface snapshots.  Returns the written paths.  Numbered frames of an
+    older render that this one does not overwrite are removed, so outdir
+    holds this trajectory's frames only."""
     if not traj.snapshots:
         raise IoError("trajectory carries no mesh snapshots to render")
     os.makedirs(outdir, exist_ok=True)
+    ext = ".svg" if traj.m == 1 else ".off"
+    frames = [f"frame_{i:06d}{ext}" for i in range(len(traj.snapshots))]
+    for name in set(os.listdir(outdir)).difference(frames):
+        if _FRAME.fullmatch(name):
+            os.remove(os.path.join(outdir, name))
     paths = []
     if traj.m == 1:
         # the balance sphere |F|^2 = (c(t)/b) m of the law that ran; with b = 0 there is none
@@ -73,16 +82,16 @@ def render(traj: FlowTrajectory, outdir: str = "render") -> list[str]:
         guide = math.sqrt(max(traj.max_F2.max(), 0.0 if balance is None else balance.max()))
         lo = np.minimum(all_pts.min(axis=0), [-guide, -guide])
         hi = np.maximum(all_pts.max(axis=0), [guide, guide])
-        for i, s in enumerate(traj.snapshots):
-            path = os.path.join(outdir, f"frame_{i:06d}.svg")
+        for i, (s, name) in enumerate(zip(traj.snapshots, frames)):
+            path = os.path.join(outdir, name)
             with open(path, "w") as fh:
                 fh.write(_curve_svg(s.vertices[:, :2],
                                     None if balance is None else float(balance[i]),
                                     float(traj.max_F2[i]), (lo, hi)))
             paths.append(path)
     else:
-        for i, s in enumerate(traj.snapshots):
-            path = os.path.join(outdir, f"frame_{i:06d}.off")
+        for s, name in zip(traj.snapshots, frames):
+            path = os.path.join(outdir, name)
             fileio.write_off(path, s)
             paths.append(path)
         csv_path = os.path.join(outdir, "diagnostics.csv")

@@ -158,6 +158,24 @@ def test_simulate_verify_render_pipeline(tmp_path, capsys):
     assert any(name.endswith(".svg") for name in rendered)
 
 
+def test_rerun_renders_only_its_own_frames(tmp_path, capsys):
+    # a shorter rerun into the same output_dir, rendered again, prints and
+    # leaves one frame per row of its own run
+    out_dir = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    counts = []
+    for horizon in (0.1, 0.02):
+        cfg.write_text("initial.name = circle\ninitial.radius = 0.8\ninitial.n = 32\n"
+                       f"horizon = {horizon}\noutput_dir = {out_dir}\n")
+        assert run_cli(capsys, "simulate", "--config", str(cfg))[0] == 0
+        code, out, _ = run_cli(capsys, "render", "--trajectory", str(out_dir))
+        rows = len((out_dir / "diagnostics.csv").read_text().splitlines()) - 1
+        frames = [n for n in os.listdir(out_dir / "render") if n.endswith(".svg")]
+        assert code == 0 and f"rendered {rows} files" in out and len(frames) == rows
+        counts.append(rows)
+    assert counts[0] > counts[1]
+
+
 def test_verify_argument_validation(tmp_path, capsys):
     out_dir = tmp_path / "run"
     cfg = tmp_path / "run.cfg"

@@ -295,14 +295,22 @@ def _patch_monitor_group(monkeypatch, fails):
     _patch_surface_geometry(monkeypatch, after)
 
 
+def _bits(x) -> np.ndarray:
+    """The IEEE bit patterns of a float array, so that comparisons tell -0.0 from 0.0."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
 def _same_run(a, b):
+    """Bit for bit: every column, the stop, both error totals, the events and every snapshot."""
     for name in engine.COLUMNS.values():
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
-    assert (a.stop, a.t_stop_error, a.integration_error) == (b.stop, b.t_stop_error,
-                                                              b.integration_error)
+        np.testing.assert_array_equal(_bits(getattr(a, name)), _bits(getattr(b, name)),
+                                      err_msg=name)
+    assert a.stop == b.stop and a.stop.t_stop.hex() == b.stop.t_stop.hex()
+    assert a.t_stop_error.hex() == b.t_stop_error.hex()
+    assert a.integration_error.hex() == b.integration_error.hex()
     assert a.events == b.events
     for x, y in zip(a.snapshots, b.snapshots, strict=True):
-        np.testing.assert_array_equal(x.vertices, y.vertices)
+        np.testing.assert_array_equal(_bits(x.vertices), _bits(y.vertices))
 
 
 @pytest.mark.parametrize("shape, p, horizon", [
@@ -349,6 +357,219 @@ def test_degenerate_monitor_group_rejects_rkc2_trial(monkeypatch):
     *_, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, dt_stab)
     # the retry at 0.75e-3 is below dt_stab / 2, so RK4 takes the step
     assert not nctl.rkc and dt == dt_stab
+
+
+# ---------------------------------------------------------------------------
+# in-place stage arithmetic
+#
+# The curve geometry, the velocity, the RKC2 recursion and the error norm
+# compute in place.  These are their expression forms, the same operations
+# in the same order, kept as references that the in-place forms must match
+# bit for bit.
+
+
+def _curve_geometry_reference(v, conn):
+    e = v[conn.nxt] - v
+    lengths = np.sqrt(np.einsum("ij,ij->i", e, e))
+    l_min, l_max = float(lengths.min()), float(lengths.max())
+    if l_min <= mesh.DEGENERACY_TOL:
+        raise DegenerateMesh(f"curve edge length below {mesh.DEGENERACY_TOL:g}")
+    u = e / lengths[:, None]
+    areas = 0.5 * (lengths[conn.prv] + lengths)
+    F2 = np.einsum("ij,ij->i", v, v)
+    return {"edge_lengths": lengths, "vertex_areas": areas,
+            "H": (u - u[conn.prv]) / areas[:, None], "F2": F2, "F2_max": float(F2.max()),
+            "quality": l_min / l_max, "min_edge": l_min, "max_edge": l_max}
+
+
+def _velocity_reference(s, p, t=0.0):
+    geom = s._geometry()
+    rate, _ = engine._conformal_exponent(geom, p, s.m)
+    w = np.exp(rate * geom["F2"])
+    H, v = geom["H"], s.vertices
+    if p.variant == FLOW0:
+        drive = H + mesh.normal_projection(s, v)
+    elif p.variant == FLOW:
+        drive = H + v
+    else:
+        drive = p.c_at(t) * H + p.b * v
+    return w[:, None] * drive
+
+
+def _rkc_advance_reference(s, p, t, dt, stages, f0):
+    w0 = 1.0 + 2.0 / (13.0 * stages * stages)
+    q = w0 * w0 - 1.0
+    arg = stages * math.log(w0 + math.sqrt(q))
+    w1 = math.sinh(arg) * q / (math.cosh(arg) * stages * math.sqrt(q) - w0 * math.sinh(arg))
+    z2, z1, dz2, dz1, d2z2, d2z1 = 1.0, w0, 0.0, 1.0, 0.0, 0.0
+    b2 = b1 = 1.0 / (4.0 * w0 * w0)
+    y0 = s.vertices
+    y2, y1 = y0, y0 + (dt * w1 * b1) * f0
+    th2, th1 = 0.0, w1 * b1
+    for _ in range(2, stages + 1):
+        z = 2.0 * w0 * z1 - z2
+        dz = 2.0 * w0 * dz1 - dz2 + 2.0 * z1
+        d2z = 2.0 * w0 * d2z1 - d2z2 + 4.0 * dz1
+        b = d2z / (dz * dz)
+        a1 = 1.0 - z1 * b1
+        mu = 2.0 * w0 * b / b1
+        nu = -b / b2
+        mus = mu * w1 / w0
+        f = engine.velocity(s.replace_vertices(y1), p, t + th1 * dt)
+        y = mu * y1 + nu * y2 + (1.0 - mu - nu) * y0 + (dt * mus) * (f - a1 * f0)
+        th = mu * th1 + nu * th2 + mus * (1.0 - a1)
+        y2, y1, th2, th1 = y1, y, th1, th
+        z2, z1, dz2, dz1, d2z2, d2z1, b2, b1 = z1, z, dz1, dz, d2z1, d2z, b1, b
+    return s.replace_vertices(y1)
+
+
+def _error_norm_reference(y0, y1, f0, f1, dt):
+    est = 0.8 * (y0 - y1) + (0.4 * dt) * (f0 + f1)
+    r = np.abs(est) / (engine.ATOL + engine.RTOL * np.maximum(np.abs(y0), np.abs(y1)))
+    peak = float(r.max())
+    if not math.isfinite(peak):
+        return math.inf, est
+    if peak == 0.0:
+        return 0.0, est
+    return peak * math.sqrt(float(np.mean(np.square(r / peak)))), est
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Count the calls of module.name; returns the one-element counter."""
+    real, count = getattr(module, name), [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return count
+
+
+def _space_curve(n):
+    """A closed curve in R^3 that leaves every plane through the origin."""
+    th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return mesh.DiscreteImmersion(
+        1, np.column_stack([0.8 * np.cos(th), 0.6 * np.sin(th), 0.2 * np.sin(2.0 * th)]))
+
+
+@pytest.mark.parametrize("shape, p, horizon", [
+    (shapes.ellipse(1.0, 0.6, 48), P_FLOW, 2.0),
+    (shapes.circle(0.8, 32), P_FLOW0, 2.0),
+    (_space_curve(32), FlowParams(variant=FLOWP, b=0.0, c_slope=0.5), 1.0),
+], ids=["FLOW-ellipse", "FLOW0-circle", "FLOWP-space-curve"])
+def test_in_place_stages_leave_runs_unchanged(monkeypatch, shape, p, horizon):
+    # each run ends at its singular time inside an RKC2 step, so the
+    # bisection reruns the recursion from a reused f0 as well
+    with monkeypatch.context() as m:
+        rkc = _count_calls(m, engine, "_rkc_advance")
+        bisect = _count_calls(m, engine, "_locate_crossing")
+        in_place = engine.run(shape, p, horizon, stride=1)
+    assert in_place.stop.kind != HORIZON_REACHED and in_place.n_snapshots > 500
+    assert rkc[0] > 40 and bisect[0] == 1
+    monkeypatch.setattr(mesh, "_curve_geometry", _curve_geometry_reference)
+    monkeypatch.setattr(engine, "velocity", _velocity_reference)
+    monkeypatch.setattr(engine, "_rkc_advance", _rkc_advance_reference)
+    monkeypatch.setattr(engine, "_error_norm", _error_norm_reference)
+    _same_run(in_place, engine.run(shape, p, horizon, stride=1))
+
+
+@pytest.mark.parametrize("shape", [shapes.ellipse(1.0, 0.6, 24), _space_curve(24),
+                                   shapes.ellipsoid(1.0, 0.8, 0.6, 1)],
+                         ids=["curve", "space-curve", "surface"])
+@pytest.mark.parametrize("p", [P_FLOW, P_FLOW0, FlowParams(variant=FLOWP, a=0.5, b=0.3,
+                                                           c=1.2, c_slope=0.4)],
+                         ids=["FLOW", "FLOW0", "FLOWP"])
+def test_velocity_is_fresh_and_reads_only(shape, p):
+    s = shape.replace_vertices(shape.vertices)
+    geom = s._geometry()
+    cached = {key: geom[key].copy() for key in ("H", "F2")}
+    v = s.vertices.copy()
+    first = engine.velocity(s, p, 0.3)
+    expected = first.copy()
+    second = engine.velocity(s, p, 0.3)
+    for held in (first, s.vertices, geom["H"], geom["F2"]):
+        assert not np.shares_memory(second, held)
+    first *= -2.0                                 # the caller owns what it got
+    np.testing.assert_array_equal(_bits(second), _bits(expected))
+    np.testing.assert_array_equal(_bits(engine.velocity(s, p, 0.3)), _bits(expected))
+    np.testing.assert_array_equal(_bits(expected), _bits(_velocity_reference(s, p, 0.3)))
+    np.testing.assert_array_equal(_bits(s.vertices), _bits(v))
+    for key, before in cached.items():
+        np.testing.assert_array_equal(_bits(geom[key]), _bits(before), err_msg=key)
+    if s.m == 1:
+        for key, ref in _curve_geometry_reference(s.vertices, s._conn).items():
+            np.testing.assert_array_equal(_bits(geom[key]), _bits(ref), err_msg=key)
+
+
+def _read_only_f0(s, p):
+    """The velocity at s, read-only, so any write to it raises, and a copy."""
+    f0 = engine.velocity(s, p)
+    f0.flags.writeable = False
+    return f0, f0.copy()
+
+
+def test_rejected_rkc2_trial_leaves_f0_unchanged(monkeypatch):
+    s = shapes.circle(0.8, 256)
+    f0, before = _read_only_f0(s, P_FLOW)
+    ctl = engine.StepControl(f0=f0, dt_acc=1e-2)      # far past the tolerance
+    rejected = [0]
+    real = engine._error_norm
+
+    def error_norm(*args):
+        err, est = real(*args)
+        rejected[0] += err > 1.0
+        return err, est
+
+    monkeypatch.setattr(engine, "_error_norm", error_norm)
+    *_, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, engine.stability_dt(s, P_FLOW))
+    assert rejected[0] >= 1 and nctl.rkc and dt < 1e-2
+    assert ctl.f0 is f0
+    np.testing.assert_array_equal(_bits(f0), _bits(before))
+
+
+def test_bisection_reuses_f0_unchanged():
+    # F2_min between the start's max|F|^2 and the end's: the step's end
+    # crosses it, and the bisection reruns shorter steps from the same f0
+    s = shapes.circle(0.8, 256)
+    f0, before = _read_only_f0(s, P_FLOW)
+    ctl = engine.StepControl(f0=f0, dt_acc=1e-3)
+    _, nmon, _, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW,
+                                              engine.stability_dt(s, P_FLOW))
+    assert nctl.rkc and dt == 1e-3
+    th = Thresholds(F2_min=0.5 * (0.64 + nmon.max_F2))
+    end, end_mon, hi, bracket = engine._locate_crossing(s, 0.0, f0, P_FLOW, dt, th)
+    assert end is not None and end_mon.max_F2 < th.F2_min and hi < dt
+    assert bracket <= engine.BISECT_FRACTION * dt
+    np.testing.assert_array_equal(_bits(f0), _bits(before))
+
+
+def test_error_norm_branches_and_inputs():
+    s = shapes.ellipse(1.0, 0.6, 32)
+    y0 = s.vertices
+    f0, _ = _read_only_f0(s, P_FLOW)
+    y1 = y0 + 1e-3 * f0
+    f1 = engine.velocity(s.replace_vertices(y1), P_FLOW)
+    args = [y0, y1, f0, f1]
+    copies = [a.copy() for a in args]
+    for a in args:
+        a.flags.writeable = False
+    err, est = engine._error_norm(*args, 1e-3)
+    ref_err, ref_est = _error_norm_reference(*args, 1e-3)
+    assert 0.0 < err < math.inf and err.hex() == ref_err.hex()
+    np.testing.assert_array_equal(_bits(est), _bits(ref_est))
+    assert not any(np.shares_memory(est, a) for a in args)
+    # a zero estimate: the step lands where it started, with opposite end velocities
+    err, est = engine._error_norm(y0, y0, f0, -f0, 1e-3)
+    assert err == 0.0 and not est.any()
+    # a non-finite estimate fails the tolerance outright
+    for bad in (math.inf, math.nan):
+        f_bad = f1.copy()
+        f_bad[3, 1] = bad
+        err, _ = engine._error_norm(y0, y1, f0, f_bad, 1e-3)
+        assert err == math.inf
+    for a, c in zip(args, copies):
+        np.testing.assert_array_equal(_bits(a), _bits(c))
 
 
 @pytest.mark.parametrize("F2_min, kind", [(1e-6, CURVATURE_BLOWUP), (0.1, POSITION_COLLAPSE)])

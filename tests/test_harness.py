@@ -626,6 +626,31 @@ def test_render_surface_off_round_trip(tmp_path):
     assert any(p.endswith("diagnostics.csv") for p in paths)
 
 
+@pytest.mark.parametrize("shape, ext", [(shapes.circle(0.8, 32), ".svg"),
+                                        (shapes.icosphere(2.0, 1), ".off")],
+                         ids=["curve", "surface"])
+def test_render_removes_stale_frames(tmp_path, shape, ext):
+    # a shorter trajectory rendered over a longer one leaves its own frames only
+    out = tmp_path / "r"
+    long = engine.run(shape, FlowParams(variant=FLOW), horizon=0.004,
+                      snapshot_times=np.linspace(0.0, 0.004, 5))
+    short = engine.run(shape, FlowParams(variant=FLOW), horizon=0.002,
+                       snapshot_times=[0.0, 0.002])
+    render.render(long, outdir=str(out))
+    (out / "notes.txt").write_text("kept")
+    (out / "frame_000001.obj").write_text("kept")      # not a frame render writes
+    other = ".off" if ext == ".svg" else ".svg"
+    (out / f"frame_000000{other}").write_text("stale")
+    paths = render.render(short, outdir=str(out))
+    frames = sorted(name for name in os.listdir(out) if name.startswith("frame_"))
+    assert frames == sorted(["frame_000000" + ext, "frame_000001" + ext, "frame_000001.obj"])
+    assert (out / "notes.txt").read_text() == "kept"
+    assert [os.path.basename(p) for p in paths if p.endswith(ext)] == [
+        "frame_000000" + ext, "frame_000001" + ext]
+    assert Path(paths[1]).read_bytes() == Path(
+        render.render(short, outdir=str(tmp_path / "fresh"))[1]).read_bytes()
+
+
 def test_render_requires_snapshots():
     from gaussflow import engine
     traj = engine.run(shapes.circle(0.8, 64), FlowParams(variant=FLOW),
