@@ -19,14 +19,24 @@ each corner field onto vertices with one bincount over a per-topology index.
 Each immersion caches the result of its one geometry pass, and every
 operator reads from that cache.  The cache also holds |F|^2 per vertex and
 its maximum, the edge-length extremes and the quality proxy, so the flow
-engine steps curves and surfaces through these operators alone.  A surface
-pass computes the fields the velocity reads (cotangents, mixed areas, H,
-|F|^2) when it runs; the monitor group (vertex normal, then angle defect,
-|h|^2, quality and edge extremes) is computed from the pass's cached
-intermediates the first time one of its keys is read.  So the flow's
-stages skip it, FLOW0 stages compute the normal only, and the engine's
-monitor computes it once per accepted state; a vanishing normal raises
-DegenerateMesh on every read of the group.  The static per-topology data
+engine steps curves and surfaces through these operators alone.  A pass
+computes the fields the velocity reads (surfaces: cotangents, mixed areas,
+H, |F|^2) when it runs; the monitor group (surfaces: vertex normal, then
+angle defect, |h|^2, quality and edge extremes; curves: quality and the
+longest edge) is computed the first time one of its keys is read.  So the
+flow's stages skip it, FLOW0 stages compute the normal only, and the
+engine's monitor computes it once per accepted state; a vanishing normal
+raises DegenerateMesh on every read of the group.
+
+A surface pass allocates only the fields it returns.  Its temporaries
+(corner coordinates, edges, cross products, dot products, squared edge
+lengths, corner weights) live in one workspace per thread, kept for the
+mesh size last seen and replaced when the size changes, so a flow's passes
+do not map and fault in fresh pages each time.  The monitor group reads
+its pass's intermediates from that workspace; the workspace counts the
+passes that wrote it, and a group that finds a later pass has been there
+reruns its own pass, which is deterministic, and takes the group from it
+bit for bit.  The static per-topology data
 lives in a connectivity object that an evolving immersion shares with its
 successors: the neighbour index arrays of a closed curve, or the face list
 and corner-to-vertex indices of a surface.  The curve tangent (normalized
@@ -34,6 +44,8 @@ central chord) is not cached; the operators that use it compute it.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -187,6 +199,28 @@ class DiscreteImmersion:
         return self._geom
 
 
+_MONITOR_KEYS = frozenset({"normal", "h2", "quality", "min_edge", "max_edge"})
+
+
+class _Geometry(dict):
+    """The cache of one geometry pass.  The pass stores the fields a flow
+    stage reads; the monitor group (surfaces: vertex normal, |h|^2, quality,
+    edge extremes; curves: quality and the longest edge) is computed by
+    ``_fill`` the first time one of its keys is read."""
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill, fields: dict):
+        super().__init__(fields)
+        self._fill = fill
+
+    def __missing__(self, key):
+        if key not in _MONITOR_KEYS:
+            raise KeyError(key)
+        self._fill(self, key)
+        return dict.__getitem__(self, key)
+
+
 # ---------------------------------------------------------------------------
 # curve internals
 
@@ -198,7 +232,7 @@ def _curve_geometry(v: np.ndarray, conn: _CurveConnectivity) -> dict:
     e -= v                                       # edge i -> i+1
     lengths = np.einsum("ij,ij->i", e, e)
     np.sqrt(lengths, out=lengths)
-    l_min, l_max = float(lengths.min()), float(lengths.max())
+    l_min = float(lengths.min())
     if l_min <= DEGENERACY_TOL:
         raise DegenerateMesh(f"curve edge length below {DEGENERACY_TOL:g}")
     e /= lengths[:, None]                        # the unit edges
@@ -209,16 +243,19 @@ def _curve_geometry(v: np.ndarray, conn: _CurveConnectivity) -> dict:
     np.subtract(e, H, out=H)
     H /= areas[:, None]
     F2 = np.einsum("ij,ij->i", v, v)
-    return {
+    return _Geometry(_curve_monitor_group, {
         "edge_lengths": lengths,
         "vertex_areas": areas,
         "H": H,
         "F2": F2,
         "F2_max": float(F2.max()),
-        "quality": l_min / l_max,
         "min_edge": l_min,
-        "max_edge": l_max,
-    }
+    })
+
+
+def _curve_monitor_group(geom: dict, key: str) -> None:
+    l_max = float(geom["edge_lengths"].max())
+    geom.update(quality=geom["min_edge"] / l_max, max_edge=l_max)
 
 
 def _curve_tangent(s: DiscreteImmersion) -> np.ndarray:
@@ -236,61 +273,83 @@ def _curve_tangent(s: DiscreteImmersion) -> np.ndarray:
 
 
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])   # corners k+1 and k+2 of corner k
-_MONITOR_KEYS = frozenset({"normal", "h2", "quality", "min_edge", "max_edge"})
 
 
-class _SurfaceGeometry(dict):
-    """The cache of one surface pass.  The pass stores the fields the
-    velocity reads; the monitor group (vertex normal, |h|^2, quality, edge
-    extremes) is computed by ``_fill`` from the pass's intermediates the
-    first time one of its keys is read, and drops them once complete."""
+class _Workspace:
+    """Buffers for the pure temporaries of a surface pass on meshes of one
+    size, reused from pass to pass by the thread that owns them;
+    ``generation`` counts the passes that have written them."""
 
-    __slots__ = ("_fill",)
+    def __init__(self, n_vertices: int, n_faces: int):
+        self.size = (n_vertices, n_faces)
+        self.owner = threading.get_ident()
+        self.generation = 0
+        self.vc = np.empty((3, n_vertices))
+        self.P, self.E = np.empty((2, 3, 3, n_faces))
+        self.cross, self.dots, self.l1, self.l2, self.cot_next, self.cot_prev, self.w = \
+            np.empty((7, 3, n_faces))
+        self.row, self.cross_norm = np.empty((2, n_faces))
+        self.obtuse = np.empty((3, n_faces), dtype=bool)
 
-    def __init__(self, fill, fields: dict):
-        super().__init__(fields)
-        self._fill = fill
 
-    def __missing__(self, key):
-        if key not in _MONITOR_KEYS:
-            raise KeyError(key)
-        self._fill(self, key)
-        return dict.__getitem__(self, key)
+_slot = threading.local()
+
+
+def _workspace(n_vertices: int, n_faces: int) -> _Workspace:
+    """This thread's workspace, replaced when the mesh size changes, with
+    its generation advanced for the pass about to write it."""
+    ws = getattr(_slot, "workspace", None)
+    if ws is None or ws.size != (n_vertices, n_faces):
+        ws = _slot.workspace = _Workspace(n_vertices, n_faces)
+    ws.generation += 1
+    return ws
 
 
 def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
     # P[i, k, j] is coordinate i of corner k of face j; the edges leaving
     # corner k are E[:, k] (to corner k+1) and -Ep[:, k] (to corner k+2).
-    # Freed temporaries are faulted back in on the next pass, so Ep and later
-    # the normals' corner vectors overwrite P, and the H corner vectors E
-    vc = np.ascontiguousarray(v.T)
-    P = np.take(vc, conn.corners, axis=1)         # (3, 3, n_faces)
-    E = np.empty_like(P)
+    # Pure temporaries live in the thread's workspace, so a pass allocates
+    # only the fields it returns; Ep and later the normals' corner vectors
+    # overwrite P, and the H corner vectors E.  np.take into out= buffers
+    # under its default mode "raise"; "clip" writes in place, and every
+    # index is in range (corners checked by _Connectivity, _NEXT and _PREV).
+    ws = _workspace(conn.n_vertices, len(conn.faces))
+    generation = ws.generation
+    vc, P, E, cross, row = ws.vc, ws.P, ws.E, ws.cross, ws.row
+    np.copyto(vc, v.T)
+    np.take(vc, conn.corners, axis=1, out=P, mode="clip")     # (3, 3, n_faces)
     np.subtract(P[:, 1:], P[:, :2], out=E[:, :2])
     np.subtract(P[:, 0], P[:, 2], out=E[:, 2])
     Ep = P
     Ep[:, 0], Ep[:, 1:] = E[:, 2], E[:, :2]
     (ax, ay, az), (bx, by, bz) = E[:, 0], Ep[:, 0]
-    cross = np.stack([by * az - bz * ay, bz * ax - bx * az, bx * ay - by * ax])   # Ep x E
-    cross_norm = np.sqrt(np.einsum("ij,ij->j", cross, cross))
+    # Ep x E, one coordinate row f*g - h*k at a time
+    for out, (f, g, h, k) in zip(cross, ((by, az, bz, ay), (bz, ax, bx, az),
+                                         (bx, ay, by, ax))):
+        np.multiply(f, g, out=out)
+        out -= np.multiply(h, k, out=row)
+    cross_norm = np.einsum("ij,ij->j", cross, cross, out=ws.cross_norm)
+    np.sqrt(cross_norm, out=cross_norm)
     face_area = 0.5 * cross_norm
     if face_area.min() <= DEGENERACY_TOL:
         raise DegenerateMesh(f"triangle area below {DEGENERACY_TOL:g}")
 
     # all three corners span the same triangle, so they share |E x Ep|:
     # cot = <E, -Ep> / |E x Ep| and angle = atan2(|E x Ep|, <E, -Ep>)
-    dots = -np.einsum("ikj,ikj->kj", E, Ep)      # (3, n_faces)
+    dots = np.einsum("ikj,ikj->kj", E, Ep, out=ws.dots)      # (3, n_faces)
+    np.negative(dots, out=dots)
     cots = dots / cross_norm
-    cot_next, cot_prev = cots[_NEXT], cots[_PREV]   # opposite -Ep and E
-    l1 = np.einsum("ikj,ikj->kj", E, E)          # |E|^2, edge k runs from corner k to k+1
-    l2 = l1[_PREV]                               # |Ep|^2
+    cot_next = np.take(cots, _NEXT, axis=0, out=ws.cot_next, mode="clip")   # opposite -Ep
+    cot_prev = np.take(cots, _PREV, axis=0, out=ws.cot_prev, mode="clip")   # opposite E
+    l1 = np.einsum("ikj,ikj->kj", E, E, out=ws.l1)   # |E|^2, edge k runs from corner k to k+1
+    l2 = np.take(l1, _PREV, axis=0, out=ws.l2, mode="clip")                 # |Ep|^2
 
     # mixed Voronoi area: circumcentric for acute triangles, half/quarter
     # of the face area at/off the obtuse corner otherwise
-    w = l2 * cot_next
-    w += l1 * cot_prev
+    w = np.multiply(l2, cot_next, out=ws.w)
+    w += np.multiply(l1, cot_prev, out=l2)      # l2 is spent
     w /= 8
-    obtuse = cots < 0
+    obtuse = np.less(cots, 0, out=ws.obtuse)
     blunt = np.flatnonzero(obtuse.any(axis=0))
     w[:, blunt] = np.where(obtuse[:, blunt], face_area[blunt] / 2, face_area[blunt] / 4)
     areas = conn.to_vertices(w)
@@ -300,14 +359,26 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
     # cotan Laplacian of the position map = mean curvature vector
     E *= cot_prev
     E -= np.multiply(cot_next, Ep, out=Ep)
-    H = 0.5 * conn.to_vertices(E) / areas
+    H = conn.to_vertices(E)
+    H *= 0.5
+    H /= areas
     F2 = np.einsum("ij,ij->j", vc, vc)
 
     def monitor_group(geom: dict, key: str) -> None:
+        if ws.generation != generation or ws.owner != threading.get_ident():
+            # a later pass has overwritten the workspace, or another thread
+            # owns it: the pass is deterministic, so running it again on
+            # these vertices gives the group bit for bit, and geom takes
+            # over its state
+            fresh = _surface_geometry(v, conn)
+            fresh[key]
+            geom.update((k, fresh[k]) for k in _MONITOR_KEYS if k in fresh)
+            geom._fill = fresh._fill
+            return
         # the normal first: FLOW0 stages read it, and a vanishing one makes
         # the whole group raise DegenerateMesh, on every read
         if "normal" not in geom:
-            P[...] = 0.5 * cross[:, None]
+            np.multiply(0.5, cross[:, None], out=P)
             vertex_normal = conn.to_vertices(P)
             nn = np.sqrt(np.einsum("ij,ij->j", vertex_normal, vertex_normal))
             if nn.min() <= DEGENERACY_TOL:
@@ -317,17 +388,24 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
         if key == "normal":
             return
         # |h|^2 = |H|^2 - 2K with K the angle defect over the same mixed area;
-        # the clamp absorbs discretization error on nearly flat vertices
-        gauss = (2.0 * np.pi - conn.to_vertices(np.arctan2(cross_norm, dots))) / areas
-        edge = np.sqrt(l1)
-        semi = 0.5 * np.einsum("ij->j", edge)
-        q = 8.0 * face_area ** 2 / (semi * edge.prod(axis=0))
+        # the clamp absorbs discretization error on nearly flat vertices.
+        # The angles, edge lengths and quality terms go to buffers the pass
+        # has spent: q = 8.0 * face_area ** 2 / (semi * edge.prod(axis=0))
+        angles = np.arctan2(cross_norm, dots, out=ws.w)
+        gauss = (2.0 * np.pi - conn.to_vertices(angles)) / areas
+        edge = np.sqrt(l1, out=ws.l2)
+        semi = np.einsum("ij->j", edge, out=ws.row)
+        semi *= 0.5
+        q, prod = ws.cot_next[:2]
+        np.square(face_area, out=q)
+        q *= 8.0
+        q /= np.multiply(semi, edge.prod(axis=0, out=prod), out=prod)
         geom.update(h2=np.maximum(np.einsum("ij,ij->j", H, H) - 2.0 * gauss, 0.0),
                     quality=float(q.min()), min_edge=float(edge.min()),
                     max_edge=float(edge.max()))
-        geom._fill = None          # complete: an accepted state keeps no intermediates
+        geom._fill = None          # complete: the group no longer reads the workspace
 
-    return _SurfaceGeometry(monitor_group, {
+    return _Geometry(monitor_group, {
         "face_area": face_area,
         "vertex_areas": areas,
         "H": np.ascontiguousarray(H.T),

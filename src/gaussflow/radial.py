@@ -4,8 +4,7 @@ A sphere of squared radius r(t) moves by the scalar ODE
 
     r' = 2 * exp(a*r/m) * (b*r - m*c(t)),
 
-so spheres give closed-form blow-up bounds, envelope curves, and an
-independent quadrature oracle for event times.  The ODE is integrated
+so spheres give closed-form blow-up bounds.  The ODE is integrated
 adaptively with an embedded Runge-Kutta 5(4) pair; away from escape the
 state variable is r itself, while near escape the integrator switches to
 u = exp(-a*r/m), whose equation
@@ -113,7 +112,7 @@ def _r_rhs_clamped(R_sq: float, p: RadialParams, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed-form bound times and envelopes (constant a, b; c evaluated at 0)
+# closed-form bound times (constant a, b; c evaluated at 0)
 
 
 def bound_time_shrink(p: RadialParams) -> float:
@@ -140,24 +139,6 @@ def bound_time_expand(p: RadialParams) -> float:
             / (2.0 * p.a * p.b * (p.R0_sq - p.balance_sq)))
 
 
-def envelope_shrink(p: RadialParams, t: float) -> float:
-    """Upper envelope for R^2(t) in the shrink case, valid on [0, T1)."""
-    t1 = bound_time_shrink(p)
-    if not 0.0 <= t < t1:
-        raise DomainError(f"t = {t:.6g} outside [0, T1 = {t1:.6g})")
-    slope = 2.0 * p.a * p.b * (p.balance_sq - p.R0_sq) / p.m
-    return -(p.m / p.a) * math.log(slope * t + math.exp(-p.a * p.R0_sq / p.m))
-
-
-def envelope_expand(p: RadialParams, t: float) -> float:
-    """Lower envelope for R^2(t) in the expand case, valid on [0, T2)."""
-    t2 = bound_time_expand(p)
-    if not 0.0 <= t < t2:
-        raise DomainError(f"t = {t:.6g} outside [0, T2 = {t2:.6g})")
-    slope = 2.0 * p.a * p.b * (p.R0_sq - p.balance_sq) / p.m
-    return -(p.m / p.a) * math.log(math.exp(-p.a * p.R0_sq / p.m) - slope * t)
-
-
 def applicable_bound(p: RadialParams) -> float | None:
     reg = p.regime()
     if reg == "shrink" and p.c_slope >= 0:
@@ -165,57 +146,6 @@ def applicable_bound(p: RadialParams) -> float | None:
     if reg == "expand" and p.c_slope <= 0:
         return bound_time_expand(p)
     return None
-
-
-# ---------------------------------------------------------------------------
-# quadrature oracle (independent route: separable form + Gauss-Kronrod); quad
-# is imported in the oracles, so the command line starts without it
-
-
-def collapse_time_quadrature(p: RadialParams) -> float:
-    """Collapse time from direct quadrature of the separable ODE.
-
-    Valid for constant c in the shrink regime; this is the reference the
-    Runge-Kutta integrator is accepted against.
-    """
-    if p.c_slope != 0.0:
-        raise DomainError("quadrature oracle requires constant c")
-    if p.regime() != "shrink":
-        raise DomainError("collapse oracle requires the shrink regime")
-    from scipy.integrate import quad
-
-    def integrand(s: float) -> float:
-        return 1.0 / (2.0 * math.exp(p.a * s / p.m) * (p.m * p.c0 - p.b * s))
-
-    val, err = quad(integrand, 0.0, p.R0_sq, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return val
-
-
-def escape_time_quadrature(p: RadialParams) -> float:
-    """Escape time from quadrature of the separable ODE on [R0_sq, inf).
-
-    The improper upper limit is split at X with an analytic tail bound
-    m*exp(-a*X/m) / (2*a*(b*X - m*c0)) kept below 1e-13 so the truncation
-    cannot affect comparisons at the 1e-8 level.
-    """
-    if p.c_slope != 0.0:
-        raise DomainError("quadrature oracle requires constant c")
-    if p.regime() != "expand":
-        raise DomainError("escape oracle requires the expand regime")
-    from scipy.integrate import quad
-
-    def integrand(s: float) -> float:
-        return 1.0 / (2.0 * math.exp(p.a * s / p.m) * (p.b * s - p.m * p.c0))
-
-    cut = p.R0_sq + 40.0 * p.m / p.a
-    tail_bound = (p.m * math.exp(-p.a * cut / p.m)
-                  / (2.0 * p.a * (p.b * cut - p.m * p.c0)))
-    while tail_bound > 1e-13:
-        cut += 10.0 * p.m / p.a
-        tail_bound = (p.m * math.exp(-p.a * cut / p.m)
-                      / (2.0 * p.a * (p.b * cut - p.m * p.c0)))
-    val, err = quad(integrand, p.R0_sq, cut, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return val
 
 
 # ---------------------------------------------------------------------------

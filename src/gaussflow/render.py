@@ -63,16 +63,21 @@ def _curve_svg(vertices: np.ndarray, balance_sq: float | None, max_f2: float, bb
 def render(traj: FlowTrajectory, outdir: str = "render") -> list[str]:
     """Write one SVG per curve snapshot, or OFF files plus a diagnostics CSV
     for surface snapshots.  Returns the written paths.  Numbered frames of an
-    older render that this one does not overwrite are removed, so outdir
-    holds this trajectory's frames only."""
+    older render that this one does not overwrite are removed, and so is an
+    older surface render's diagnostics CSV when a curve is rendered, so
+    outdir holds this trajectory's render only.  A CSV beside result.json
+    belongs to an artifact directory and is kept."""
     if not traj.snapshots:
         raise IoError("trajectory carries no mesh snapshots to render")
     os.makedirs(outdir, exist_ok=True)
     ext = ".svg" if traj.m == 1 else ".off"
     frames = [f"frame_{i:06d}{ext}" for i in range(len(traj.snapshots))]
-    for name in set(os.listdir(outdir)).difference(frames):
-        if _FRAME.fullmatch(name):
-            os.remove(os.path.join(outdir, name))
+    present = set(os.listdir(outdir))
+    stale = [name for name in present.difference(frames) if _FRAME.fullmatch(name)]
+    if traj.m == 1 and "diagnostics.csv" in present and "result.json" not in present:
+        stale.append("diagnostics.csv")
+    for name in stale:
+        os.remove(os.path.join(outdir, name))
     paths = []
     if traj.m == 1:
         # the balance sphere |F|^2 = (c(t)/b) m of the law that ran; with b = 0 there is none

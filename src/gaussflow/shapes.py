@@ -47,22 +47,24 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _subdivide_on_sphere(v: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    verts = list(v)
-    midpoint: dict[tuple[int, int], int] = {}
-
-    def mid(i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        if key not in midpoint:
-            p = verts[i] + verts[j]
-            verts.append(p / np.linalg.norm(p))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
-
-    out = []
-    for a, b, c in f:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        out += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-    return np.array(verts), np.array(out, dtype=np.int64)
+    """Split each face into four at its edge midpoints, pushed onto the unit
+    sphere.  Midpoints are numbered after the old vertices in the order the
+    faces first reach their edges, taking each face's edges ab, bc, ca."""
+    n = len(v)
+    ends = f[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)        # edges ab, bc, ca of each face
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    _, first, inverse = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+    order = np.argsort(first)                    # the edges by first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+    first = first[order]
+    p = v[lo[first]] + v[hi[first]]
+    # the batched matmul is the same dot product as np.linalg.norm of one row
+    p /= np.sqrt((p[:, None, :] @ p[:, :, None])[:, 0, 0])[:, None]
+    a, b, c = f.T
+    faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return np.concatenate([v, p]), faces
 
 
 def unit_sphere_mesh(subdiv: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,8 @@ from gaussflow.harness import (EXPAND_OUTSIDE, SHRINK_INSIDE, STATIONARY,
                                RunConfig, run_scenario)
 from gaussflow.radial import RadialParams
 
+import radial_oracles
+
 P_FLOW = FlowParams(variant=FLOW)
 P_FLOW0 = FlowParams(variant=FLOW0)
 
@@ -115,11 +117,11 @@ def test_criterion_01_sphere_ode_vs_oracle():
         p = std_radial(m, r0)
         traj = radial.integrate_radial(p, horizon=10.0)
         if p.regime() == "shrink":
-            oracle = radial.collapse_time_quadrature(p)
+            oracle = radial_oracles.collapse_time_quadrature(p)
             bound = radial.bound_time_shrink(p)
             ok &= traj.event.kind == "COLLAPSE"
         else:
-            oracle = radial.escape_time_quadrature(p)
+            oracle = radial_oracles.escape_time_quadrature(p)
             bound = radial.bound_time_expand(p)
             ok &= traj.event.kind == "ESCAPE"
         diff = abs(traj.event.t - oracle)

@@ -18,19 +18,22 @@ def run_cli(capsys, *argv):
 
 _COLD_START = """
 import sys
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = sys.argv[1:3]
 import gaussflow.cli
 print(sum(name.startswith("scipy") for name in sys.modules))
-from gaussflow import radial
-print(repr(radial.collapse_time_quadrature(
-    radial.RadialParams(m=2, a=1.0, b=1.0, c0=1.0, R0_sq=1.0))))
+import radial_oracles
+from gaussflow.radial import RadialParams
+print(repr(radial_oracles.collapse_time_quadrature(
+    RadialParams(m=2, a=1.0, b=1.0, c0=1.0, R0_sq=1.0))))
 """
 
 
 def test_cli_starts_without_scipy():
-    # scipy serves only the quadrature oracles, which import it when called
-    src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run([sys.executable, "-c", _COLD_START, str(src)],
+    # scipy serves only the quadrature oracles of the tests, which import it
+    # when called
+    here = Path(__file__).resolve().parent
+    done = subprocess.run([sys.executable, "-c", _COLD_START, str(here.parent / "src"),
+                           str(here)],
                           capture_output=True, text=True, timeout=120, check=True)
     n_scipy, oracle = done.stdout.split()
     assert n_scipy == "0"

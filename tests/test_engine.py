@@ -13,6 +13,8 @@ from gaussflow.errors import (DegenerateMesh, InsufficientSnapshots,
                               TimestepUnderflow)
 from gaussflow.radial import RadialParams
 
+import radial_oracles
+
 P_FLOW = FlowParams(variant=FLOW)
 P_FLOW0 = FlowParams(variant=FLOW0)
 
@@ -590,7 +592,7 @@ def test_shrinking_circle_terminates_inside_bound():
                       stride=64, keep_snapshots=False)
     assert traj.stop.kind in (POSITION_COLLAPSE, CURVATURE_BLOWUP)
     assert traj.stop.t_stop <= bound * 1.02
-    oracle = radial.collapse_time_quadrature(p_rad)
+    oracle = radial_oracles.collapse_time_quadrature(p_rad)
     assert traj.stop.t_stop == pytest.approx(oracle, abs=2e-3)
 
 

@@ -15,7 +15,8 @@ from gaussflow.errors import InvalidConfig, IoError
 from gaussflow.harness import (EXPAND_OUTSIDE, ODE_WINDOW, SHRINK_INSIDE,
                                SPHERE_ODE_MATCH, STATIONARY, RunConfig,
                                format_config, load_config, load_trajectory,
-                               parse_config_text, run_scenario, simulate)
+                               parse_config_text, run_scenario, save_trajectory,
+                               simulate)
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +650,25 @@ def test_render_removes_stale_frames(tmp_path, shape, ext):
         "frame_000000" + ext, "frame_000001" + ext]
     assert Path(paths[1]).read_bytes() == Path(
         render.render(short, outdir=str(tmp_path / "fresh"))[1]).read_bytes()
+
+
+def test_curve_render_removes_a_surface_renders_csv(tmp_path):
+    # the CSV a surface render wrote does not describe the curve rendered
+    # over it; an artifact directory keeps its own diagnostics
+    out = tmp_path / "r"
+    surface = engine.run(shapes.icosphere(2.0, 1), FlowParams(variant=FLOW), horizon=0.002,
+                         snapshot_times=[0.0, 0.002])
+    curve = engine.run(shapes.circle(0.8, 16), FlowParams(variant=FLOW), horizon=0.002,
+                       snapshot_times=[0.0, 0.002])
+    render.render(surface, outdir=str(out))
+    paths = render.render(curve, outdir=str(out))
+    assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in paths) == [
+        "frame_000000.svg", "frame_000001.svg"]
+    artifact = tmp_path / "artifact"
+    save_trajectory(curve, str(artifact))
+    csv = (artifact / "diagnostics.csv").read_bytes()
+    render.render(curve, outdir=str(artifact))
+    assert (artifact / "diagnostics.csv").read_bytes() == csv
 
 
 def test_render_requires_snapshots():

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +332,169 @@ def test_surface_geometry_matches_reference_loop(build, obtuse):
         assert got[key].shape == (s.n_vertices, 3) and got[key].dtype == np.float64
         assert got[key].flags.c_contiguous
     assert (want["cots"] < 0).any() == obtuse    # the ellipsoid runs the obtuse branches
+
+
+# ---------------------------------------------------------------------------
+# the surface pass's reused workspace
+
+
+def _all_fields(s: DiscreteImmersion) -> dict:
+    """Every field of a new surface pass, its monitor group read at once."""
+    geom = mesh._surface_geometry(s.vertices, s._conn)
+    for key in mesh._MONITOR_KEYS:
+        geom[key]
+    return dict(geom)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _count_passes(monkeypatch) -> list:
+    """Count the surface passes run from here on, in a one-element list."""
+    passes = [0]
+    real = mesh._surface_geometry
+
+    def counted(v, conn):
+        passes[0] += 1
+        return real(v, conn)
+
+    monkeypatch.setattr(mesh, "_surface_geometry", counted)
+    return passes
+
+
+@pytest.mark.parametrize("other, reruns", [
+    (lambda s: s.replace_vertices(1.1 * s.vertices), 1),
+    (lambda s: shapes.icosphere(1.0, 1), 0)], ids=["same-size", "other-size"])
+@pytest.mark.parametrize("early", [(), ("normal",)], ids=["deferred", "FLOW0-normal"])
+def test_later_passes_leave_earlier_geometry_intact(monkeypatch, other, reruns, early):
+    # a later pass on a mesh of the same size overwrites the workspace, so the
+    # earlier geometry's monitor group reruns its pass; a mesh of another
+    # size gets a workspace of its own, and the earlier buffers stay as they were
+    s = shapes.ellipsoid(3.0, 1.0, 0.4, 2)       # obtuse faces: every branch of the pass
+    want = _all_fields(s)
+    geom = s.replace_vertices(s.vertices)._geometry()
+    for key in early:
+        geom[key]
+    _all_fields(other(s))
+    passes = _count_passes(monkeypatch)
+    got = {key: geom[key] for key in want}
+    assert passes[0] == reruns
+    for key, ref in want.items():
+        np.testing.assert_array_equal(_bits(got[key]), _bits(ref), err_msg=key)
+
+
+def test_monitor_group_read_in_another_thread_reruns_its_pass(monkeypatch):
+    # the workspace belongs to the thread that made it, so another thread
+    # reading the group must not race that thread's next pass
+    s = shapes.ellipsoid(3.0, 1.0, 0.4, 2)
+    want = _all_fields(s)
+    geom = s.replace_vertices(s.vertices)._geometry()
+    passes = _count_passes(monkeypatch)
+    got = {}
+    reader = threading.Thread(target=lambda: got.update((key, geom[key]) for key in want))
+    reader.start()
+    reader.join()
+    assert passes[0] == 1
+    for key, ref in want.items():
+        np.testing.assert_array_equal(_bits(got[key]), _bits(ref), err_msg=key)
+
+
+def test_concurrent_passes_keep_to_their_own_workspaces():
+    # more threads than cores, switching often, each flowing meshes of one
+    # size through full passes: a workspace shared between them would mix
+    # one thread's buffers into another's fields
+    base = shapes.ellipsoid(3.0, 1.0, 0.4, 2)
+    meshes = [base.replace_vertices((1.0 + 0.01 * i) * base.vertices) for i in range(6)]
+    want = [_all_fields(s) for s in meshes]
+    wrong = []
+
+    def work(i):
+        for _ in range(20):
+            try:
+                got = _all_fields(meshes[i])
+            except DegenerateMesh as exc:        # garbled buffers can read as degenerate
+                wrong.append(str(exc))
+                continue
+            wrong.extend(key for key, ref in want[i].items()
+                         if not np.array_equal(_bits(got[key]), _bits(ref)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(meshes))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_returned_fields_share_no_memory_with_the_workspace():
+    s = shapes.ellipsoid(3.0, 1.0, 0.4, 2)
+    first, second = _all_fields(s), _all_fields(s.replace_vertices(1.1 * s.vertices))
+    buffers = [x for x in vars(mesh._slot.workspace).values() if isinstance(x, np.ndarray)]
+    fields = [[x for x in g.values() if isinstance(x, np.ndarray)] for g in (first, second)]
+    assert len(buffers) == 13 and len(fields[0]) == len(fields[1]) == 7
+    for x in fields[0] + fields[1]:
+        assert not any(np.shares_memory(x, b) for b in buffers)
+    for x in fields[0]:
+        assert not any(np.shares_memory(x, y) for y in fields[1])
+
+
+def test_warm_surface_pass_allocates_only_its_fields():
+    # the fields a subdiv-4 pass returns take ~325 KiB; its temporaries live
+    # in the workspace, which the build's validation pass already made
+    s = shapes.icosphere(2.0, 4)
+    tracemalloc.start()
+    try:
+        mesh._surface_geometry(s.vertices, s._conn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * 1024
+
+
+def test_curve_pass_defers_quality_and_longest_edge():
+    geom = shapes.ellipse(1.0, 0.6, 32)._geometry()
+    assert "quality" not in geom and "max_edge" not in geom
+    lengths = geom["edge_lengths"]
+    assert geom["max_edge"] == lengths.max()
+    assert geom["quality"] == lengths.min() / lengths.max()
+
+
+def _subdivide_reference(v: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Icosphere subdivision as a loop over faces, numbering each edge's
+    midpoint when a face first reaches it."""
+    verts = list(v)
+    midpoint: dict[tuple[int, int], int] = {}
+
+    def mid(i: int, j: int) -> int:
+        key = (i, j) if i < j else (j, i)
+        if key not in midpoint:
+            p = verts[i] + verts[j]
+            verts.append(p / np.linalg.norm(p))
+            midpoint[key] = len(verts) - 1
+        return midpoint[key]
+
+    out = []
+    for a, b, c in f:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        out += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+    return np.array(verts), np.array(out, dtype=np.int64)
+
+
+def test_subdivision_matches_reference_loop():
+    v, f = shapes.unit_sphere_mesh(0)
+    for subdiv in range(1, 6):
+        want = _subdivide_reference(v, f)
+        v, f = shapes.unit_sphere_mesh(subdiv)
+        np.testing.assert_array_equal(_bits(v), _bits(want[0]), err_msg=f"subdiv {subdiv}")
+        np.testing.assert_array_equal(f, want[1], err_msg=f"subdiv {subdiv}")
+        assert f.dtype == np.int64
 
 
 def test_collapsed_vertex_is_degenerate():

@@ -9,9 +9,9 @@ from gaussflow import radial
 from gaussflow.errors import DomainError, InvalidConfig, OverflowGuard
 from gaussflow.radial import (COLLAPSE, ESCAPE, HORIZON, RadialParams,
                               bound_time_expand, bound_time_shrink,
-                              collapse_time_quadrature, envelope_expand,
-                              envelope_shrink, escape_time_quadrature,
                               integrate_radial, radial_rhs)
+from radial_oracles import (collapse_time_quadrature, envelope_expand, envelope_shrink,
+                            escape_time_quadrature)
 
 
 def std_params(m, r0_sq, **kw):
