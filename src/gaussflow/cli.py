@@ -13,6 +13,7 @@ reserved for configuration, runtime and file errors, each reported as one
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,7 +27,10 @@ from .harness import SCENARIOS, load_config, load_trajectory
 from .radial import RadialParams
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused; each parse_args call
+    fills a fresh Namespace."""
     parser = argparse.ArgumentParser(prog="gaussflow")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -196,8 +200,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (GaussFlowError, OSError) as exc:

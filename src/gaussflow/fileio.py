@@ -3,6 +3,12 @@
 PLINE is a plain-text closed polyline: one vertex per line, whitespace
 separated coordinates, closure implicit.  Floats are written with repr(),
 which round-trips binary64 exactly, so write -> read is bit-exact.
+
+The writers format a whole array with one ``%`` over its flattened values,
+not one join per row; ``%r`` is repr() and ``%d`` is str(), so the bytes are
+those of the per-row forms.  A reader given ``like``, an immersion already
+read, puts a file with the same face list and vertex count on ``like``'s
+connectivity, so the snapshots of one loaded run build it once.
 """
 
 from __future__ import annotations
@@ -17,20 +23,33 @@ from .errors import IoError
 from .mesh import DiscreteImmersion
 
 
-def _fmt_row(row: list) -> str:
-    # rows of ndarray.tolist(): numpy 2 reprs a numpy scalar as 'np.float64(...)'
-    return " ".join(map(repr, row))
+def _rows(row: str, a: np.ndarray) -> str:
+    """Every row of a 2-d array formatted by the one-row format ``row``."""
+    return (row * len(a)) % tuple(a.ravel().tolist())
+
+
+def _vertex_rows(v: np.ndarray, prefix: str = "") -> str:
+    # rows of Python floats: numpy 2 reprs a numpy scalar as 'np.float64(...)'
+    return _rows(prefix + " ".join(["%r"] * v.shape[1]) + "\n", v)
+
+
+def _immersion(m: int, verts: np.ndarray, faces, like) -> DiscreteImmersion:
+    """An immersion from parsed arrays: on like's connectivity when the face
+    list and vertex count are like's, otherwise on its own."""
+    if (like is not None and like.m == m and len(verts) == like.n_vertices
+            and (faces is None or np.array_equal(faces, like.faces))):
+        return like.replace_vertices_checked(verts)
+    return DiscreteImmersion(m, verts, faces)
 
 
 def write_pline(path, s: DiscreteImmersion) -> None:
     if s.m != 1:
         raise IoError("PLINE stores curves only")
-    lines = [_fmt_row(row) for row in s.vertices.tolist()]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_vertex_rows(s.vertices))
 
 
-def read_pline(path) -> DiscreteImmersion:
+def read_pline(path, like: DiscreteImmersion | None = None) -> DiscreteImmersion:
     try:
         with warnings.catch_warnings():
             # an empty file is reported below as IoError, not as a warning
@@ -43,20 +62,18 @@ def read_pline(path) -> DiscreteImmersion:
         raise IoError(f"cannot read PLINE {path}: {exc}") from exc
     if rows.size == 0:
         raise IoError(f"empty PLINE file {path}")
-    return DiscreteImmersion(1, rows)
+    return _immersion(1, rows, None, like)
 
 
 def write_off(path, s: DiscreteImmersion) -> None:
     if s.m != 2:
         raise IoError("OFF stores surfaces only")
-    lines = [f"OFF\n{s.n_vertices} {len(s.faces)} 0"]
-    lines += [_fmt_row(row) for row in s.vertices.tolist()]
-    lines += [f"3 {a} {b} {c}" for a, b, c in s.faces.tolist()]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"OFF\n{s.n_vertices} {len(s.faces)} 0\n" + _vertex_rows(s.vertices)
+                 + _rows("3 %d %d %d\n", s.faces))
 
 
-def read_off(path) -> DiscreteImmersion:
+def read_off(path, like: DiscreteImmersion | None = None) -> DiscreteImmersion:
     try:
         with open(path) as fh:
             tokens = re.sub(r"#[^\n]*", "", fh.read()).split()
@@ -75,21 +92,22 @@ def read_off(path) -> DiscreteImmersion:
         faces = np.array(tokens[pos:pos + 4 * nf], dtype=np.int64).reshape(nf, 4)
     except (IndexError, ValueError) as exc:
         raise IoError(f"malformed OFF {path}: {exc}") from exc
+    if len(tokens) > pos + 4 * nf:
+        raise IoError(f"malformed OFF {path}: {len(tokens) - pos - 4 * nf} tokens "
+                      f"after the {nf} faces its header counts")
     if np.any(faces[:, 0] != 3):
         raise IoError(f"{path}: only triangle faces supported")
-    return DiscreteImmersion(2, verts, faces[:, 1:])
+    return _immersion(2, verts, faces[:, 1:], like)
 
 
 def write_obj(path, s: DiscreteImmersion) -> None:
     if s.m != 2:
         raise IoError("OBJ stores surfaces only")
-    lines = ["v " + _fmt_row(row) for row in s.vertices.tolist()]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in s.faces.tolist()]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_vertex_rows(s.vertices, "v ") + _rows("f %d %d %d\n", s.faces + 1))
 
 
-def read_obj(path) -> DiscreteImmersion:
+def read_obj(path, like: DiscreteImmersion | None = None) -> DiscreteImmersion:
     verts, faces = [], []
     try:
         with open(path) as fh:
@@ -98,6 +116,9 @@ def read_obj(path) -> DiscreteImmersion:
                 if not parts:
                     continue
                 if parts[0] == "v":
+                    if len(parts) < 4:
+                        raise IoError(f"{path}: vertex line {line.strip()!r} has fewer "
+                                      "than 3 coordinates")
                     verts.append([float(x) for x in parts[1:4]])
                 elif parts[0] == "f":
                     idx = [int(tok.split("/", 1)[0]) - 1 for tok in parts[1:]]
@@ -108,8 +129,8 @@ def read_obj(path) -> DiscreteImmersion:
         raise IoError(f"cannot read OBJ {path}: {exc}") from exc
     if not verts or not faces:
         raise IoError(f"{path} has no usable geometry")
-    return DiscreteImmersion(2, np.array(verts, dtype=np.float64),
-                             np.array(faces, dtype=np.int64))
+    return _immersion(2, np.array(verts, dtype=np.float64), np.array(faces, dtype=np.int64),
+                      like)
 
 
 _FORMATS = {".off": (read_off, write_off), ".obj": (read_obj, write_obj),
@@ -123,9 +144,9 @@ def _format(path):
     return _FORMATS[ext]
 
 
-def read_immersion(path) -> DiscreteImmersion:
+def read_immersion(path, like: DiscreteImmersion | None = None) -> DiscreteImmersion:
     """Dispatch on file extension (.off, .obj, .pline)."""
-    return _format(path)[0](path)
+    return _format(path)[0](path, like)
 
 
 def write_immersion(path, s: DiscreteImmersion) -> None:

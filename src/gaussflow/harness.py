@@ -345,7 +345,11 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
     names = _snapshot_names(snap_dir)
     if names and len(names) != len(data):
         raise IoError(f"{snap_dir} holds {len(names)} snapshots for {len(data)} diagnostics rows")
-    snaps = [fileio.read_immersion(os.path.join(snap_dir, n)) for n in names if meshes]
+    snaps = []
+    for name in names if meshes else ():
+        # the snapshots of one run share a face list: its connectivity is built once
+        snaps.append(fileio.read_immersion(os.path.join(snap_dir, name),
+                                           like=snaps[0] if snaps else None))
 
     return FlowTrajectory(**meta, **dict(zip(engine.COLUMNS.values(), cols)),
                           events=events, snapshots=snaps)

@@ -38,8 +38,9 @@ passes that wrote it, and a group that finds a later pass has been there
 reruns its own pass, which is deterministic, and takes the group from it
 bit for bit.  The static per-topology data
 lives in a connectivity object that an evolving immersion shares with its
-successors: the neighbour index arrays of a closed curve, or the face list
-and corner-to-vertex indices of a surface.  The curve tangent (normalized
+successors, and the snapshots of one loaded trajectory with the first: the
+neighbour index arrays of a closed curve, or the face list and
+corner-to-vertex indices of a surface.  The curve tangent (normalized
 central chord) is not cached; the operators that use it compute it.
 """
 
@@ -186,6 +187,19 @@ class DiscreteImmersion:
         new.m, new.faces, new._conn, new._geom = self.m, self.faces, self._conn, None
         new.vertices = np.asarray(vertices, dtype=np.float64)
         new.vertices.flags.writeable = False
+        return new
+
+    def replace_vertices_checked(self, vertices) -> "DiscreteImmersion":
+        """replace_vertices with every check the constructor makes on the
+        positions: a 2-d array of this topology's vertex count, finite, with
+        a non-degenerate geometry pass."""
+        v = np.asarray(vertices, dtype=np.float64)
+        if v.ndim != 2:
+            raise InvalidConfig("vertices must be a 2-d array")
+        if len(v) != self.n_vertices:
+            raise InvalidConfig(f"{len(v)} vertices for a topology of {self.n_vertices}")
+        new = self.replace_vertices(v)
+        new._validate()
         return new
 
     # geometry cache: immersions are immutable, so per-instance results of

@@ -51,7 +51,8 @@ def _curve_svg(vertices: np.ndarray, balance_sq: float | None, max_f2: float, bb
                 f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(math.sqrt(radius_sq) * scale)}" '
                 f'fill="none" stroke="{REFERENCE}" stroke-dasharray="{dash}"/>'
             )
-    pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in zip(px.tolist(), py.tolist()))
+    # one % over the interleaved columns; "%.6f" formats as _f does
+    pts = " ".join(["%.6f,%.6f"] * len(px)) % tuple(np.column_stack((px, py)).ravel().tolist())
     lines.append(
         f'<polygon points="{pts}" fill="none" stroke="{STROKE}" '
         f'stroke-width="{STROKE_WIDTH}"/>'

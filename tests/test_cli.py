@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gaussflow.cli import main
+from gaussflow.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -287,3 +287,39 @@ def test_verify_checks_snapshot_count(tmp_path, capsys):
                              "--claim", "SPHERICITY")
     assert code == 1 and out == ""
     assert f"holds {rows - 1} snapshots for {rows} diagnostics rows" in err
+
+
+def test_repeated_main_calls_see_only_their_own_arguments(tmp_path, capsys):
+    # one parser serves every call in a process; no argument outlives its call
+    assert _build_parser() is _build_parser()
+    out_dir = _simulate_circle(tmp_path, capsys, "run", 0.8)
+    elsewhere = tmp_path / "elsewhere"
+    code, out, _ = run_cli(capsys, "render", "--trajectory", str(out_dir),
+                           "--out", str(elsewhere))
+    assert code == 0 and out.endswith(f"files to {elsewhere}\n")
+    frames = sorted(os.listdir(elsewhere))
+    code, out, _ = run_cli(capsys, "render", "--trajectory", str(out_dir))
+    assert code == 0 and out.endswith(f"files to {out_dir / 'render'}\n")
+    assert sorted(os.listdir(out_dir / "render")) == frames
+
+    code, out, _ = run_cli(capsys, "verify", "--trajectory", str(out_dir),
+                           "--claim", "SPHERE_BARRIER_BELOW", "--eps", "0.05",
+                           "--rp0sq", "0.75")
+    assert code == 0 and out.startswith("SPHERE_BARRIER_BELOW: holds")
+    code, out, _ = run_cli(capsys, "verify", "--trajectory", str(out_dir),
+                           "--claim", "SPHERICITY")
+    assert code == 0 and out.startswith("SPHERICITY: holds")
+    code, out, err = run_cli(capsys, "verify", "--trajectory", str(out_dir),
+                             "--claim", "SPHERE_BARRIER_BELOW", "--eps", "0.05")
+    assert code == 1 and err.startswith("error: --eps and --rp0sq are required")
+
+
+def test_simulate_reports_a_short_obj_vertex_line(tmp_path, capsys):
+    obj = tmp_path / "short.obj"
+    obj.write_text("v 0 0 1\nv 1 0\nv -0.5 0.8 -0.5\nv -0.5 -0.8 -0.5\n"
+                   "f 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"initial.kind = file\ninitial.path = {obj}\nhorizon = 0.01\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(obj) in err and err.count("\n") == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gaussflow import fileio, render, shapes
-from gaussflow.errors import IoError
+from gaussflow.errors import InvalidConfig, IoError
 from gaussflow.mesh import DiscreteImmersion
 
 
@@ -81,8 +81,27 @@ def test_read_errors(tmp_path):
         with pytest.raises(IoError):
             fileio.read_off(bad)
 
+    # tokens past the header's counts: an extra face line, a trailing token
+    tetra_faces = "3 0 1 2\n3 0 2 3\n3 0 3 1\n3 1 3 2\n"
+    tetra = "OFF\n4 4 0\n0 0 1\n1 0 -0.5\n-0.5 0.8 -0.5\n-0.5 -0.8 -0.5\n" + tetra_faces
+    for extra in ("3 0 1 2\n", "7\n", "0"):
+        bad = tmp_path / "extra.off"
+        bad.write_text(tetra + extra)
+        with pytest.raises(IoError, match="after the 4 faces"):
+            fileio.read_off(bad)
+    (tmp_path / "tetra.off").write_text(tetra + "# trailing comment\n")
+    assert fileio.read_off(tmp_path / "tetra.off").n_vertices == 4
+
     with pytest.raises(IoError):
         fileio.read_immersion(tmp_path / "mesh.stl")
+
+
+def test_obj_short_vertex_line(tmp_path):
+    obj = tmp_path / "short.obj"
+    obj.write_text("v 0 0 1\nv 1 0\nv -0.5 0.8 -0.5\nv -0.5 -0.8 -0.5\n"
+                   "f 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n")
+    with pytest.raises(IoError, match=r"short\.obj: vertex line 'v 1 0' has fewer than 3"):
+        fileio.read_obj(obj)
 
 
 def test_off_comments_and_obj_texture_indices(tmp_path):
@@ -150,3 +169,130 @@ def test_curve_svg_golden_bytes():
         '223.030303,450.909091 494.545455,403.116883" fill="none" '
         'stroke="#1f4e8c" stroke-width="1.5"/>\n'
         '</svg>\n')
+
+
+# the per-row forms the writers used before they formatted whole arrays,
+# kept as the references their bytes must equal
+def _reference_pline(v):
+    return "\n".join(" ".join(map(repr, row)) for row in v.tolist()) + "\n"
+
+
+def _reference_off(v, f):
+    lines = [f"OFF\n{len(v)} {len(f)} 0"]
+    lines += [" ".join(map(repr, row)) for row in v.tolist()]
+    lines += [f"3 {a} {b} {c}" for a, b, c in f.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_obj(v, f):
+    lines = ["v " + " ".join(map(repr, row)) for row in v.tolist()]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in f.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1e16, -1e16, 3.0, -7.0, 0.0,
+            float(2 ** 52), 1e22, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("columns", [2, 3, 4])
+def test_writers_match_per_row_forms(tmp_path, columns):
+    rng = np.random.default_rng(columns)
+    ico = shapes.icosphere(1.0, 0)
+    faces = ico.faces
+    random = rng.standard_normal((ico.n_vertices, columns)) * 10.0 ** rng.integers(
+        -20, 20, (ico.n_vertices, columns))
+    special = np.resize(np.array(_SPECIAL), (ico.n_vertices, columns))
+    for v in (random, special, special[::-1]):
+        # the writers format what they are given: unchecked immersions carry
+        # any column count and values no flow would produce
+        surface = ico.replace_vertices(v)
+        curve = shapes.circle(1.0, ico.n_vertices).replace_vertices(v)
+        fileio.write_pline(tmp_path / "c.pline", curve)
+        fileio.write_off(tmp_path / "s.off", surface)
+        fileio.write_obj(tmp_path / "s.obj", surface)
+        assert (tmp_path / "c.pline").read_text() == _reference_pline(v)
+        assert (tmp_path / "s.off").read_text() == _reference_off(v, faces)
+        assert (tmp_path / "s.obj").read_text() == _reference_obj(v, faces)
+
+
+@pytest.mark.parametrize("columns", [2, 3, 4])
+def test_curve_svg_points_match_per_point_form(columns):
+    rng = np.random.default_rng(10 + columns)
+    for v in (rng.standard_normal((37, columns)),
+              np.resize(np.array(_SPECIAL[:10]), (20, columns))):
+        pts = v[:, :2]
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        # the frame transform of _curve_svg, same operations in the same order
+        span = max(hi[0] - lo[0], hi[1] - lo[1], 1e-12)
+        pad = 0.05 * span
+        scale = render.SIZE / (span + 2 * pad)
+        px = (pts[:, 0] - lo[0] + pad) * scale
+        py = render.SIZE - (pts[:, 1] - lo[1] + pad) * scale
+        reference = " ".join(f"{render._f(x)},{render._f(y)}"
+                             for x, y in zip(px.tolist(), py.tolist()))
+        svg = render._curve_svg(pts, None, 1.0, (lo, hi))
+        assert f'<polygon points="{reference}" ' in svg
+    for x in _SPECIAL + [float("inf"), float("nan")]:
+        assert "%.6f,%.6f" % (x, -x) == f"{render._f(x)},{render._f(-x)}"
+
+
+def test_reader_shares_connectivity_with_like(tmp_path):
+    s = shapes.icosphere(1.0, 1)
+    moved = s.replace_vertices(s.vertices * 1.5)
+    for ext in (".off", ".obj"):
+        fileio.write_immersion(tmp_path / f"a{ext}", s)
+        fileio.write_immersion(tmp_path / f"b{ext}", moved)
+        first = fileio.read_immersion(tmp_path / f"a{ext}")
+        second = fileio.read_immersion(tmp_path / f"b{ext}", like=first)
+        assert second._conn is first._conn and second.faces is first.faces
+        np.testing.assert_array_equal(second.vertices, moved.vertices)
+        # a different vertex count or face list builds its own
+        other = shapes.icosphere(1.0, 2)
+        fileio.write_immersion(tmp_path / f"c{ext}", other)
+        assert fileio.read_immersion(tmp_path / f"c{ext}", like=first)._conn is not first._conn
+        flipped = DiscreteImmersion(2, s.vertices, s.faces[:, ::-1])
+        fileio.write_immersion(tmp_path / f"d{ext}", flipped)
+        again = fileio.read_immersion(tmp_path / f"d{ext}", like=first)
+        assert again._conn is not first._conn
+        np.testing.assert_array_equal(again.faces, flipped.faces)
+    curve = shapes.circle(1.0, 16)
+    fileio.write_pline(tmp_path / "a.pline", curve)
+    first = fileio.read_pline(tmp_path / "a.pline")
+    assert fileio.read_pline(tmp_path / "a.pline", like=first)._conn is first._conn
+
+
+@pytest.mark.parametrize("ext", [".off", ".obj", ".pline"])
+@pytest.mark.parametrize("damage", ["nan", "inf", "collapsed"])
+def test_shared_connectivity_keeps_the_constructors_checks(tmp_path, ext, damage):
+    s = shapes.circle(1.0, 16) if ext == ".pline" else shapes.icosphere(1.0, 1)
+    fileio.write_immersion(tmp_path / f"a{ext}", s)
+    first = fileio.read_immersion(tmp_path / f"a{ext}")
+    v = s.vertices.copy()
+    if damage == "collapsed":      # the first edge has length 0
+        a, b = (0, 1) if s.m == 1 else s.faces[0, :2]
+        v[b] = v[a]
+    else:
+        v[3, 1] = float(damage)
+    fileio.write_immersion(tmp_path / f"b{ext}", s.replace_vertices(v))
+    with pytest.raises(InvalidConfig) as alone:
+        fileio.read_immersion(tmp_path / f"b{ext}")
+    with pytest.raises(InvalidConfig) as shared:
+        fileio.read_immersion(tmp_path / f"b{ext}", like=first)
+    assert str(shared.value) == str(alone.value)
+
+
+def test_replace_vertices_checked_refuses_another_shape():
+    s = shapes.icosphere(1.0, 0)
+    with pytest.raises(InvalidConfig, match="2-d"):
+        s.replace_vertices_checked(s.vertices.ravel())
+    with pytest.raises(InvalidConfig, match="11 vertices for a topology of 12"):
+        s.replace_vertices_checked(s.vertices[:-1])
+
+
+def test_constructor_builds_its_own_connectivity():
+    # no cache behind the constructor: equal faces still build a new one, so
+    # timing the constructor times a connectivity build
+    s = shapes.icosphere(1.0, 1)
+    a = DiscreteImmersion(2, s.vertices, s.faces)
+    b = DiscreteImmersion(2, s.vertices, s.faces)
+    assert a._conn is not b._conn and a._conn is not s._conn

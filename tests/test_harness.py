@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from gaussflow import engine, fileio, render, shapes
+from gaussflow.mesh import DiscreteImmersion
 from gaussflow.engine import (FLOW, FLOWP, HORIZON_REACHED, POSITION_BLOWUP,
                               POSITION_COLLAPSE, CURVATURE_BLOWUP, FlowParams)
 from gaussflow.errors import InvalidConfig, IoError
@@ -625,6 +627,63 @@ def test_render_surface_off_round_trip(tmp_path):
     back = fileio.read_off(offs[-1])
     np.testing.assert_array_equal(back.vertices, traj.snapshots[-1].vertices)
     assert any(p.endswith("diagnostics.csv") for p in paths)
+
+
+@pytest.fixture(scope="module")
+def surface_dir(tmp_path_factory):
+    traj = engine.run(shapes.icosphere(2.0, 1), FlowParams(variant=FLOW), horizon=0.003,
+                      snapshot_times=[0.0, 0.001, 0.002, 0.003])
+    out = tmp_path_factory.mktemp("surface")
+    save_trajectory(traj, str(out))
+    return out
+
+
+def test_loaded_snapshots_share_one_connectivity(surface_dir):
+    snaps = load_trajectory(str(surface_dir)).snapshots
+    assert len(snaps) == 4
+    assert all(s._conn is snaps[0]._conn and s.faces is snaps[0].faces for s in snaps)
+    # the sharing lasts one load: another load builds its own
+    assert load_trajectory(str(surface_dir)).snapshots[0]._conn is not snaps[0]._conn
+
+
+def test_loaded_snapshot_with_other_faces_gets_its_own_connectivity(tmp_path, surface_dir):
+    shutil.copytree(surface_dir, tmp_path, dirs_exist_ok=True)
+    first = fileio.read_off(tmp_path / "snapshots" / "000000.off")
+    fileio.write_off(tmp_path / "snapshots" / "000002.off",
+                     DiscreteImmersion(2, first.vertices, first.faces[:, ::-1]))
+    fileio.write_off(tmp_path / "snapshots" / "000003.off", shapes.icosphere(2.0, 2))
+    snaps = load_trajectory(str(tmp_path)).snapshots
+    assert snaps[1]._conn is snaps[0]._conn
+    assert len({id(s._conn) for s in snaps[1:]}) == 3
+    np.testing.assert_array_equal(snaps[2].faces, first.faces[:, ::-1])
+    assert snaps[3].n_vertices == shapes.icosphere(2.0, 2).n_vertices
+
+
+@pytest.mark.parametrize("damage", ["nan", "collapsed"])
+def test_loaded_snapshot_on_a_shared_connectivity_is_checked(tmp_path, surface_dir, damage):
+    shutil.copytree(surface_dir, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "snapshots" / "000002.off"
+    s = fileio.read_off(path)
+    v = s.vertices.copy()
+    if damage == "nan":
+        v[5, 2] = np.nan
+    else:                          # the first face's first edge has length 0
+        v[s.faces[0, 1]] = v[s.faces[0, 0]]
+    fileio.write_off(path, s.replace_vertices(v))
+    with pytest.raises(InvalidConfig) as alone:
+        fileio.read_off(path)
+    with pytest.raises(InvalidConfig) as loaded:
+        load_trajectory(str(tmp_path))
+    assert str(loaded.value) == str(alone.value)
+
+
+def test_surface_render_of_a_loaded_directory_copies_its_snapshots(tmp_path, surface_dir):
+    paths = render.render(load_trajectory(str(surface_dir)), outdir=str(tmp_path / "r"))
+    frames = [p for p in paths if p.endswith(".off")]
+    snaps = sorted((surface_dir / "snapshots").iterdir())
+    assert len(frames) == len(snaps) == 4
+    for frame, snap in zip(frames, snaps):
+        assert Path(frame).read_bytes() == snap.read_bytes()
 
 
 @pytest.mark.parametrize("shape, ext", [(shapes.circle(0.8, 32), ".svg"),
