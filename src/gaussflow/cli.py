@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import comparison, harness, radial, render as render_mod
+from . import comparison, fileio, harness, radial, render as render_mod
 from .ambient import GaussianAmbient, sectional_curvature
 from .errors import GaussFlowError
 from .harness import SCENARIOS, load_config, load_trajectory
@@ -101,23 +101,18 @@ def _cmd_sphere(args) -> int:
     bound_txt = f"{bound:.12g}" if bound is not None else "n/a"
     print(f"event={traj.event.kind} t={traj.event.t:.12g} bound_time={bound_txt}")
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("t,R_sq\n")
-            for t, r in zip(traj.times, traj.R_sq):
-                fh.write(f"{float(t)!r},{float(r)!r}\n")
+        fileio.write_table(args.csv, "t,R_sq", (traj.times, traj.R_sq))
         print(f"csv={args.csv}")
     return 0
 
 
 def _cmd_bounds(args) -> int:
     p = RadialParams(m=args.m, a=args.a, b=args.b, c0=args.c, R0_sq=args.r0sq)
-    regime = p.regime()
-    if regime == "shrink":
-        print(f"T1={radial.bound_time_shrink(p):.12g}")
-    elif regime == "expand":
-        print(f"T2={radial.bound_time_expand(p):.12g}")
-    else:
+    bound = radial.applicable_bound(p)       # c is constant here, so only the sphere has none
+    if bound is None:
         print("stationary: no finite bound (fixed sphere)")
+    else:
+        print(f"{'T1' if p.regime() == 'shrink' else 'T2'}={bound:.12g}")
     return 0
 
 

@@ -63,7 +63,7 @@ def _check_sign(traj: FlowTrajectory, p: FlowParams, eps: float,
                                  else "above-claim needs nonincreasing c/b")
     if p.b == 0.0:
         raise HypothesisViolated("sign-preservation claims need b > 0")
-    balance0 = p.c_at(0.0) / p.b * traj.m
+    balance0 = p.balance_sq(0.0, traj.m)
     edge = traj.max_F2 if below else traj.min_F2
     gap = balance0 - edge[0] if below else edge[0] - balance0
     if not gap > 0:
@@ -73,7 +73,7 @@ def _check_sign(traj: FlowTrajectory, p: FlowParams, eps: float,
         )
     if not 0.0 < eps < gap:
         raise HypothesisViolated(f"eps = {eps:.6g} outside the admissible interval (0, {gap:.6g})")
-    balance = p.c_at(traj.times) / p.b * traj.m
+    balance = p.balance_sq(traj.times, traj.m)
     margins = balance - eps - edge if below else edge - balance - eps
     return _report(SIGN_PRESERVATION_BELOW if below else SIGN_PRESERVATION_ABOVE, margins,
                    traj.times, traj.discretization_tolerance(), f"eps={eps:g}")

@@ -105,6 +105,10 @@ class FlowParams:
     def c_at(self, t: float) -> float:
         return self.c + self.c_slope * t
 
+    def balance_sq(self, t, m: int):
+        """(c(t)/b) m, the squared radius of the balance sphere; t may be an array, b > 0."""
+        return self.c_at(t) / self.b * m
+
     def m_eff(self, s: DiscreteImmersion) -> int:
         """The dimension m of exp(a|F|^2/m) and of the balance sphere: the
         intrinsic dimension of s, as in the curvature term."""
@@ -444,8 +448,7 @@ def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
 
 def _monitor(s: DiscreteImmersion) -> _Monitor:
     geom = s._geometry()
-    return _Monitor(geom["F2_max"], float(meshops.second_fundamental_norm(s).max()),
-                   geom["quality"])
+    return _Monitor(geom["F2_max"], float(geom["h2"].max()), geom["quality"])
 
 
 def compute_diagnostics(s: DiscreteImmersion, dt_used: float = 0.0) -> Diagnostics:

@@ -1,4 +1,5 @@
-"""Mesh readers and writers: OFF and OBJ for surfaces, PLINE for curves.
+"""Mesh readers and writers: OFF and OBJ for surfaces, PLINE for curves,
+and the writer of CSV float tables.
 
 PLINE is a plain-text closed polyline: one vertex per line, whitespace
 separated coordinates, closure implicit.  Floats are written with repr(),
@@ -28,9 +29,15 @@ def _rows(row: str, a: np.ndarray) -> str:
     return (row * len(a)) % tuple(a.ravel().tolist())
 
 
-def _vertex_rows(v: np.ndarray, prefix: str = "") -> str:
+def _float_rows(a: np.ndarray, prefix: str = "", sep: str = " ") -> str:
     # rows of Python floats: numpy 2 reprs a numpy scalar as 'np.float64(...)'
-    return _rows(prefix + " ".join(["%r"] * v.shape[1]) + "\n", v)
+    return _rows(prefix + sep.join(["%r"] * a.shape[1]) + "\n", a)
+
+
+def write_table(path, header: str, columns) -> None:
+    """Write equal-length float columns as CSV under a header line, in repr()."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + _float_rows(np.asarray(columns, dtype=np.float64).T, sep=","))
 
 
 def _immersion(m: int, verts: np.ndarray, faces, like) -> DiscreteImmersion:
@@ -46,7 +53,7 @@ def write_pline(path, s: DiscreteImmersion) -> None:
     if s.m != 1:
         raise IoError("PLINE stores curves only")
     with open(path, "w") as fh:
-        fh.write(_vertex_rows(s.vertices))
+        fh.write(_float_rows(s.vertices))
 
 
 def read_pline(path, like: DiscreteImmersion | None = None) -> DiscreteImmersion:
@@ -69,7 +76,7 @@ def write_off(path, s: DiscreteImmersion) -> None:
     if s.m != 2:
         raise IoError("OFF stores surfaces only")
     with open(path, "w") as fh:
-        fh.write(f"OFF\n{s.n_vertices} {len(s.faces)} 0\n" + _vertex_rows(s.vertices)
+        fh.write(f"OFF\n{s.n_vertices} {len(s.faces)} 0\n" + _float_rows(s.vertices)
                  + _rows("3 %d %d %d\n", s.faces))
 
 
@@ -77,14 +84,14 @@ def read_off(path, like: DiscreteImmersion | None = None) -> DiscreteImmersion:
     try:
         with open(path) as fh:
             tokens = re.sub(r"#[^\n]*", "", fh.read()).split()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read OFF {path}: {exc}") from exc
     if not tokens or tokens[0] != "OFF":
         raise IoError(f"{path} is not an OFF file")
     try:
-        nv, nf = int(tokens[1]), int(tokens[2])
-        if nv < 0 or nf < 0:
-            raise ValueError(f"negative counts {nv} {nf}")
+        nv, nf, ne = (int(tok) for tok in tokens[1:4])
+        if min(nv, nf, ne) < 0:
+            raise ValueError(f"negative counts {nv} {nf} {ne}")
         pos = 4 + 3 * nv
         verts = np.array(tokens[4:pos], dtype=np.float64).reshape(nv, 3)
         # a non-triangle face shifts every later row, so checking the
@@ -104,7 +111,7 @@ def write_obj(path, s: DiscreteImmersion) -> None:
     if s.m != 2:
         raise IoError("OBJ stores surfaces only")
     with open(path, "w") as fh:
-        fh.write(_vertex_rows(s.vertices, "v ") + _rows("f %d %d %d\n", s.faces + 1))
+        fh.write(_float_rows(s.vertices, "v ") + _rows("f %d %d %d\n", s.faces + 1))
 
 
 def read_obj(path, like: DiscreteImmersion | None = None) -> DiscreteImmersion:

@@ -225,17 +225,15 @@ def _write_config(cfg: RunConfig, outdir, initial: DiscreteImmersion) -> list[st
 # artifacts
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# result.json's keys in written order; the dataclass sections are written as dicts
+_SECTIONS = {"params": FlowParams, "thresholds": Thresholds, "stop": StopReason}
+_RESULT_KEYS = ("m", "horizon", *_SECTIONS, "t_stop_error", "initial_h_max",
+                "integration_error")
 
 
 def write_diagnostics_csv(traj: FlowTrajectory, path) -> None:
     """Write the diagnostics series under CSV_HEADER, floats in repr()."""
-    cols = [getattr(traj, name) for name in engine.COLUMNS.values()]
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for i in range(traj.n_snapshots):
-            fh.write(",".join(_fmt(col[i]) for col in cols) + "\n")
+    fileio.write_table(path, CSV_HEADER, [getattr(traj, name) for name in engine.COLUMNS.values()])
 
 
 def _snapshot_names(snap_dir) -> list[str]:
@@ -279,12 +277,8 @@ def save_trajectory(traj: FlowTrajectory, outdir, save_meshes: bool = True) -> l
             fileio.write_immersion(path, s)
             paths.append(path)
 
-    record = {
-        "m": traj.m, "horizon": traj.horizon, "params": asdict(traj.params),
-        "thresholds": asdict(traj.thresholds), "stop": asdict(traj.stop),
-        "t_stop_error": traj.t_stop_error, "initial_h_max": traj.initial_h_max,
-        "integration_error": traj.integration_error,
-    }
+    record = {key: getattr(traj, key) for key in _RESULT_KEYS}
+    record.update((name, asdict(record[name])) for name in _SECTIONS)
     tmp_path = result_path + ".tmp"
     with open(tmp_path, "w") as fh:
         fh.write(json.dumps(record, indent=1) + "\n")
@@ -296,7 +290,8 @@ def save_trajectory(traj: FlowTrajectory, outdir, save_meshes: bool = True) -> l
 def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
     """Rebuild a trajectory from an artifact directory written by
     save_trajectory.  ``meshes=False`` reads no snapshot file, but still
-    checks that the snapshot names number one per diagnostics row."""
+    checks that the snapshot names number one per diagnostics row.  A
+    missing or malformed file raises IoError naming it."""
     result_path = os.path.join(indir, "result.json")
     csv_path = os.path.join(indir, "diagnostics.csv")
     if not (os.path.exists(result_path) and os.path.exists(csv_path)):
@@ -309,25 +304,26 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
             raise IoError(f"{result_path} lacks the key {prefix + missing[0]!r}")
         return {k: record[k] for k in keys}
 
-    sections = {"params": FlowParams, "thresholds": Thresholds, "stop": StopReason}
     try:
         with open(result_path) as fh:
-            meta = required(json.load(fh), ("m", "horizon", *sections, "t_stop_error",
-                                            "initial_h_max", "integration_error"))
-        for name, cls in sections.items():
+            meta = required(json.load(fh), _RESULT_KEYS)
+        for name, cls in _SECTIONS.items():
             meta[name] = cls(**required(meta[name], [f.name for f in fields(cls)],
                                         f"{name}."))
     except (ValueError, TypeError, InvalidConfig) as exc:
         raise IoError(f"{result_path}: malformed record: {exc}") from exc
+    ev_path = os.path.join(indir, "events.jsonl")
+    if not os.path.exists(ev_path):
+        raise IoError(f"{indir} has no events.jsonl")
 
-    with open(csv_path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise IoError(f"unexpected CSV header {header!r}")
-        try:
+    try:
+        with open(csv_path) as fh:
+            header = fh.readline().strip()
+            if header != CSV_HEADER:
+                raise IoError(f"unexpected CSV header {header!r}")
             data = [[float(tok) for tok in line.split(",")] for line in fh if line.strip()]
-        except ValueError as exc:
-            raise IoError(f"{csv_path}: malformed row: {exc}") from exc
+    except ValueError as exc:           # undecodable bytes raise UnicodeDecodeError, a ValueError
+        raise IoError(f"{csv_path}: malformed row: {exc}") from exc
     if not data:
         raise IoError("empty diagnostics stream")
     if any(len(row) != len(engine.COLUMNS) for row in data):
@@ -336,10 +332,13 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
     cols = np.asarray(data).T
 
     events = []
-    ev_path = os.path.join(indir, "events.jsonl")
-    if os.path.exists(ev_path):
-        with open(ev_path) as fh:
-            events = [json.loads(line) for line in fh if line.strip()]
+    with open(ev_path, "rb") as fh:         # bytes, so a bad line is named, not a decode chunk
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                if line.strip():
+                    events.append(json.loads(line))
+            except ValueError as exc:
+                raise IoError(f"{ev_path}: malformed line {lineno}: {exc}") from exc
 
     snap_dir = os.path.join(indir, "snapshots")
     names = _snapshot_names(snap_dir)

@@ -22,11 +22,11 @@ its maximum, the edge-length extremes and the quality proxy, so the flow
 engine steps curves and surfaces through these operators alone.  A pass
 computes the fields the velocity reads (surfaces: cotangents, mixed areas,
 H, |F|^2) when it runs; the monitor group (surfaces: vertex normal, then
-angle defect, |h|^2, quality and edge extremes; curves: quality and the
-longest edge) is computed the first time one of its keys is read.  So the
-flow's stages skip it, FLOW0 stages compute the normal only, and the
-engine's monitor computes it once per accepted state; a vanishing normal
-raises DegenerateMesh on every read of the group.
+angle defect, |h|^2, quality and edge extremes; curves: |h|^2 = |H|^2,
+quality and the longest edge) is computed the first time one of its keys
+is read.  So the flow's stages skip it, FLOW0 stages compute the normal
+only, and the engine's monitor computes it once per accepted state; a
+vanishing normal raises DegenerateMesh on every read of the group.
 
 A surface pass allocates only the fields it returns.  Its temporaries
 (corner coordinates, edges, cross products, dot products, squared edge
@@ -219,7 +219,7 @@ _MONITOR_KEYS = frozenset({"normal", "h2", "quality", "min_edge", "max_edge"})
 class _Geometry(dict):
     """The cache of one geometry pass.  The pass stores the fields a flow
     stage reads; the monitor group (surfaces: vertex normal, |h|^2, quality,
-    edge extremes; curves: quality and the longest edge) is computed by
+    edge extremes; curves: |h|^2, quality and the longest edge) is computed by
     ``_fill`` the first time one of its keys is read."""
 
     __slots__ = ("_fill",)
@@ -269,7 +269,9 @@ def _curve_geometry(v: np.ndarray, conn: _CurveConnectivity) -> dict:
 
 def _curve_monitor_group(geom: dict, key: str) -> None:
     l_max = float(geom["edge_lengths"].max())
-    geom.update(quality=geom["min_edge"] / l_max, max_edge=l_max)
+    H = geom["H"]
+    geom.update(h2=np.einsum("ij,ij->i", H, H), quality=geom["min_edge"] / l_max,
+                max_edge=l_max)
 
 
 def _curve_tangent(s: DiscreteImmersion) -> np.ndarray:
@@ -429,13 +431,6 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
     })
 
 
-def _surface_laplacian(s: DiscreteImmersion, geom: dict, f_vals: np.ndarray) -> np.ndarray:
-    cots = geom["cots"]
-    fc = np.take(f_vals, s._conn.corners)        # (3, n_faces) corner values
-    corner = 0.5 * (cots[_PREV] * (fc[_NEXT] - fc) + cots[_NEXT] * (fc[_PREV] - fc))
-    return s._conn.to_vertices(corner) / geom["vertex_areas"]
-
-
 # ---------------------------------------------------------------------------
 # operators
 
@@ -495,7 +490,10 @@ def laplace_beltrami(s: DiscreteImmersion, f) -> np.ndarray:
         d_next = (vals[nxt] - vals) / lengths
         d_prev = (vals - vals[prv]) / lengths[prv]
         return (d_next - d_prev) / geom["vertex_areas"]
-    return _surface_laplacian(s, geom, vals)
+    cots = geom["cots"]
+    fc = np.take(vals, s._conn.corners)          # (3, n_faces) corner values
+    corner = 0.5 * (cots[_PREV] * (fc[_NEXT] - fc) + cots[_NEXT] * (fc[_PREV] - fc))
+    return s._conn.to_vertices(corner) / geom["vertex_areas"]
 
 
 def laplacian_spectral_bound(s: DiscreteImmersion) -> float:
@@ -550,11 +548,7 @@ def second_fundamental_norm(s: DiscreteImmersion) -> np.ndarray:
     Voronoi area (Meyer, Desbrun, Schroeder & Barr 2003), clamped at 0.  On
     umbilic meshes this recovers m/R^2 up to discretization error.
     """
-    geom = s._geometry()
-    if s.m == 1:
-        H = geom["H"]
-        return np.einsum("ij,ij->i", H, H)
-    return geom["h2"].copy()
+    return s._geometry()["h2"].copy()
 
 
 def weighted_area(s: DiscreteImmersion) -> float:

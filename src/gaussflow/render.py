@@ -82,8 +82,7 @@ def render(traj: FlowTrajectory, outdir: str = "render") -> list[str]:
     paths = []
     if traj.m == 1:
         # the balance sphere |F|^2 = (c(t)/b) m of the law that ran; with b = 0 there is none
-        p = traj.params
-        balance = p.c_at(traj.times) / p.b * traj.m if p.b > 0 else None
+        balance = traj.params.balance_sq(traj.times, traj.m) if traj.params.b > 0 else None
         all_pts = np.concatenate([s.vertices[:, :2] for s in traj.snapshots])
         guide = math.sqrt(max(traj.max_F2.max(), 0.0 if balance is None else balance.max()))
         lo = np.minimum(all_pts.min(axis=0), [-guide, -guide])

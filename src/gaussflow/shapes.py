@@ -8,15 +8,14 @@ from .errors import InvalidConfig
 from .mesh import DiscreteImmersion
 
 
-def circle(radius: float, n: int) -> DiscreteImmersion:
-    theta = 2.0 * np.pi * np.arange(n) / n
-    return DiscreteImmersion(1, radius * np.stack([np.cos(theta), np.sin(theta)], axis=1))
-
-
 def ellipse(rx: float, ry: float, n: int) -> DiscreteImmersion:
     theta = 2.0 * np.pi * np.arange(n) / n
     v = np.stack([rx * np.cos(theta), ry * np.sin(theta)], axis=1)
     return DiscreteImmersion(1, v)
+
+
+def circle(radius: float, n: int) -> DiscreteImmersion:
+    return ellipse(radius, radius, n)
 
 
 def perturbed_circle(radius: float, amp: float, mode: int, seed: int, n: int) -> DiscreteImmersion:
@@ -75,14 +74,13 @@ def unit_sphere_mesh(subdiv: int) -> tuple[np.ndarray, np.ndarray]:
     return v, f
 
 
-def icosphere(radius: float, subdiv: int) -> DiscreteImmersion:
-    v, f = unit_sphere_mesh(subdiv)
-    return DiscreteImmersion(2, radius * v, f)
-
-
 def ellipsoid(rx: float, ry: float, rz: float, subdiv: int) -> DiscreteImmersion:
     v, f = unit_sphere_mesh(subdiv)
     return DiscreteImmersion(2, v * np.array([rx, ry, rz]), f)
+
+
+def icosphere(radius: float, subdiv: int) -> DiscreteImmersion:
+    return ellipsoid(radius, radius, radius, subdiv)
 
 
 def perturbed_sphere(radius: float, amp: float, mode: int, seed: int, subdiv: int) -> DiscreteImmersion:
@@ -107,8 +105,9 @@ def builtin_shape(name: str, params: dict, n: int | None = None) -> DiscreteImme
 
     ``n`` is the vertex count for curves (16 <= n <= 1e6); surfaces take a
     ``subdiv`` entry in ``params`` instead.  Perturbed shapes are
-    deterministic in their ``seed``, with the amplitude bounded so the
-    sign of |F0|^2 - m is the same as for the unperturbed shape.
+    deterministic in their ``seed``, which must be >= 0, and take an
+    amplitude in [0, 1).  Which side of the balance sphere the data lies on is
+    checked where the flow law is known: by the scenarios and the claims.
     """
     p = dict(params)
     if name in _CURVE_SHAPES:
@@ -122,18 +121,14 @@ def builtin_shape(name: str, params: dict, n: int | None = None) -> DiscreteImme
         if name == "ellipse":
             return ellipse(_positive(p, "rx"), _positive(p, "ry"), n)
         if name == "perturbed_circle":
-            radius, amp = _positive(p, "radius"), float(p["amp"])
-            _check_amp(radius, amp, m=1)
-            return perturbed_circle(radius, amp, int(p["mode"]), int(p.get("seed", 0)), n)
+            return perturbed_circle(_positive(p, "radius"), _amp(p), int(p["mode"]), _seed(p), n)
         if name == "icosphere":
             return icosphere(_positive(p, "radius"), _subdiv(p))
         if name == "ellipsoid":
             return ellipsoid(_positive(p, "rx"), _positive(p, "ry"), _positive(p, "rz"),
                              _subdiv(p))
         if name == "perturbed_sphere":
-            radius, amp = _positive(p, "radius"), float(p["amp"])
-            _check_amp(radius, amp, m=2)
-            return perturbed_sphere(radius, amp, int(p["mode"]), int(p.get("seed", 0)),
+            return perturbed_sphere(_positive(p, "radius"), _amp(p), int(p["mode"]), _seed(p),
                                     _subdiv(p))
     except KeyError as exc:
         raise InvalidConfig(f"shape {name!r} missing parameter {exc}") from exc
@@ -154,11 +149,16 @@ def _subdiv(p: dict) -> int:
     return sd
 
 
-def _check_amp(radius: float, amp: float, m: int):
-    if amp < 0:
-        raise InvalidConfig("perturbation amplitude must be >= 0")
-    lo, hi = (radius * (1 - amp)) ** 2, (radius * (1 + amp)) ** 2
-    if lo < m < hi or hi == m or lo == m:
-        raise InvalidConfig(
-            f"perturbation straddles |F|^2 = m: range [{lo:.6g}, {hi:.6g}] vs m = {m}"
-        )
+def _amp(p: dict) -> float:
+    # below 1 the perturbed radius R(1 + amp * bump), |bump| <= 1, stays positive
+    amp = float(p["amp"])
+    if not 0 <= amp < 1:
+        raise InvalidConfig(f"perturbation amplitude must lie in [0, 1), got {amp}")
+    return amp
+
+
+def _seed(p: dict) -> int:
+    seed = int(p.get("seed", 0))
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+    return seed

@@ -2,8 +2,9 @@
 
 Independent references the library is checked against, kept out of the
 package because only tests call them: the log-envelope curves that bound
-R^2(t) on [0, T1) and [0, T2), and the collapse and escape times from
-quadrature of the separable ODE (scipy, a test-only dependency).
+R^2(t) on [0, T1) and [0, T2), the collapse and escape times from
+quadrature of the separable ODE, and R^2 at given times from a DOP853
+integration (scipy, a test-only dependency).
 """
 
 from __future__ import annotations
@@ -82,3 +83,18 @@ def escape_time_quadrature(p: RadialParams) -> float:
                       / (2.0 * p.a * (p.b * cut - p.m * p.c0)))
     val, err = quad(integrand, p.R0_sq, cut, epsabs=1e-14, epsrel=1e-13, limit=200)
     return val
+
+
+def radius_dop853(p: RadialParams, times) -> list[float]:
+    """R^2 at the given increasing times from scipy's DOP853 at rtol 1e-13,
+    for affine c(t) too, where the quadratures do not apply; the right-hand
+    side is evaluated in the original variable, so the reference shares
+    none of the integrator's u substitution."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        return [2.0 * math.exp(p.a * y[0] / p.m) * (p.b * y[0] - p.m * p.c(t))]
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), [p.R0_sq], method="DOP853", rtol=1e-13,
+                    atol=1e-14, t_eval=times)
+    return sol.y[0].tolist()

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaussflow.ambient import GaussianAmbient, gaussian_mean_curvature, sectional_curvature
+from gaussflow.ambient import (GaussianAmbient, as_ambient_vector, gaussian_mean_curvature,
+                               sectional_curvature)
 from gaussflow.errors import AxisError, OverflowGuard, UnsupportedParam
 
 
@@ -51,6 +52,18 @@ def test_generalized_exponent_not_supported_for_curvature():
     amb = GaussianAmbient(dim_total=3, m=2, a=2.0)
     with pytest.raises(UnsupportedParam):
         sectional_curvature(amb, np.zeros(3), 0, 1)
+
+
+@pytest.mark.parametrize("x, match", [
+    (np.zeros((1, 3)), "must be 1-d"),
+    (np.zeros(2), "2 components, expected 3"),
+    ([0.0, math.nan, 0.0], "non-finite"),
+    ([0.0, 0.0, math.inf], "non-finite"),
+], ids=["2d", "short", "nan", "inf"])
+def test_ambient_vector_refusals(x, match):
+    with pytest.raises(UnsupportedParam, match=match):
+        as_ambient_vector(x, 3)
+    np.testing.assert_array_equal(as_ambient_vector([1, 2, 3], 3), [1.0, 2.0, 3.0])
 
 
 def test_overflow_guard_on_far_points():

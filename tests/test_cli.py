@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -323,3 +324,67 @@ def test_simulate_reports_a_short_obj_vertex_line(tmp_path, capsys):
     code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and str(obj) in err and err.count("\n") == 1
+
+
+def test_scenario_all_needs_a_named_config(tmp_path, capsys):
+    (tmp_path / "other.cfg").write_text("initial.name = circle\n")
+    code, out, err = run_cli(capsys, "scenario", "ALL", "--config", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"error: no <SCENARIO>.cfg files found in {tmp_path}\n"
+
+
+def test_simulate_refuses_a_negative_seed_for_a_perturbed_shape(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("initial.name = perturbed_circle\ninitial.radius = 0.8\ninitial.amp = 0.05\n"
+                   "initial.mode = 3\ninitial.n = 32\nseed = -1\nhorizon = 0.001\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
+def _damage_events(run):
+    (run / "events.jsonl").write_bytes(b'{"event": "stop"}\n{"t": \n')
+
+
+def _drop_events(run):
+    (run / "events.jsonl").unlink()
+
+
+def _undecodable_csv(run):
+    csv = run / "diagnostics.csv"
+    csv.write_bytes(csv.read_bytes().replace(b"\n", b"\n\xff", 1))
+
+
+def _off_header(run):
+    first = sorted((run / "snapshots").iterdir())[0]
+    first.write_text(first.read_text().replace(" 0\n", " x\n", 1))
+
+
+def _undecodable_off(run):
+    first = sorted((run / "snapshots").iterdir())[0]
+    first.write_bytes(b"\xff" + first.read_bytes())
+
+
+@pytest.mark.parametrize("command, damage, message", [
+    ("verify", _damage_events, r"events\.jsonl: malformed line 2"),
+    ("verify", _drop_events, "has no events.jsonl"),
+    ("verify", _undecodable_csv, r"diagnostics\.csv: malformed row"),
+    ("render", _undecodable_csv, r"diagnostics\.csv: malformed row"),
+    ("render", _off_header, "malformed OFF"),
+    ("render", _undecodable_off, "cannot read OFF"),
+], ids=["verify-events", "verify-no-events", "verify-csv", "render-csv", "render-off-header",
+        "render-off-bytes"])
+def test_damaged_artifacts_give_one_error_line(tmp_path, capsys, command, damage, message):
+    run = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("initial.name = icosphere\ninitial.radius = 1.2\ninitial.subdiv = 1\n"
+                   f"horizon = 0.002\nsnapshot_stride = 2\noutput_dir = {run}\n")
+    assert run_cli(capsys, "simulate", "--config", str(cfg))[0] == 0
+    damage(run)
+    argv = ["--trajectory", str(run)]
+    if command == "verify":
+        argv += ["--claim", "SIGN_PRESERVATION_BELOW", "--eps", "0.01"]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(message, err)

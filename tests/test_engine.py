@@ -378,9 +378,10 @@ def _curve_geometry_reference(v, conn):
         raise DegenerateMesh(f"curve edge length below {mesh.DEGENERACY_TOL:g}")
     u = e / lengths[:, None]
     areas = 0.5 * (lengths[conn.prv] + lengths)
+    H = (u - u[conn.prv]) / areas[:, None]
     F2 = np.einsum("ij,ij->i", v, v)
-    return {"edge_lengths": lengths, "vertex_areas": areas,
-            "H": (u - u[conn.prv]) / areas[:, None], "F2": F2, "F2_max": float(F2.max()),
+    return {"edge_lengths": lengths, "vertex_areas": areas, "H": H, "F2": F2,
+            "F2_max": float(F2.max()), "h2": np.einsum("ij,ij->i", H, H),
             "quality": l_min / l_max, "min_edge": l_min, "max_edge": l_max}
 
 
@@ -859,3 +860,25 @@ def test_tangential_equivalence_variant_order():
     b = engine.run(shapes.circle(0.8, 64), P_FLOW0, horizon=0.01, snapshot_times=times)
     with pytest.raises(InvalidConfig):
         comparison.tangential_equivalence(b, a)
+
+
+def test_rkc2_stage_count_is_capped_at_s_max():
+    rho = 1e9
+    assert engine._rkc_stages(1e-6, rho) == (1e-6, 1 + int(math.sqrt(1.0 + 1540.0)))
+    dt, stages = engine._rkc_stages(1.0, rho)
+    assert stages == engine.S_MAX
+    # the step shrinks to what S_MAX stages keep stable, and needs no more
+    assert 1.54 * dt * rho == pytest.approx(engine.S_MAX ** 2 - 1, rel=1e-12)
+    assert engine._rkc_stages(dt, rho)[1] <= engine.S_MAX
+
+
+@pytest.mark.parametrize("shape", [shapes.circle(0.8, 32), shapes.icosphere(1.0, 1)],
+                         ids=["curve", "surface"])
+def test_run_refuses_a_degenerate_initial_immersion(shape):
+    # replace_vertices skips the constructor's checks, so run makes its own;
+    # two neighbours of one edge (curve) or face (surface) are made to coincide
+    a, b = (0, 1) if shape.m == 1 else shape.faces[0, :2]
+    v = shape.vertices.copy()
+    v[b] = v[a]
+    with pytest.raises(InvalidConfig, match="initial immersion is degenerate"):
+        engine.run(shape.replace_vertices(v), P_FLOW, horizon=0.01)

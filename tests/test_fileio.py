@@ -91,9 +91,36 @@ def test_read_errors(tmp_path):
             fileio.read_off(bad)
     (tmp_path / "tetra.off").write_text(tetra + "# trailing comment\n")
     assert fileio.read_off(tmp_path / "tetra.off").n_vertices == 4
+    # the header's third count, the edges, is an integer >= 0 too
+    for edges in ("x", "-1", "1.5"):
+        bad = tmp_path / "edges.off"
+        bad.write_text(tetra.replace("4 4 0", f"4 4 {edges}"))
+        with pytest.raises(IoError, match="malformed OFF"):
+            fileio.read_off(bad)
 
     with pytest.raises(IoError):
         fileio.read_immersion(tmp_path / "mesh.stl")
+
+
+@pytest.mark.parametrize("ext", [".off", ".obj", ".pline"])
+def test_readers_refuse_undecodable_bytes(tmp_path, ext):
+    bad = tmp_path / f"bad{ext}"
+    bad.write_bytes(b"OFF\n4 4 0\n\xff\xfe 0 1\n")
+    with pytest.raises(IoError, match="bad"):
+        fileio.read_immersion(bad)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("v 0 0 1\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3 4\n", "only triangle faces"),
+    ("v 0 0 1\nv 1 0 0\nv 0 1 0\n", "no usable geometry"),
+    ("f 1 2 3\n", "no usable geometry"),
+    ("# nothing\n", "no usable geometry"),
+])
+def test_obj_refusals(tmp_path, text, match):
+    bad = tmp_path / "bad.obj"
+    bad.write_text(text)
+    with pytest.raises(IoError, match=match):
+        fileio.read_obj(bad)
 
 
 def test_obj_short_vertex_line(tmp_path):
@@ -190,6 +217,11 @@ def _reference_obj(v, f):
     return "\n".join(lines) + "\n"
 
 
+def _reference_table(header, v):
+    # the per-row form the diagnostics and sphere CSV writers had
+    return header + "\n" + "".join(",".join(repr(float(x)) for x in row) + "\n" for row in v)
+
+
 _SPECIAL = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1e16, -1e16, 3.0, -7.0, 0.0,
             float(2 ** 52), 1e22, 0.1, 1 / 3]
 
@@ -202,6 +234,7 @@ def test_writers_match_per_row_forms(tmp_path, columns):
     random = rng.standard_normal((ico.n_vertices, columns)) * 10.0 ** rng.integers(
         -20, 20, (ico.n_vertices, columns))
     special = np.resize(np.array(_SPECIAL), (ico.n_vertices, columns))
+    header = ",".join("xyzw"[:columns])
     for v in (random, special, special[::-1]):
         # the writers format what they are given: unchecked immersions carry
         # any column count and values no flow would produce
@@ -213,6 +246,10 @@ def test_writers_match_per_row_forms(tmp_path, columns):
         assert (tmp_path / "c.pline").read_text() == _reference_pline(v)
         assert (tmp_path / "s.off").read_text() == _reference_off(v, faces)
         assert (tmp_path / "s.obj").read_text() == _reference_obj(v, faces)
+        fileio.write_table(tmp_path / "t.csv", header, list(v.T))
+        assert (tmp_path / "t.csv").read_text() == _reference_table(header, v)
+    fileio.write_table(tmp_path / "t.csv", header, [[]] * columns)
+    assert (tmp_path / "t.csv").read_text() == header + "\n"
 
 
 @pytest.mark.parametrize("columns", [2, 3, 4])

@@ -50,9 +50,39 @@ def test_perturbed_circle_bounds_and_determinism():
     assert not np.array_equal(a.vertices, c.vertices)
 
 
-def test_perturbation_must_not_straddle_critical_sphere():
-    with pytest.raises(InvalidConfig):
-        shapes.builtin_shape("perturbed_circle", {"radius": 1.0, "amp": 0.1, "mode": 2}, 64)
+# a radius-1 circle perturbed by 10%: inside FLOWP's balance sphere
+# (c/b) m = 2 at c = 2, across FLOW's |F|^2 = m = 1
+_WOBBLED_UNIT_CIRCLE = dict(initial_name="perturbed_circle",
+                            initial_params={"radius": 1.0, "amp": 0.1, "mode": 2},
+                            initial_n=64, save_meshes=False)
+
+
+def test_perturbed_shape_side_is_checked_with_the_configured_law():
+    cfg = RunConfig(**_WOBBLED_UNIT_CIRCLE, params=FlowParams(variant=FLOWP, c=2.0))
+    f2 = (cfg.build_initial().vertices ** 2).sum(axis=1)
+    assert f2.min() < 1.0 < f2.max() < 2.0
+    verdict = run_scenario(SHRINK_INSIDE, cfg)
+    assert verdict.passed and verdict.observed_kind == POSITION_COLLAPSE
+
+
+def test_perturbed_shape_across_the_flow_balance_sphere_is_refused_by_the_scenario():
+    with pytest.raises(InvalidConfig, match=re.escape("needs max|F0|^2 < (c/b)m")):
+        run_scenario(SHRINK_INSIDE, RunConfig(**_WOBBLED_UNIT_CIRCLE))
+
+
+@pytest.mark.parametrize("name, params, n", [
+    ("perturbed_circle", {"radius": 0.8, "amp": 0.05, "mode": 3}, 64),
+    ("perturbed_sphere", {"radius": 2.0, "amp": 0.03, "mode": 3, "subdiv": 1}, None),
+])
+def test_perturbed_shapes_refuse_a_negative_seed_and_amplitudes_outside_0_1(name, params, n):
+    with pytest.raises(InvalidConfig, match="seed must be >= 0"):
+        shapes.builtin_shape(name, {**params, "seed": -1}, n)
+    # from amp = 1 on, the perturbed radius reaches or passes through the origin
+    for amp in (-0.01, 1.0, 3.0, math.nan):
+        with pytest.raises(InvalidConfig, match=r"amplitude must lie in \[0, 1\)"):
+            shapes.builtin_shape(name, {**params, "amp": amp}, n)
+    # the seed is read by the perturbed shapes only
+    assert shapes.builtin_shape("circle", {"radius": 0.8, "seed": -1}, 64).n_vertices == 64
 
 
 def test_shape_validation():
@@ -287,6 +317,55 @@ def test_load_rejects_damaged_files(tmp_path, small_run, name, damage, match):
         (tmp_path / f).write_text(damage(text) if f == name else text)
     with pytest.raises(IoError, match=match):
         load_trajectory(tmp_path, meshes=False)
+
+
+def _damaged_copy(src, dest, name, data) -> Path:
+    """Copy an artifact directory without its snapshots into dest, with the
+    file name holding data instead, or left out when data is None."""
+    dest.mkdir()
+    for f in ("result.json", "diagnostics.csv", "events.jsonl"):
+        (dest / f).write_bytes((Path(src) / f).read_bytes())
+    (dest / name).unlink()
+    if data is not None:
+        (dest / name).write_bytes(data)
+    return dest
+
+
+def test_load_names_a_malformed_event_line(tmp_path, small_run):
+    src = Path(small_run[0].output_dir)
+    good = (src / "events.jsonl").read_bytes()
+    lineno = len(good.splitlines()) + 2      # after the good lines and a blank one
+    for label, line in (("text", b"{not json\n"), ("bytes", b'{"t": "\xff"}\n')):
+        bad = _damaged_copy(src, tmp_path / label, "events.jsonl", good + b"\n" + line)
+        with pytest.raises(IoError, match=rf"events\.jsonl: malformed line {lineno}"):
+            load_trajectory(bad)
+
+
+def test_load_refuses_a_directory_without_events(tmp_path, small_run):
+    bad = _damaged_copy(small_run[0].output_dir, tmp_path / "run", "events.jsonl", None)
+    with pytest.raises(IoError, match="no events.jsonl"):
+        load_trajectory(bad, meshes=False)
+    # the result.json key checks come first
+    _without_key(small_run[0].output_dir, "stop.kind", tmp_path)
+    with pytest.raises(IoError, match="'stop.kind'"):
+        load_trajectory(tmp_path)
+
+
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_load_refuses_undecodable_diagnostics(tmp_path, small_run, where):
+    src = Path(small_run[0].output_dir)
+    header, rest = (src / "diagnostics.csv").read_bytes().split(b"\n", 1)
+    data = b"t\xff" + header[1:] + b"\n" + rest if where == "header" else (
+        header + b"\n\xfe" + rest)
+    bad = _damaged_copy(src, tmp_path / "run", "diagnostics.csv", data)
+    with pytest.raises(IoError, match="diagnostics.csv"):
+        load_trajectory(bad, meshes=False)
+
+
+def test_result_json_keys_keep_their_order(small_run):
+    record = json.loads((Path(small_run[0].output_dir) / "result.json").read_text())
+    assert list(record) == ["m", "horizon", "params", "thresholds", "stop", "t_stop_error",
+                            "initial_h_max", "integration_error"]
 
 
 def test_tolerance_does_not_grow_with_the_step(tmp_path, small_run):

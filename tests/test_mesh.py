@@ -592,6 +592,19 @@ def test_surface_orientation_check():
         DiscreteImmersion(2, s.vertices, flipped)
 
 
+@pytest.mark.parametrize("damage, match", [
+    (lambda f: f[:, :2], r"shape \(n_faces, 3\)"),
+    (lambda f: f.ravel(), r"shape \(n_faces, 3\)"),
+    (lambda f: np.where(f == 11, 12, f), "out of range"),
+    (lambda f: np.where(f == 0, -1, f), "out of range"),
+    (lambda f: np.concatenate([f[:1, [0, 0, 1]], f[1:]]), "repeated vertex"),
+], ids=["two_columns", "flat", "index_past_end", "negative_index", "repeated_vertex"])
+def test_face_list_refusals(damage, match):
+    s = shapes.icosphere(1.0, 0)
+    with pytest.raises(InvalidConfig, match=match):
+        DiscreteImmersion(2, s.vertices, damage(np.asarray(s.faces)))
+
+
 def test_surface_ambient_dim_restriction():
     s = shapes.icosphere(1.0, 0)
     v4 = np.hstack([s.vertices, np.zeros((s.n_vertices, 1))])

@@ -11,7 +11,7 @@ from gaussflow.radial import (COLLAPSE, ESCAPE, HORIZON, RadialParams,
                               bound_time_expand, bound_time_shrink,
                               integrate_radial, radial_rhs)
 from radial_oracles import (collapse_time_quadrature, envelope_expand, envelope_shrink,
-                            escape_time_quadrature)
+                            escape_time_quadrature, radius_dop853)
 
 
 def std_params(m, r0_sq, **kw):
@@ -274,3 +274,29 @@ def test_collapse_before_closed_form_bound(m, frac, a, b, c0):
     traj = integrate_radial(p, horizon=2.0 * t1)
     assert traj.event.kind == COLLAPSE
     assert traj.event.t == pytest.approx(t_star, abs=1e-8)
+
+
+def test_integrator_switches_back_from_u_when_rising_c_turns_an_escape(monkeypatch):
+    # R0^2 = 3.5 starts outside the balance sphere and above 3m/a, so the
+    # integrator starts on u = exp(-a R^2/m); c(t) = 1 + 3000 t overtakes R^2
+    # within 1e-3, and the sphere turns round, falls below 2m/a, where the
+    # integrator goes back to R^2, and collapses
+    p = RadialParams(m=1, a=1.0, b=1.0, c0=1.0, R0_sq=3.5, c_slope=3000.0)
+    phases = []
+    for name in ("_u_rhs", "_r_rhs_clamped"):
+        real = getattr(radial, name)
+
+        def logged(*args, real=real, name=name):
+            if not phases or phases[-1] != name:
+                phases.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(radial, name, logged)
+    traj = integrate_radial(p, horizon=1.0)
+    assert phases == ["_u_rhs", "_r_rhs_clamped"]
+    assert traj.event.kind == COLLAPSE and traj.R_sq.max() > p.R0_sq
+    assert traj.bound_time is None            # no closed-form bound for rising c outside
+    grid = [0.5 * traj.event.t, 0.9 * traj.event.t]
+    sampled = integrate_radial(p, horizon=1.0, t_eval=grid)
+    assert sampled.eval_R_sq[0] < 2.0
+    np.testing.assert_allclose(sampled.eval_R_sq, radius_dop853(p, grid), rtol=1e-8)
