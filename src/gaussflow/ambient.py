@@ -1,10 +1,9 @@
 """Closed-form geometry of the Gaussian ambient space.
 
 The ambient space is Euclidean space of dimension ``m + p`` carrying the
-conformal metric ``exp(-|x|^2 / m) * (flat metric)``.  This module provides
-the two quantities the flow machinery needs in closed form: the sectional
-curvature along a coordinate 2-plane and the conformal mean curvature
-relation between the flat and weighted metrics.
+conformal metric ``exp(-|x|^2 / m) * (flat metric)``.  This module gives
+its sectional curvature along a coordinate 2-plane in closed form.  The
+Gaussian mean curvature vector is FLOW0's velocity, ``engine.velocity``.
 """
 
 from __future__ import annotations
@@ -26,14 +25,10 @@ class GaussianAmbient:
         Dimension of the surrounding Euclidean space (>= m + 1).
     m : int
         Intrinsic dimension entering the conformal factor exp(-|x|^2/m).
-    a : float
-        Generalized conformal exponent; a = 1 recovers the standard
-        Gaussian metric.
     """
 
     dim_total: int
     m: int
-    a: float = 1.0
 
     def __post_init__(self):
         if self.m < 1:
@@ -42,8 +37,6 @@ class GaussianAmbient:
             raise UnsupportedParam(
                 f"dim_total must be >= m+1 = {self.m + 1}, got {self.dim_total}"
             )
-        if not self.a > 0:
-            raise UnsupportedParam(f"a must be positive, got {self.a}")
 
 
 def as_ambient_vector(x, dim_total: int) -> np.ndarray:
@@ -71,14 +64,9 @@ def sectional_curvature(ambient: GaussianAmbient, x, A: int, B: int) -> float:
     ------
     AxisError
         If A == B or either axis index is out of range.
-    UnsupportedParam
-        If the ambient has a != 1 (the closed form is only established
-        for the standard metric).
     OverflowGuard
         If |x|^2/m exceeds the binary64 exponent guard.
     """
-    if ambient.a != 1.0:
-        raise UnsupportedParam("sectional_curvature requires a = 1 in v1")
     v = as_ambient_vector(x, ambient.dim_total)
     n = ambient.dim_total
     if A == B or not (0 <= A < n) or not (0 <= B < n):
@@ -91,25 +79,3 @@ def sectional_curvature(ambient: GaussianAmbient, x, A: int, B: int) -> float:
     t = np.delete(v, (A, B))
     transverse = float(t @ t)
     return (1.0 / m) * np.exp(exponent) * (2.0 - transverse / m)
-
-
-def gaussian_mean_curvature(ambient: GaussianAmbient, H, F_perp, F2: float) -> np.ndarray:
-    """Mean curvature vector with respect to the Gaussian metric.
-
-    Combines the flat mean curvature vector with the normal component of
-    the position vector: exp(a*F2/m) * (H + F_perp), componentwise.
-
-    Raises
-    ------
-    UnsupportedParam
-        If F2 is negative or non-finite.
-    OverflowGuard
-        If a*F2/m exceeds the exponent guard; callers must stop (the
-        position is in the blow-up regime).
-    """
-    h = as_ambient_vector(H, ambient.dim_total)
-    fp = as_ambient_vector(F_perp, ambient.dim_total)
-    if not np.isfinite(F2) or F2 < 0:
-        raise UnsupportedParam(f"F2 must be finite and >= 0, got {F2}")
-    exponent = guard_exponent(ambient.a * float(F2) / ambient.m)
-    return np.exp(exponent) * (h + fp)

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh as meshops
-from . import radial as radial_mod
+from . import radial
 from .engine import FLOW, FLOW0, FLOWP, FlowParams, FlowTrajectory
 from .errors import (HypothesisViolated, InsufficientSnapshots, InvalidConfig,
                      MismatchedTimes)
-from .radial import RadialParams
 
 SIGN_PRESERVATION_BELOW = "SIGN_PRESERVATION_BELOW"
 SIGN_PRESERVATION_ABOVE = "SIGN_PRESERVATION_ABOVE"
@@ -97,13 +96,14 @@ def check_sign_above(traj: FlowTrajectory, p: FlowParams, eps: float) -> Barrier
 def admissible_barrier_interval(traj: FlowTrajectory) -> tuple[float, float, str]:
     """Open interval the comparison-sphere radius must be drawn from, with
     the case tag ('below' = trajectory inside, 'above' = outside)."""
-    m = traj.m
+    balance = traj.params.balance_sq(0.0, traj.m)
     max0, min0 = traj.max_F2[0], traj.min_F2[0]
-    if max0 < m:
-        return max0, 0.5 * (m + max0), "below"
-    if min0 > m:
-        return 0.5 * (m + min0), min0, "above"
-    raise HypothesisViolated("initial data straddles |F|^2 = m; no sphere barrier applies")
+    if max0 < balance:
+        return max0, 0.5 * (balance + max0), "below"
+    if min0 > balance:
+        return 0.5 * (balance + min0), min0, "above"
+    raise HypothesisViolated(f"initial data straddles |F|^2 = (c/b)m = {balance:.6g}; "
+                             "no sphere barrier applies")
 
 
 def check_sphere_barrier(traj: FlowTrajectory, Rp0_sq: float, eps: float) -> BarrierReport:
@@ -111,9 +111,9 @@ def check_sphere_barrier(traj: FlowTrajectory, Rp0_sq: float, eps: float) -> Bar
     stays strictly between the flowing submanifold and the critical
     sphere, with margin at least eps.
 
-    The comparison trajectory is the radius ODE with a = b = c = 1 and the
-    run's m, sampled exactly at the snapshot times of the recorded
-    run; the claim is checked over the overlap of the two time domains.
+    The comparison trajectory is the radius ODE of the run's law and m,
+    sampled exactly at the snapshot times of the recorded run; the claim is
+    checked over the overlap of the two time domains.
     """
     if traj.params.variant != FLOW:
         raise HypothesisViolated("sphere barrier is stated for the FLOW variant")
@@ -127,9 +127,8 @@ def check_sphere_barrier(traj: FlowTrajectory, Rp0_sq: float, eps: float) -> Bar
     if not 0.0 < eps < eps_cap:
         raise HypothesisViolated(f"eps = {eps:.6g} outside (0, {eps_cap:.6g})")
 
-    rp = RadialParams(m=traj.m, a=1.0, b=1.0, c0=1.0, R0_sq=Rp0_sq)
-    horizon = float(traj.times[-1])
-    sphere = radial_mod.integrate_radial(rp, horizon, t_eval=traj.times)
+    rp = radial.sphere_params(traj.params, traj.m, Rp0_sq)
+    sphere = radial.integrate_radial(rp, float(traj.times[-1]), t_eval=traj.times)
     n = len(sphere.eval_R_sq)
     if n == 0:
         raise MismatchedTimes("no overlap between run and comparison sphere")

@@ -97,8 +97,9 @@ class FlowParams:
                     f"{self.variant} is the fixed specialization a = b = c = 1"
                 )
         else:
-            if not all(map(math.isfinite, (self.a, self.b, self.c, self.c_slope))):
-                raise InvalidConfig("FLOWP needs finite a, b, c and c_slope")
+            for name in ("a", "b", "c", "c_slope"):
+                if not math.isfinite(getattr(self, name)):
+                    raise InvalidConfig(f"FLOWP needs finite {name}, got {getattr(self, name)}")
             if self.a < 0 or self.b < 0 or self.c <= 0:
                 raise InvalidConfig("FLOWP needs a >= 0, b >= 0, c > 0")
 

@@ -47,7 +47,6 @@ from .engine import (CURVATURE_BLOWUP, HORIZON_REACHED, POSITION_BLOWUP,
                      Thresholds)
 from .errors import InvalidConfig, IoError
 from .mesh import DiscreteImmersion
-from .radial import RadialParams
 from .shapes import builtin_shape
 
 CSV_HEADER = ",".join(engine.COLUMNS)
@@ -446,9 +445,7 @@ def run_scenario(name: str, cfg: RunConfig) -> ScenarioVerdict:
         raise InvalidConfig("scenario needs spherical initial data")
     else:
         r0_sq = float(f2.max())
-    # the radius ODE of the configured law; FLOW0 and FLOW pin a = b = c = 1
-    p = cfg.params
-    rp = RadialParams(m=initial.m, a=p.a, b=p.b, c0=p.c, R0_sq=r0_sq, c_slope=p.c_slope)
+    rp = radial.sphere_params(cfg.params, initial.m, r0_sq)
     regime = rp.regime()
 
     if name == SHRINK_INSIDE and regime != "shrink":

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .engine import FLOWP, FlowParams
 from .errors import DomainError, InvalidConfig, guard_exponent
 
 COLLAPSE_FLOOR = 1e-12   # COLLAPSE fires when R^2 crosses this from above
@@ -38,7 +39,11 @@ HORIZON = "HORIZON"
 @dataclass(frozen=True)
 class RadialParams:
     """Constants of the radial ODE: intrinsic dimension, exponent, the two
-    velocity coefficients (c affine in time), and the initial squared radius."""
+    velocity coefficients (c affine in time), and the initial squared radius.
+
+    The constants are those of the general law FLOWP, held in ``law``; the
+    balance sphere and c(t) are read from it.  ``sphere_params`` builds the
+    ODE of any configured law."""
 
     m: int
     a: float
@@ -46,24 +51,25 @@ class RadialParams:
     c0: float
     R0_sq: float
     c_slope: float = 0.0
+    law: FlowParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise InvalidConfig(f"m must be >= 1, got {self.m}")
-        if not (self.a > 0 and self.b > 0 and self.c0 > 0):
-            raise InvalidConfig("a, b, c0 must all be positive")
-        if not self.R0_sq > 0:
-            raise InvalidConfig(f"R0_sq must be positive, got {self.R0_sq}")
-        if not math.isfinite(self.c_slope):
-            raise InvalidConfig(f"c_slope must be finite, got {self.c_slope}")
+        law = FlowParams(FLOWP, self.a, self.b, self.c0, self.c_slope)
+        if not law.in_paper_regime:
+            raise InvalidConfig(f"a and b must be positive, got a = {self.a}, b = {self.b}")
+        if not 0 < self.R0_sq < math.inf:
+            raise InvalidConfig(f"R0_sq must be positive and finite, got {self.R0_sq}")
+        object.__setattr__(self, "law", law)
 
     def c(self, t: float) -> float:
-        return self.c0 + self.c_slope * t
+        return self.law.c_at(t)
 
     @property
     def balance_sq(self) -> float:
         """Squared radius of the stationary sphere, (c0/b)*m."""
-        return (self.c0 / self.b) * self.m
+        return self.law.balance_sq(0.0, self.m)
 
     def regime(self) -> str:
         if self.R0_sq < self.balance_sq:
@@ -71,6 +77,16 @@ class RadialParams:
         if self.R0_sq > self.balance_sq:
             return "expand"
         return "stationary"
+
+
+def sphere_params(law: FlowParams, m: int, R0_sq: float) -> RadialParams:
+    """The radius ODE of an origin-centered sphere of dimension m and
+    initial squared radius R0_sq under the flow law ``law``.  FLOW0 and
+    FLOW move spheres alike, by the ODE with a = b = c = 1."""
+    if not law.in_paper_regime:
+        raise InvalidConfig(f"the sphere ODE needs params.a > 0 and params.b > 0, "
+                            f"got params.a = {law.a}, params.b = {law.b}")
+    return RadialParams(m, law.a, law.b, law.c, R0_sq, law.c_slope)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,18 @@ def test_cli_starts_without_scipy():
     assert float(oracle) == pytest.approx((ei(1.0) - ei(0.5)) / (2.0 * math.e), rel=1e-12)
 
 
+@pytest.mark.parametrize("argv, field", [
+    (("bounds", "--m", "1", "--r0sq", "inf"), "R0_sq"),
+    (("bounds", "--m", "1", "--r0sq", "0.5", "--b", "inf"), "b"),
+    (("sphere", "--m", "1", "--r0sq", "0.5", "--c", "inf"), "c"),
+], ids=["bounds_r0sq", "bounds_b", "sphere_c"])
+def test_radial_commands_refuse_infinite_inputs(capsys, argv, field):
+    # these printed T2=0 and bound_time=0 with exit 0
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and re.search(rf"\b{field}\b.*inf", err)
+
+
 def test_ambient_command(capsys):
     code, out, _ = run_cli(capsys, "ambient", "--m", "2", "--point", "0,0,0",
                            "--axes", "0,1")
@@ -226,6 +238,18 @@ def test_scenario_command_and_failure_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "scenario", "SHRINK_INSIDE", "--config",
                            str(tmp_path / "missing.cfg"))
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("key", ["a", "b"])
+def test_scenario_names_the_pure_mcf_key(tmp_path, capsys, key):
+    # a = 0 or b = 0 is pure MCF, outside the regime the sphere ODE covers
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("initial.name = circle\ninitial.radius = 0.8\ninitial.n = 32\n"
+                   f"params.variant = FLOWP\nparams.{key} = 0\n")
+    code, out, err = run_cli(capsys, "scenario", "SHRINK_INSIDE", "--config", str(cfg))
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: the sphere ODE needs params.a > 0 and params.b > 0")
+    assert f"params.{key} = 0.0" in err
 
 
 def test_scenario_all(tmp_path, capsys):

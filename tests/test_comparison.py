@@ -137,6 +137,21 @@ def test_barrier_interval_refuses_straddling_data():
         admissible_barrier_interval(traj)
 
 
+def _interval_at_m(traj):
+    # the interval as it was written for FLOW alone, with |F|^2 = m hard-coded
+    m = traj.m
+    max0, min0 = traj.max_F2[0], traj.min_F2[0]
+    if max0 < m:
+        return max0, 0.5 * (m + max0), "below"
+    return 0.5 * (m + min0), min0, "above"
+
+
+@pytest.mark.parametrize("fixture", ["circle_shrink", "ellipse_shrink", "icosphere_expand"])
+def test_barrier_interval_reads_the_balance_sphere_of_flow_as_m(fixture, request):
+    traj = request.getfixturevalue(fixture)
+    assert admissible_barrier_interval(traj) == _interval_at_m(traj)
+
+
 def test_sphere_barrier_requires_flow_variant():
     traj = engine.run(shapes.circle(0.8, 64), FlowParams(variant="FLOW0"),
                       horizon=0.01, stride=4, keep_snapshots=False)

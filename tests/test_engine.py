@@ -53,8 +53,22 @@ def test_pure_mcf_mode_is_flagged_as_extension():
 
 
 def test_velocity_vanishes_on_critical_circle():
+    # on |F|^2 = m the flat H cancels the position, which is all normal,
+    # so FLOW0's Gaussian mean curvature vanishes with FLOW's velocity
     c = shapes.circle(1.0, 256)
-    assert np.abs(engine.velocity(c, P_FLOW)).max() < 1e-10
+    for p in (P_FLOW, P_FLOW0):
+        assert np.abs(engine.velocity(c, p)).max() < 1e-10
+
+
+def test_velocity_raises_overflow_guard_far_out():
+    # a |F|^2 / m = 900 under FLOW0 and FLOW, 800 under FLOWP with a = 2:
+    # past the guard at 700
+    for p, radius in ((P_FLOW0, 30.0), (P_FLOW, 30.0),
+                      (FlowParams(variant=FLOWP, a=2.0), 20.0)):
+        with pytest.raises(OverflowGuard):
+            engine.velocity(shapes.circle(radius, 16), p)
+    # the guard reads a: at a |F|^2 / m = 400 the velocity is finite
+    assert np.isfinite(engine.velocity(shapes.circle(20.0, 16), P_FLOW)).all()
 
 
 def test_velocity_sign_on_circles():

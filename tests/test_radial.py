@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussflow import radial
+from gaussflow.engine import FLOW, FLOW0, FLOWP, FlowParams
 from gaussflow.errors import DomainError, InvalidConfig, OverflowGuard
 from gaussflow.radial import (COLLAPSE, ESCAPE, HORIZON, RadialParams,
                               bound_time_expand, bound_time_shrink,
-                              integrate_radial, radial_rhs)
+                              integrate_radial, radial_rhs, sphere_params)
 from radial_oracles import (collapse_time_quadrature, envelope_expand, envelope_shrink,
                             escape_time_quadrature, radius_dop853)
 
@@ -237,12 +238,40 @@ def test_non_finite_inputs_rejected():
     # a NaN c_slope would report a HORIZON event for a sphere that collapses
     with pytest.raises(InvalidConfig, match="c_slope"):
         std_params(1, 0.64, c_slope=math.nan)
+    # an infinite constant or R0_sq gave T2 = 0 or a bound time of 0
+    for name, field in (("a", "a"), ("b", "b"), ("c0", "c"), ("R0_sq", "R0_sq")):
+        for value in (math.inf, math.nan):
+            kw = {**dict(m=1, a=1.0, b=1.0, c0=1.0, R0_sq=0.5), name: value}
+            with pytest.raises(InvalidConfig, match=rf"\b{field}\b"):
+                RadialParams(**kw)
     with pytest.raises(InvalidConfig, match="horizon"):
         integrate_radial(std_params(1, 0.64), horizon=math.nan)
     assert integrate_radial(std_params(1, 0.64), horizon=math.inf).event.kind == COLLAPSE
     # on the stationary sphere no event comes, and no time may become inf
     with pytest.raises(InvalidConfig, match="infinite horizon"):
         integrate_radial(RadialParams(2, 1.0, 1.0, 1.0, 2.0), horizon=math.inf)
+
+
+@pytest.mark.parametrize("law", [FlowParams(variant=FLOW), FlowParams(variant=FLOW0),
+                                 FlowParams(variant=FLOWP, a=1.3, b=0.7, c=1.9, c_slope=0.25)],
+                         ids=["FLOW", "FLOW0", "FLOWP"])
+@pytest.mark.parametrize("m, r0_sq", [(1, 0.64), (2, 5.0), (1, 4.0)])
+def test_sphere_params_is_the_field_by_field_construction(law, m, r0_sq):
+    rp = sphere_params(law, m, r0_sq)
+    assert rp == RadialParams(m=m, a=law.a, b=law.b, c0=law.c, R0_sq=r0_sq,
+                              c_slope=law.c_slope)
+    # bit for bit what RadialParams wrote out before it read the law
+    balance = (law.c / law.b) * m
+    assert rp.balance_sq == law.balance_sq(0.0, m) == balance
+    assert rp.regime() == ("shrink" if r0_sq < balance else "expand")
+    assert rp.c(0.3) == law.c + law.c_slope * 0.3
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+def test_sphere_params_refuses_pure_mcf(a, b):
+    law = FlowParams(variant=FLOWP, a=a, b=b)
+    with pytest.raises(InvalidConfig, match=r"params\.a > 0 and params\.b > 0"):
+        sphere_params(law, 1, 0.64)
 
 
 def test_nan_sample_time_rejected():
