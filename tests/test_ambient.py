@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gaussflow import engine, shapes
 from gaussflow.ambient import GaussianAmbient, as_ambient_vector, sectional_curvature
+from gaussflow.engine import FLOW0, FlowParams
 from gaussflow.errors import AxisError, OverflowGuard, UnsupportedParam
 
 
@@ -89,3 +91,11 @@ def test_symmetry_under_axis_swap_and_sign_flips(coords, axes, flips):
     assert sectional_curvature(amb, x, b, a) == pytest.approx(base, rel=1e-12, abs=1e-300)
     flipped = x * np.array(flips)
     assert sectional_curvature(amb, flipped, a, b) == pytest.approx(base, rel=1e-12, abs=1e-300)
+
+
+def test_conformal_mean_curvature_self_shrinker_is_stationary():
+    # on the critical sphere |F|^2 = m the flat H cancels the position, which
+    # is all normal, so the Gaussian mean curvature (FLOW0's velocity) vanishes
+    c = shapes.circle(1.0, 256)
+    out = engine.velocity(c, FlowParams(variant=FLOW0))
+    assert np.abs(out).max() < 1e-10

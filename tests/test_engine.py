@@ -53,11 +53,8 @@ def test_pure_mcf_mode_is_flagged_as_extension():
 
 
 def test_velocity_vanishes_on_critical_circle():
-    # on |F|^2 = m the flat H cancels the position, which is all normal,
-    # so FLOW0's Gaussian mean curvature vanishes with FLOW's velocity
     c = shapes.circle(1.0, 256)
-    for p in (P_FLOW, P_FLOW0):
-        assert np.abs(engine.velocity(c, p)).max() < 1e-10
+    assert np.abs(engine.velocity(c, P_FLOW)).max() < 1e-10
 
 
 def test_velocity_raises_overflow_guard_far_out():
