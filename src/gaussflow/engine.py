@@ -235,7 +235,7 @@ def _conformal_exponent(geom: dict, p: FlowParams, m: int) -> tuple[float, float
 def velocity(s: DiscreteImmersion, p: FlowParams, t: float = 0.0) -> np.ndarray:
     """Per-vertex velocity of the configured flow variant, a fresh array on
     every call; ``_rkc_advance`` reuses it as scratch."""
-    geom = s._geometry()
+    geom = s._geometry(meshops._NORMAL if p.variant == FLOW0 else meshops._BASE)
     rate, _ = _conformal_exponent(geom, p, s.m)
     w = rate * geom["F2"]
     np.exp(w, out=w)
@@ -264,7 +264,7 @@ def stability_dt(s: DiscreteImmersion, p: FlowParams, t: float = 0.0, cfl: float
     Raises TimestepUnderflow when the unclamped step falls below DT_MIN;
     the caller then terminates with the currently indicated blow-up kind.
     """
-    geom = s._geometry()
+    geom = s._geometry(meshops._MONITOR)
     _, peak = _conformal_exponent(geom, p, s.m)
     h_min = geom["min_edge"]
     dt = cfl * h_min * h_min / (p.c_at(t) * math.exp(peak))
@@ -400,7 +400,8 @@ def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
     OverflowGuard or DegenerateMesh out of an RK4 step, or out of the end
     state's monitor or f1, propagates; an RKC2 trial that raises them is
     retried at a quarter of its length.  The monitor is read before f1, so
-    a vanishing normal raises DegenerateMesh before the overflow guard.
+    the end state's one geometry pass computes the monitor group, and a
+    vanishing normal raises DegenerateMesh before the overflow guard.
     """
     f0 = ctl.f0 if ctl.f0 is not None else velocity(s, p, t)
     dt_acc, rho = ctl.dt_acc, None
@@ -448,7 +449,7 @@ def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
 
 
 def _monitor(s: DiscreteImmersion) -> _Monitor:
-    geom = s._geometry()
+    geom = s._geometry(meshops._MONITOR)
     return _Monitor(geom["F2_max"], float(geom["h2"].max()), geom["quality"])
 
 
@@ -657,6 +658,6 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         params=p, m=initial.m, thresholds=th, horizon=horizon,
         **{COLUMNS[name]: np.asarray(series) for name, series in rows.items()},
         stop=stop, t_stop_error=t_stop_error,
-        initial_h_max=initial._geometry()["max_edge"], integration_error=err_sum,
+        initial_h_max=initial._geometry(meshops._MONITOR)["max_edge"], integration_error=err_sum,
         events=events, snapshots=snaps,
     )

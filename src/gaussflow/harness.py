@@ -19,7 +19,9 @@ A run writes a self-describing artifact directory:
 ``load_trajectory`` rebuilds a trajectory from ``diagnostics.csv``,
 ``events.jsonl``, ``result.json`` and the snapshots alone; with
 ``meshes=False``, as claims load it, it reads no snapshot file and only
-counts their names against the rows.  No other module knows the format.
+counts their names against the rows.  It refuses rows and events that do
+not run from t = 0 to the stop in ``result.json``.  No other module knows
+the format.
 
 Scenario names reproduce the qualitative regimes of the flow: shrink
 strictly inside the critical sphere, expand strictly outside, hold on the
@@ -329,6 +331,11 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
         raise IoError(f"{csv_path}: a row does not have the {len(engine.COLUMNS)} columns "
                       "of its header")
     cols = np.asarray(data).T
+    stop = meta["stop"]
+    first, last = float(cols[0, 0]), float(cols[0, -1])
+    if first != 0.0 or last != stop.t_stop:
+        raise IoError(f"{csv_path}: rows run from t = {first!r} to {last!r}, "
+                      f"not from 0 to t_stop = {stop.t_stop!r}")
 
     events = []
     with open(ev_path, "rb") as fh:         # bytes, so a bad line is named, not a decode chunk
@@ -338,6 +345,7 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
                     events.append(json.loads(line))
             except ValueError as exc:
                 raise IoError(f"{ev_path}: malformed line {lineno}: {exc}") from exc
+    _check_events(events, stop, ev_path)
 
     snap_dir = os.path.join(indir, "snapshots")
     names = _snapshot_names(snap_dir)
@@ -351,6 +359,25 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
 
     return FlowTrajectory(**meta, **dict(zip(engine.COLUMNS.values(), cols)),
                           events=events, snapshots=snaps)
+
+
+def _check_events(events: list, stop: StopReason, ev_path: str) -> None:
+    """Refuse an event stream that ``run`` cannot have written: each event an
+    object with a string ``event`` and a time in [0, t_stop], times in order,
+    and one stop event, the last, equal to result.json's stop."""
+    last = 0.0
+    for i, ev in enumerate(events, start=1):
+        if not (isinstance(ev, dict) and isinstance(ev.get("event"), str)):
+            raise IoError(f"{ev_path}: event {i} is not an object with a string 'event'")
+        t = ev.get("t")
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not last <= t <= stop.t_stop:
+            raise IoError(f"{ev_path}: event {i} has t = {t!r}, outside "
+                          f"[{last!r}, t_stop = {stop.t_stop!r}]")
+        last = t
+    want = {"event": "stop", "kind": stop.kind, "t": stop.t_stop, "detail": stop.detail}
+    if sum(ev["event"] == "stop" for ev in events) != 1 or events[-1] != want:
+        raise IoError(f"{ev_path}: the stream does not end on its one stop event, "
+                      f"equal to result.json's stop {want!r}")
 
 
 def _run(cfg: RunConfig, initial: DiscreteImmersion) -> tuple[FlowTrajectory, list[str]]:

@@ -17,31 +17,30 @@ That pass reads corners coordinate-major, P[coord, corner, face], and sums
 each corner field onto vertices with one bincount over a per-topology index.
 
 Each immersion caches the result of its one geometry pass, and every
-operator reads from that cache.  The cache also holds |F|^2 per vertex and
-its maximum, the edge-length extremes and the quality proxy, so the flow
-engine steps curves and surfaces through these operators alone.  A pass
-computes the fields the velocity reads (surfaces: cotangents, mixed areas,
-H, |F|^2) when it runs; the monitor group (surfaces: vertex normal, then
-angle defect, |h|^2, quality and edge extremes; curves: |h|^2 = |H|^2,
-quality and the longest edge) is computed the first time one of its keys
-is read.  So the flow's stages skip it, FLOW0 stages compute the normal
-only, and the engine's monitor computes it once per accepted state; a
-vanishing normal raises DegenerateMesh on every read of the group.
+operator reads from that cache.  A pass computes as much as its caller
+asks for: the fields the velocity reads (cotangents or edge lengths, mixed
+areas, H, |F|^2 and its maximum, the shortest curve edge); those plus the
+surface vertex normal, which FLOW0 stages read; or everything, the blow-up
+monitor group included (surfaces: vertex normal, then angle defect, |h|^2,
+quality and edge extremes; curves: |h|^2 = |H|^2, quality and the longest
+edge).  The flow's stages ask for the velocity fields, FLOW0 stages for the
+normal as well, and the engine's monitor for everything, once per accepted
+state.  The cache remembers how much it holds, and a request for more runs
+the pass again at the larger level; a vanishing normal raises
+DegenerateMesh on every request that includes it.
 
 A surface pass allocates only the fields it returns.  Its temporaries
 (corner coordinates, edges, cross products, dot products, squared edge
 lengths, corner weights) live in one workspace per thread, kept for the
 mesh size last seen and replaced when the size changes, so a flow's passes
-do not map and fault in fresh pages each time.  The monitor group reads
-its pass's intermediates from that workspace; the workspace counts the
-passes that wrote it, and a group that finds a later pass has been there
-reruns its own pass, which is deterministic, and takes the group from it
-bit for bit.  The static per-topology data
-lives in a connectivity object that an evolving immersion shares with its
-successors, and the snapshots of one loaded trajectory with the first: the
-neighbour index arrays of a closed curve, or the face list and
-corner-to-vertex indices of a surface.  The curve tangent (normalized
-central chord) is not cached; the operators that use it compute it.
+do not map and fault in fresh pages each time.  A pass computes every
+field it returns before it returns, so no cached geometry reads the
+workspace later.  The static per-topology data lives in a connectivity
+object that an evolving immersion shares with its successors, and the
+snapshots of one loaded trajectory with the first: the neighbour index
+arrays of a closed curve, or the face list and corner-to-vertex indices of
+a surface.  The curve tangent (normalized central chord) is not cached; the
+operators that use it compute it.
 """
 
 from __future__ import annotations
@@ -53,6 +52,10 @@ import numpy as np
 from .errors import DegenerateMesh, InvalidConfig
 
 DEGENERACY_TOL = 1e-12
+
+# how much of a geometry pass to compute: the fields a stage's velocity
+# reads, those and the surface vertex normal, or the whole monitor group too
+_BASE, _NORMAL, _MONITOR = range(3)
 
 
 class _Connectivity:
@@ -123,7 +126,7 @@ class DiscreteImmersion:
         Triangle list (surfaces only), consistently oriented.
     """
 
-    __slots__ = ("m", "vertices", "faces", "_conn", "_geom")
+    __slots__ = ("m", "vertices", "faces", "_conn", "_geom", "_level")
 
     def __init__(self, m: int, vertices, faces=None):
         v = np.asarray(vertices, dtype=np.float64)
@@ -172,10 +175,10 @@ class DiscreteImmersion:
         # loaded snapshot, should not hold its geometry
         try:
             if self.m == 1:
-                _curve_geometry(v, self._conn)
+                _curve_geometry(v, self._conn, _MONITOR)
                 _curve_tangent(self)
             else:
-                _surface_geometry(v, self._conn)["h2"]     # the whole pass
+                _surface_geometry(v, self._conn, _MONITOR)
         except DegenerateMesh as exc:
             raise InvalidConfig(f"degenerate immersion: {exc}") from exc
 
@@ -203,43 +206,21 @@ class DiscreteImmersion:
         return new
 
     # geometry cache: immersions are immutable, so per-instance results of
-    # the edge/cotan pass are computed once and shared between operators
-    def _geometry(self) -> dict:
-        if self._geom is None:
-            if self.m == 1:
-                self._geom = _curve_geometry(self.vertices, self._conn)
-            else:
-                self._geom = _surface_geometry(self.vertices, self._conn)
+    # the edge/cotan pass are computed once and shared between operators;
+    # a request for a larger level than the cache holds reruns the pass
+    def _geometry(self, level: int = _BASE) -> dict:
+        if self._geom is None or self._level < level:
+            run = _curve_geometry if self.m == 1 else _surface_geometry
+            self._geom = run(self.vertices, self._conn, level)
+            self._level = level
         return self._geom
-
-
-_MONITOR_KEYS = frozenset({"normal", "h2", "quality", "min_edge", "max_edge"})
-
-
-class _Geometry(dict):
-    """The cache of one geometry pass.  The pass stores the fields a flow
-    stage reads; the monitor group (surfaces: vertex normal, |h|^2, quality,
-    edge extremes; curves: |h|^2, quality and the longest edge) is computed by
-    ``_fill`` the first time one of its keys is read."""
-
-    __slots__ = ("_fill",)
-
-    def __init__(self, fill, fields: dict):
-        super().__init__(fields)
-        self._fill = fill
-
-    def __missing__(self, key):
-        if key not in _MONITOR_KEYS:
-            raise KeyError(key)
-        self._fill(self, key)
-        return dict.__getitem__(self, key)
 
 
 # ---------------------------------------------------------------------------
 # curve internals
 
 
-def _curve_geometry(v: np.ndarray, conn: _CurveConnectivity) -> dict:
+def _curve_geometry(v: np.ndarray, conn: _CurveConnectivity, level: int) -> dict:
     # in place, the same operations in the same order as the expression form
     # (u - u[prv]) / (0.5 * (l[prv] + l))[:, None] with u = e / l[:, None]
     e = v.take(conn.nxt, axis=0)
@@ -257,21 +238,12 @@ def _curve_geometry(v: np.ndarray, conn: _CurveConnectivity) -> dict:
     np.subtract(e, H, out=H)
     H /= areas[:, None]
     F2 = np.einsum("ij,ij->i", v, v)
-    return _Geometry(_curve_monitor_group, {
-        "edge_lengths": lengths,
-        "vertex_areas": areas,
-        "H": H,
-        "F2": F2,
-        "F2_max": float(F2.max()),
-        "min_edge": l_min,
-    })
-
-
-def _curve_monitor_group(geom: dict, key: str) -> None:
-    l_max = float(geom["edge_lengths"].max())
-    H = geom["H"]
-    geom.update(h2=np.einsum("ij,ij->i", H, H), quality=geom["min_edge"] / l_max,
-                max_edge=l_max)
+    geom = {"edge_lengths": lengths, "vertex_areas": areas, "H": H, "F2": F2,
+            "F2_max": float(F2.max()), "min_edge": l_min}
+    if level >= _MONITOR:
+        l_max = float(lengths.max())
+        geom.update(h2=np.einsum("ij,ij->i", H, H), quality=l_min / l_max, max_edge=l_max)
+    return geom
 
 
 def _curve_tangent(s: DiscreteImmersion) -> np.ndarray:
@@ -293,13 +265,11 @@ _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])   # corners k+1 and k+2 
 
 class _Workspace:
     """Buffers for the pure temporaries of a surface pass on meshes of one
-    size, reused from pass to pass by the thread that owns them;
-    ``generation`` counts the passes that have written them."""
+    size, reused from pass to pass by one thread; the pass reads them only
+    while it runs, so the fields it returns never depend on them."""
 
     def __init__(self, n_vertices: int, n_faces: int):
         self.size = (n_vertices, n_faces)
-        self.owner = threading.get_ident()
-        self.generation = 0
         self.vc = np.empty((3, n_vertices))
         self.P, self.E = np.empty((2, 3, 3, n_faces))
         self.cross, self.dots, self.l1, self.l2, self.cot_next, self.cot_prev, self.w = \
@@ -312,16 +282,14 @@ _slot = threading.local()
 
 
 def _workspace(n_vertices: int, n_faces: int) -> _Workspace:
-    """This thread's workspace, replaced when the mesh size changes, with
-    its generation advanced for the pass about to write it."""
+    """This thread's workspace, replaced when the mesh size changes."""
     ws = getattr(_slot, "workspace", None)
     if ws is None or ws.size != (n_vertices, n_faces):
         ws = _slot.workspace = _Workspace(n_vertices, n_faces)
-    ws.generation += 1
     return ws
 
 
-def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
+def _surface_geometry(v: np.ndarray, conn: _Connectivity, level: int) -> dict:
     # P[i, k, j] is coordinate i of corner k of face j; the edges leaving
     # corner k are E[:, k] (to corner k+1) and -Ep[:, k] (to corner k+2).
     # Pure temporaries live in the thread's workspace, so a pass allocates
@@ -330,7 +298,6 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
     # under its default mode "raise"; "clip" writes in place, and every
     # index is in range (corners checked by _Connectivity, _NEXT and _PREV).
     ws = _workspace(conn.n_vertices, len(conn.faces))
-    generation = ws.generation
     vc, P, E, cross, row = ws.vc, ws.P, ws.E, ws.cross, ws.row
     np.copyto(vc, v.T)
     np.take(vc, conn.corners, axis=1, out=P, mode="clip")     # (3, 3, n_faces)
@@ -380,29 +347,19 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
     H /= areas
     F2 = np.einsum("ij,ij->j", vc, vc)
 
-    def monitor_group(geom: dict, key: str) -> None:
-        if ws.generation != generation or ws.owner != threading.get_ident():
-            # a later pass has overwritten the workspace, or another thread
-            # owns it: the pass is deterministic, so running it again on
-            # these vertices gives the group bit for bit, and geom takes
-            # over its state
-            fresh = _surface_geometry(v, conn)
-            fresh[key]
-            geom.update((k, fresh[k]) for k in _MONITOR_KEYS if k in fresh)
-            geom._fill = fresh._fill
-            return
-        # the normal first: FLOW0 stages read it, and a vanishing one makes
-        # the whole group raise DegenerateMesh, on every read
-        if "normal" not in geom:
-            np.multiply(0.5, cross[:, None], out=P)
-            vertex_normal = conn.to_vertices(P)
-            nn = np.sqrt(np.einsum("ij,ij->j", vertex_normal, vertex_normal))
-            if nn.min() <= DEGENERACY_TOL:
-                raise DegenerateMesh("vanishing vertex normal")
-            vertex_normal /= nn
-            geom["normal"] = np.ascontiguousarray(vertex_normal.T)
-        if key == "normal":
-            return
+    geom = {"face_area": face_area, "vertex_areas": areas, "H": np.ascontiguousarray(H.T),
+            "F2": F2, "F2_max": float(F2.max()), "cots": cots}
+    if level >= _NORMAL:
+        # the normal first: a vanishing one raises DegenerateMesh before the
+        # rest of the monitor group, at every level that includes it
+        np.multiply(0.5, cross[:, None], out=P)
+        vertex_normal = conn.to_vertices(P)
+        nn = np.sqrt(np.einsum("ij,ij->j", vertex_normal, vertex_normal))
+        if nn.min() <= DEGENERACY_TOL:
+            raise DegenerateMesh("vanishing vertex normal")
+        vertex_normal /= nn
+        geom["normal"] = np.ascontiguousarray(vertex_normal.T)
+    if level >= _MONITOR:
         # |h|^2 = |H|^2 - 2K with K the angle defect over the same mixed area;
         # the clamp absorbs discretization error on nearly flat vertices.
         # The angles, edge lengths and quality terms go to buffers the pass
@@ -419,16 +376,7 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity) -> dict:
         geom.update(h2=np.maximum(np.einsum("ij,ij->j", H, H) - 2.0 * gauss, 0.0),
                     quality=float(q.min()), min_edge=float(edge.min()),
                     max_edge=float(edge.max()))
-        geom._fill = None          # complete: the group no longer reads the workspace
-
-    return _Geometry(monitor_group, {
-        "face_area": face_area,
-        "vertex_areas": areas,
-        "H": np.ascontiguousarray(H.T),
-        "F2": F2,
-        "F2_max": float(F2.max()),
-        "cots": cots,
-    })
+    return geom
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +420,7 @@ def normal_projection(s: DiscreteImmersion, v) -> np.ndarray:
     if s.m == 1:
         t = _curve_tangent(s)
         return field - np.einsum("ij,ij->i", field, t)[:, None] * t
-    nrm = s._geometry()["normal"]
+    nrm = s._geometry(_NORMAL)["normal"]
     return ((field * nrm).sum(axis=1))[:, None] * nrm
 
 
@@ -548,7 +496,7 @@ def second_fundamental_norm(s: DiscreteImmersion) -> np.ndarray:
     Voronoi area (Meyer, Desbrun, Schroeder & Barr 2003), clamped at 0.  On
     umbilic meshes this recovers m/R^2 up to discretization error.
     """
-    return s._geometry()["h2"].copy()
+    return s._geometry(_MONITOR)["h2"].copy()
 
 
 def weighted_area(s: DiscreteImmersion) -> float:
@@ -571,6 +519,6 @@ def mesh_quality(s: DiscreteImmersion) -> float:
     circumradius, normalized to 1 for equilateral triangles.
     """
     try:
-        return s._geometry()["quality"]
+        return s._geometry(_MONITOR)["quality"]
     except DegenerateMesh:
         return 0.0

@@ -139,7 +139,8 @@ def bound_time_shrink(p: RadialParams) -> float:
         )
     if p.c_slope < 0:
         raise DomainError("shrink bound requires nondecreasing c")
-    return (p.m * (1.0 - math.exp(-p.a * p.R0_sq / p.m))
+    # -expm1, not 1 - exp: the difference cancels as a R0^2 / m goes to 0
+    return (p.m * -math.expm1(-p.a * p.R0_sq / p.m)
             / (2.0 * p.a * p.b * (p.balance_sq - p.R0_sq)))
 
 

@@ -94,6 +94,13 @@ def test_bounds_command(capsys):
     assert "stationary" in out
 
 
+@pytest.mark.parametrize("a, t1", [("1e-10", 0.4999999999875), ("1e-17", 0.5)])
+def test_bounds_command_keeps_t1_digits_at_small_a(capsys, a, t1):
+    code, out, _ = run_cli(capsys, "bounds", "--m", "1", "--r0sq", "0.5", "--a", a)
+    assert code == 0
+    assert float(out.split("=")[1]) == pytest.approx(t1, rel=1e-11)
+
+
 def test_sphere_command_with_csv(tmp_path, capsys):
     csv = tmp_path / "series.csv"
     code, out, _ = run_cli(capsys, "sphere", "--m", "2", "--r0sq", "1",
@@ -412,3 +419,56 @@ def test_damaged_artifacts_give_one_error_line(tmp_path, capsys, command, damage
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert re.search(message, err)
+
+
+def _drop_csv_row(index):
+    def damage(run):
+        lines = (run / "diagnostics.csv").read_text().splitlines(keepends=True)
+        del lines[index]
+        (run / "diagnostics.csv").write_text("".join(lines))
+    return damage
+
+
+def _events(*stream):
+    """Replace events.jsonl by the given lines, each an object, a JSON text
+    or a function of the run's stop event."""
+    def damage(run):
+        stop = json.loads((run / "events.jsonl").read_text().splitlines()[-1])
+        lines = [x if isinstance(x, str) else json.dumps(x(stop) if callable(x) else x)
+                 for x in stream]
+        (run / "events.jsonl").write_text("".join(line + "\n" for line in lines))
+    return damage
+
+
+def _stop(stop):
+    return stop
+
+
+def _later(t):
+    return lambda stop: {"event": "note", "t": t * stop["t"]}
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_events("3", "[1]"), r"events\.jsonl: event 1 is not an object with a string 'event'"),
+    (_events(), r"events\.jsonl: the stream does not end on its one stop event"),
+    (_events({"t": 0.0}, _stop), r"events\.jsonl: event 1 is not an object"),
+    (_events(_later(1.0), _later(0.0), _stop), r"events\.jsonl: event 2 has t = 0\.0, outside"),
+    (_events(_later(2.0), _stop), r"events\.jsonl: event 1 has t = 0\.02, outside"),
+    (_events({"event": "note", "t": math.nan}, _stop), r"events\.jsonl: event 1 has t = nan"),
+    (_events({"event": "note", "t": "0"}, _stop), r"events\.jsonl: event 1 has t = '0'"),
+    (_events(_stop, _stop), r"events\.jsonl: the stream does not end on its one stop"),
+    (_events(_stop, _later(1.0)), r"events\.jsonl: the stream does not end on its one stop"),
+    (_events(lambda stop: {**stop, "kind": "POSITION_BLOWUP"}),
+     r"events\.jsonl: the stream does not end on its one stop event, equal to result\.json"),
+    (_drop_csv_row(1), r"diagnostics\.csv: rows run from t = 0\.0\d+ to 0\.01, not from 0 "),
+    (_drop_csv_row(-1), r"diagnostics\.csv: rows run from t = 0\.0 to 0\.0\d*, not from 0 "),
+], ids=["not-objects", "empty", "no-name", "time-order", "past-t-stop", "nan-time",
+        "string-time", "two-stops", "stop-not-last", "other-stop", "rows-start", "rows-end"])
+def test_verify_refuses_an_inconsistent_event_stream(tmp_path, capsys, damage, message):
+    run = _simulate_circle(tmp_path, capsys, "run", 0.8)
+    damage(run)
+    code, out, err = run_cli(capsys, "verify", "--trajectory", str(run),
+                             "--claim", "SIGN_PRESERVATION_BELOW", "--eps", "0.1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(message, err), err

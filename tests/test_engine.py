@@ -277,35 +277,26 @@ def test_mid_step_guard_or_degeneration_stops_run(monkeypatch, exc, kind):
         assert traj.stop.detail == "edge collapsed"
 
 
-def _patch_surface_geometry(monkeypatch, after):
-    """Wrap every surface pass so that ``after(geom)`` runs on its result."""
+def _patch_surface_geometry(monkeypatch, pass_):
+    """Route every surface pass through ``pass_(real, v, conn, level)``."""
     real = mesh._surface_geometry
-
-    def surface_geometry(v, conn):
-        geom = real(v, conn)
-        after(geom)
-        return geom
-
-    monkeypatch.setattr(mesh, "_surface_geometry", surface_geometry)
+    monkeypatch.setattr(mesh, "_surface_geometry",
+                        lambda v, conn, level: pass_(real, v, conn, level))
 
 
 def _patch_monitor_group(monkeypatch, fails):
-    """Make the n-th computation (from 1) of a surface pass's deferred
-    monitor group raise DegenerateMesh where fails(n)."""
+    """Make the n-th surface pass (from 1) that computes the monitor group
+    raise DegenerateMesh where fails(n)."""
     count = [0]
 
-    def after(geom):
-        fill = geom._fill
-
-        def patched(g, key):
+    def pass_(real, v, conn, level):
+        if level == mesh._MONITOR:
             count[0] += 1
             if fails(count[0]):
                 raise DegenerateMesh("vanishing vertex normal")
-            fill(g, key)
+        return real(v, conn, level)
 
-        geom._fill = patched
-
-    _patch_surface_geometry(monkeypatch, after)
+    _patch_surface_geometry(monkeypatch, pass_)
 
 
 def _bits(x) -> np.ndarray:
@@ -334,22 +325,33 @@ def test_deferred_monitor_group_leaves_runs_unchanged(monkeypatch, shape, p, hor
     # stages compute only the fields the velocity reads; forcing the whole
     # pass on every stage must not move a bit
     deferred = engine.run(shape, p, horizon, stride=1)
-    _patch_surface_geometry(monkeypatch, lambda geom: geom["h2"])
+    _patch_surface_geometry(monkeypatch,
+                            lambda real, v, conn, level: real(v, conn, mesh._MONITOR))
     forced = engine.run(shape, p, horizon, stride=1)
     assert deferred.n_snapshots > 10
     _same_run(deferred, forced)
 
 
-def test_degenerate_monitor_group_raises_on_every_read(monkeypatch):
-    s = shapes.icosphere(1.0, 1)
+def _bowtie_octahedron() -> mesh.DiscreteImmersion:
+    """An octahedron whose equator is folded into a planar bowtie of zero
+    vector area, so both apex normals vanish while every face keeps its area."""
+    faces = [(4, i, (i + 1) % 4) for i in range(4)] + [(5, (i + 1) % 4, i) for i in range(4)]
+    octahedron = mesh.DiscreteImmersion(2, np.vstack([np.eye(3), -np.eye(3)])[[0, 1, 3, 4, 2, 5]],
+                                        faces)
+    return octahedron.replace_vertices([(1.0, 0.0, 0.0), (0.5, 1.0, 0.0), (-1.0, 0.0, 0.0),
+                                        (-0.5, 1.0, 0.0), (0.0, 0.5, 1.0), (0.0, 0.5, -1.0)])
+
+
+def test_degenerate_monitor_group_raises_on_every_read():
+    s = _bowtie_octahedron()
     geom = s._geometry()                          # the velocity fields only
-    monkeypatch.setattr(mesh, "DEGENERACY_TOL", math.inf)
-    for key in ("h2", "normal", "quality", "h2", "min_edge"):
-        with pytest.raises(DegenerateMesh, match="vanishing vertex normal"):
-            geom[key]
+    for _ in range(2):
+        for read in (mesh.second_fundamental_norm, lambda s: s._geometry(mesh._MONITOR),
+                     lambda s: mesh.normal_projection(s, s.vertices)):
+            with pytest.raises(DegenerateMesh, match="vanishing vertex normal"):
+                read(s)
     assert mesh.mesh_quality(s) == 0.0
-    with pytest.raises(KeyError):
-        geom["edge_lengths"]                      # a curve key stays unknown
+    assert s._geometry() is geom                  # the cache keeps what it held
 
 
 def test_degenerate_monitor_group_stops_run(monkeypatch):
@@ -381,7 +383,8 @@ def test_degenerate_monitor_group_rejects_rkc2_trial(monkeypatch):
 # bit for bit.
 
 
-def _curve_geometry_reference(v, conn):
+def _curve_geometry_reference(v, conn, level=None):
+    # the whole pass at every level: extra fields leave a run unchanged
     e = v[conn.nxt] - v
     lengths = np.sqrt(np.einsum("ij,ij->i", e, e))
     l_min, l_max = float(lengths.min()), float(lengths.max())
@@ -397,7 +400,7 @@ def _curve_geometry_reference(v, conn):
 
 
 def _velocity_reference(s, p, t=0.0):
-    geom = s._geometry()
+    geom = s._geometry(mesh._NORMAL if p.variant == FLOW0 else mesh._BASE)
     rate, _ = engine._conformal_exponent(geom, p, s.m)
     w = np.exp(rate * geom["F2"])
     H, v = geom["H"], s.vertices
@@ -488,6 +491,28 @@ def test_in_place_stages_leave_runs_unchanged(monkeypatch, shape, p, horizon):
     _same_run(in_place, engine.run(shape, p, horizon, stride=1))
 
 
+@pytest.mark.parametrize("shape, p, horizon", [
+    (shapes.ellipsoid(1.0, 0.8, 0.6, 2), P_FLOW, 0.1),
+    (shapes.icosphere(1.2, 2), P_FLOW0, 1.0),
+    (_space_curve(32), FlowParams(variant=FLOWP, b=0.0, c_slope=0.5), 1.0),
+], ids=["FLOW-ellipsoid", "FLOW0-icosphere", "FLOWP-space-curve"])
+def test_no_geometry_pass_runs_twice(monkeypatch, shape, p, horizon):
+    # every caller asks for the level it reads first, so no immersion of a
+    # run, stage, trial or bisection end alike, computes its geometry twice
+    passes = {}
+    for name in ("_curve_geometry", "_surface_geometry"):
+        def counted(v, conn, level, real=getattr(mesh, name)):
+            passes.setdefault(id(v), [v, 0])[1] += 1      # v kept, so its id stays its own
+            return real(v, conn, level)
+        monkeypatch.setattr(mesh, name, counted)
+    rkc = _count_calls(monkeypatch, engine, "_rkc_advance")
+    bisect = _count_calls(monkeypatch, engine, "_locate_crossing")
+    engine.run(shape.replace_vertices(shape.vertices), p, horizon, stride=1)
+    assert len(passes) > 100 and max(n for _, n in passes.values()) == 1
+    if shape.m == 1:
+        assert rkc[0] > 40 and bisect[0] == 1
+
+
 @pytest.mark.parametrize("shape", [shapes.ellipse(1.0, 0.6, 24), _space_curve(24),
                                    shapes.ellipsoid(1.0, 0.8, 0.6, 1)],
                          ids=["curve", "space-curve", "surface"])
@@ -496,7 +521,7 @@ def test_in_place_stages_leave_runs_unchanged(monkeypatch, shape, p, horizon):
                          ids=["FLOW", "FLOW0", "FLOWP"])
 def test_velocity_is_fresh_and_reads_only(shape, p):
     s = shape.replace_vertices(shape.vertices)
-    geom = s._geometry()
+    geom = s._geometry(mesh._MONITOR)
     cached = {key: geom[key].copy() for key in ("H", "F2")}
     v = s.vertices.copy()
     first = engine.velocity(s, p, 0.3)

@@ -29,7 +29,7 @@ def tangent_basis(s: DiscreteImmersion) -> np.ndarray:
     if s.m == 1:
         chord = np.roll(s.vertices, -1, axis=0) - np.roll(s.vertices, 1, axis=0)
         return (chord / np.linalg.norm(chord, axis=1)[:, None])[:, None, :]
-    nrm = s._geometry()["normal"]
+    nrm = s._geometry(mesh._NORMAL)["normal"]
     ref = np.zeros_like(nrm)
     ref[np.arange(len(nrm)), np.argmin(np.abs(nrm), axis=1)] = 1.0
     t1 = np.cross(nrm, ref)
@@ -319,10 +319,8 @@ def reference_surface_geometry(s: DiscreteImmersion) -> dict:
     (lambda: shapes.perturbed_sphere(0.8, 0.1, 3, 7, 2), False)])
 def test_surface_geometry_matches_reference_loop(build, obtuse):
     s = build()
-    got = mesh._surface_geometry(s.vertices, s._conn)
+    got = mesh._surface_geometry(s.vertices, s._conn, mesh._MONITOR)
     want = reference_surface_geometry(s)
-    for key in want:         # the monitor group is computed on its first read
-        got[key]
     assert got.keys() == want.keys()
     for key, ref in want.items():
         ref = np.asarray(ref)
@@ -339,11 +337,8 @@ def test_surface_geometry_matches_reference_loop(build, obtuse):
 
 
 def _all_fields(s: DiscreteImmersion) -> dict:
-    """Every field of a new surface pass, its monitor group read at once."""
-    geom = mesh._surface_geometry(s.vertices, s._conn)
-    for key in mesh._MONITOR_KEYS:
-        geom[key]
-    return dict(geom)
+    """Every field of a new surface pass, its monitor group included."""
+    return mesh._surface_geometry(s.vertices, s._conn, mesh._MONITOR)
 
 
 def _bits(x) -> np.ndarray:
@@ -355,47 +350,55 @@ def _count_passes(monkeypatch) -> list:
     passes = [0]
     real = mesh._surface_geometry
 
-    def counted(v, conn):
+    def counted(v, conn, level):
         passes[0] += 1
-        return real(v, conn)
+        return real(v, conn, level)
 
     monkeypatch.setattr(mesh, "_surface_geometry", counted)
     return passes
 
 
-@pytest.mark.parametrize("other, reruns", [
-    (lambda s: s.replace_vertices(1.1 * s.vertices), 1),
-    (lambda s: shapes.icosphere(1.0, 1), 0)], ids=["same-size", "other-size"])
-@pytest.mark.parametrize("early", [(), ("normal",)], ids=["deferred", "FLOW0-normal"])
-def test_later_passes_leave_earlier_geometry_intact(monkeypatch, other, reruns, early):
-    # a later pass on a mesh of the same size overwrites the workspace, so the
-    # earlier geometry's monitor group reruns its pass; a mesh of another
-    # size gets a workspace of its own, and the earlier buffers stay as they were
+@pytest.mark.parametrize("other", [
+    lambda s: s.replace_vertices(1.1 * s.vertices),
+    lambda s: shapes.icosphere(1.0, 1)], ids=["same-size", "other-size"])
+@pytest.mark.parametrize("level", [mesh._BASE, mesh._NORMAL, mesh._MONITOR],
+                         ids=["deferred", "FLOW0-normal", "monitor"])
+def test_later_passes_leave_earlier_geometry_intact(monkeypatch, other, level):
+    # a pass returns complete, so a later pass on a mesh of the same size,
+    # which overwrites the workspace, or of another size, which replaces it,
+    # leaves the earlier geometry's fields as they were; a stage's geometry
+    # (its monitor group deferred to the accepted state) gets the group from
+    # a rerun of its pass, bit for bit the same
     s = shapes.ellipsoid(3.0, 1.0, 0.4, 2)       # obtuse faces: every branch of the pass
     want = _all_fields(s)
-    geom = s.replace_vertices(s.vertices)._geometry()
-    for key in early:
-        geom[key]
+    t = s.replace_vertices(s.vertices)
+    geom = t._geometry(level)
     _all_fields(other(s))
     passes = _count_passes(monkeypatch)
-    got = {key: geom[key] for key in want}
-    assert passes[0] == reruns
+    assert set(geom) <= set(want) and ("h2" in geom) == (level == mesh._MONITOR)
+    for key, field in geom.items():
+        np.testing.assert_array_equal(_bits(field), _bits(want[key]), err_msg=key)
+    assert passes[0] == 0
+    full = t._geometry(mesh._MONITOR)
+    assert passes[0] == (level < mesh._MONITOR)
     for key, ref in want.items():
-        np.testing.assert_array_equal(_bits(got[key]), _bits(ref), err_msg=key)
+        np.testing.assert_array_equal(_bits(full[key]), _bits(ref), err_msg=key)
 
 
-def test_monitor_group_read_in_another_thread_reruns_its_pass(monkeypatch):
-    # the workspace belongs to the thread that made it, so another thread
-    # reading the group must not race that thread's next pass
+def test_geometry_read_in_another_thread_costs_no_pass(monkeypatch):
+    # a pass leaves nothing in the workspace that its geometry reads later,
+    # so another thread reads the cached fields as they are
     s = shapes.ellipsoid(3.0, 1.0, 0.4, 2)
     want = _all_fields(s)
-    geom = s.replace_vertices(s.vertices)._geometry()
+    t = s.replace_vertices(s.vertices)
+    t._geometry(mesh._MONITOR)
     passes = _count_passes(monkeypatch)
     got = {}
-    reader = threading.Thread(target=lambda: got.update((key, geom[key]) for key in want))
+    reader = threading.Thread(target=lambda: got.update(t._geometry(mesh._MONITOR)))
     reader.start()
-    reader.join()
-    assert passes[0] == 1
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert passes[0] == 0 and got.keys() == want.keys()
     for key, ref in want.items():
         np.testing.assert_array_equal(_bits(got[key]), _bits(ref), err_msg=key)
 
@@ -451,7 +454,7 @@ def test_warm_surface_pass_allocates_only_its_fields():
     s = shapes.icosphere(2.0, 4)
     tracemalloc.start()
     try:
-        mesh._surface_geometry(s.vertices, s._conn)
+        mesh._surface_geometry(s.vertices, s._conn, mesh._BASE)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -459,8 +462,10 @@ def test_warm_surface_pass_allocates_only_its_fields():
 
 
 def test_curve_pass_defers_quality_and_longest_edge():
-    geom = shapes.ellipse(1.0, 0.6, 32)._geometry()
+    s = shapes.ellipse(1.0, 0.6, 32)
+    geom = s._geometry()
     assert "quality" not in geom and "max_edge" not in geom
+    geom = s._geometry(mesh._MONITOR)
     lengths = geom["edge_lengths"]
     assert geom["max_edge"] == lengths.max()
     assert geom["quality"] == lengths.min() / lengths.max()

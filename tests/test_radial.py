@@ -56,6 +56,14 @@ def test_bound_time_values():
     assert bound_time_expand(std_params(2, 4.0)) == pytest.approx(math.exp(-2.0) / 2, abs=1e-15)
 
 
+@pytest.mark.parametrize("a", [1e-10, 1e-17])
+def test_bound_time_shrink_keeps_its_digits_as_a_vanishes(a):
+    # T1 = (1 - exp(-a/2)) / a for m = 1, R0^2 = 1/2; its series
+    # 1/2 - a/8 + a^2/48 is exact to rounding at these a
+    t1 = bound_time_shrink(RadialParams(m=1, a=a, b=1.0, c0=1.0, R0_sq=0.5))
+    assert t1 == pytest.approx(0.5 - a / 8 + a * a / 48, rel=4e-16)
+
+
 def test_bound_time_limits():
     assert bound_time_shrink(std_params(2, 1e-9)) < 1e-9
     assert bound_time_expand(std_params(2, 200.0)) < 1e-40
