@@ -27,15 +27,23 @@ limit, stay on RK4.  After every accepted step of either kind the RKC
 estimate est = 0.8 (y0 - y1) + 0.4 dt (f0 + f1) updates dt_acc (after an
 RK4 step, scaled to what a two-stage RKC2 step would report), and
 f1 = f(y1) is the next step's first stage, so an RK4 step still costs four
-evaluations.  An RKC2 trial is retried shorter when its estimate exceeds
-the tolerance or it trips the overflow guard or degenerates the mesh; a
-threshold crossed inside an RKC2 step is located by bisection.  The
-controller state travels in ``FlowState``, so ``run`` and repeated
-``step`` take the same steps, and there is one stepping path for curves
-and surfaces: every stage is an immersion evaluated through the mesh
-operators.  Runs terminate with a classified stop reason: curvature
-blow-up, position blow-up, collapse to the origin, mesh degeneration, or
-horizon.  The checks of recorded runs live in ``comparison``.
+evaluations.
+
+One function, ``_advance``, sets every step's length.  The limits it
+applies, in order: the stability step dt_stab, whose ``cfl`` it checks
+and which stops the run below DT_MIN; the accuracy step dt_acc, at most
+DT_MAX, shortened to what S_MAX stages keep stable; a landing on the next
+sample time or the horizon; a retry of an RKC2 trial at a shorter step
+when its estimate exceeds the tolerance (at the step the estimate allows)
+or it trips the overflow guard or degenerates the mesh (at a quarter);
+and, when given thresholds, a bisection of a threshold crossed inside an
+accepted RKC2 step, down to BISECT_FRACTION of it.  The controller state
+travels in ``FlowState``, so ``run`` and repeated ``step`` take the same
+steps, and there is one stepping path for curves and surfaces: every
+stage is an immersion evaluated through the mesh operators.  Runs
+terminate with a classified stop reason: curvature blow-up, position
+blow-up, collapse to the origin, mesh degeneration, or horizon.  The
+checks of recorded runs live in ``comparison``.
 """
 
 from __future__ import annotations
@@ -158,14 +166,12 @@ class StepControl:
     ``f0`` is the velocity at the current state, the next step's first
     stage; ``dt_acc`` the step the error estimate allows an RKC2 step
     (None before the first step); ``err_sum`` the sum over RKC2 steps of
-    their estimated local error in |F|^2, max_v |2 F_v . est_v|; ``rkc``
-    whether the step that produced the state was an RKC2 step.
+    their estimated local error in |F|^2, max_v |2 F_v . est_v|.
     """
 
     f0: np.ndarray | None = None
     dt_acc: float | None = None
     err_sum: float = 0.0
-    rkc: bool = False
 
 
 @dataclass(frozen=True)
@@ -261,9 +267,11 @@ def check_cfl(cfl: float) -> None:
 def stability_dt(s: DiscreteImmersion, p: FlowParams, t: float = 0.0, cfl: float = 0.25) -> float:
     """Stable explicit step cfl * h_min^2 / (c(t) * exp(a max|F|^2 / m)), at most DT_MAX.
 
-    Raises TimestepUnderflow when the unclamped step falls below DT_MIN;
-    the caller then terminates with the currently indicated blow-up kind.
+    Raises InvalidConfig for a cfl that check_cfl refuses, and
+    TimestepUnderflow when the unclamped step falls below DT_MIN; ``run``
+    then terminates with the currently indicated blow-up kind.
     """
+    check_cfl(cfl)
     geom = s._geometry(meshops._MONITOR)
     _, peak = _conformal_exponent(geom, p, s.m)
     h_min = geom["min_edge"]
@@ -390,19 +398,32 @@ def _land(t: float, dt: float, horizon: float,
 
 
 def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
-             dt_stab: float, horizon: float = math.inf,
-             sample: float | None = None):
-    """One accepted step from (s, t): RK4 at dt_stab or RKC2 at the accuracy
-    step, whichever costs fewer velocity evaluations per unit time.
+             cfl: float, horizon: float = math.inf, sample: float | None = None,
+             th: Thresholds | None = None):
+    """One accepted step from (s, t): RK4 at the stability step or RKC2 at
+    the accuracy step, whichever costs fewer velocity evaluations per unit
+    time.  This is the one place a step's length is set.
+
+    The limits, in order: ``stability_dt`` at ``cfl`` (which checks cfl and
+    raises TimestepUnderflow below DT_MIN); the accuracy step, at most
+    DT_MAX and shortened to what S_MAX stages keep stable; ``_land`` on
+    ``sample`` or ``horizon``; an RKC2 trial over the tolerance retried at
+    the step its estimate allows, and one that raises OverflowGuard or
+    DegenerateMesh retried at a quarter of its length.  With thresholds
+    ``th``, an accepted RKC2 step whose end crosses one is bisected from
+    the same f0 and spectral bound, down to a bracket of BISECT_FRACTION of
+    it, and the shortest crossing step found is returned in its place.
 
     Returns the new immersion, its monitor, its time, the step length,
-    whether it landed on ``sample``, and the new controller state.
-    OverflowGuard or DegenerateMesh out of an RK4 step, or out of the end
-    state's monitor or f1, propagates; an RKC2 trial that raises them is
-    retried at a quarter of its length.  The monitor is read before f1, so
-    the end state's one geometry pass computes the monitor group, and a
-    vanishing normal raises DegenerateMesh before the overflow guard.
+    whether it landed on ``sample``, the new controller state (that of the
+    whole step, also after a bisection) and the bracket on the time the end
+    state was first reached: the step, or the bisection's final bracket.
+    OverflowGuard or DegenerateMesh out of the stability step, an RK4 step
+    or the end state's monitor or f1 propagates.  The monitor is read before
+    f1, so the end state's one geometry pass computes the monitor group, and
+    a vanishing normal raises DegenerateMesh before the overflow guard.
     """
+    dt_stab = stability_dt(s, p, t, cfl)
     f0 = ctl.f0 if ctl.f0 is not None else velocity(s, p, t)
     dt_acc, rho = ctl.dt_acc, None
     retry = math.inf        # the accuracy step after the latest rejected trial
@@ -445,7 +466,23 @@ def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
     err_sum = ctl.err_sum
     if rkc:
         err_sum += float(np.abs(2.0 * np.einsum("ij,ij->i", y1.vertices, est)).max())
-    return y1, mon, t1, dt, landed, StepControl(f1, dt_next, err_sum, rkc)
+    nctl = StepControl(f1, dt_next, err_sum)
+    lo, hi = 0.0, dt
+    if rkc and th is not None and _classify(mon, th) is not None:
+        while hi - lo > BISECT_FRACTION * dt:
+            mid = 0.5 * (lo + hi)
+            try:
+                y = _rkc_advance(s, p, t, mid, _rkc_stages(mid, rho)[1], f0)
+                y_mon = _monitor(y)
+            except (OverflowGuard, DegenerateMesh):
+                break
+            if _classify(y_mon, th) is None:
+                lo = mid
+            else:
+                hi, y1, mon = mid, y, y_mon
+        if hi < dt:         # a shorter step crosses: it ends the run instead
+            dt, t1, landed = hi, t + hi, False
+    return y1, mon, t1, dt, landed, nctl, hi - lo
 
 
 def _monitor(s: DiscreteImmersion) -> _Monitor:
@@ -468,10 +505,7 @@ def compute_diagnostics(s: DiscreteImmersion, dt_used: float = 0.0) -> Diagnosti
 def step(state: FlowState, p: FlowParams, cfl: float = 0.25) -> FlowState:
     """One step of a FlowState, RK4 or RKC2 as its controller state picks;
     repeated calls take the steps ``run`` takes."""
-    check_cfl(cfl)
-    s, t = state.immersion, state.t
-    nxt, _, t1, dt, _, ctl = _advance(s, t, state.control, p,
-                                      stability_dt(s, p, t, cfl=cfl))
+    nxt, _, t1, dt, _, ctl, _ = _advance(state.immersion, state.t, state.control, p, cfl)
     return FlowState(t1, nxt, compute_diagnostics(nxt, dt), ctl)
 
 
@@ -504,31 +538,6 @@ def _underflow_kind(p: FlowParams, m: int, diag: _Monitor,
     if diag.max_F2 <= 10.0 * th.F2_min:
         return POSITION_COLLAPSE, "dt underflow with the mesh at the origin"
     return CURVATURE_BLOWUP, "dt underflow driven by edge collapse"
-
-
-def _locate_crossing(s: DiscreteImmersion, t: float, f0: np.ndarray, p: FlowParams,
-                     dt: float, th: Thresholds):
-    """Bisect an RKC2 step of length dt from (s, t) whose end crossed a
-    threshold, down to a bracket of BISECT_FRACTION * dt.
-
-    Returns the end state and monitor of the shortest step found that still
-    crosses (None if no shorter one does, or a trial raised first), its
-    length, and the width of the final bracket.
-    """
-    rho = _spectral_radius(s, p, t)
-    lo, hi, end, end_mon = 0.0, dt, None, None
-    while hi - lo > BISECT_FRACTION * dt:
-        mid = 0.5 * (lo + hi)
-        try:
-            y = _rkc_advance(s, p, t, mid, _rkc_stages(mid, rho)[1], f0)
-            mon = _monitor(y)
-        except (OverflowGuard, DegenerateMesh):
-            break
-        if _classify(mon, th) is None:
-            lo = mid
-        else:
-            hi, end, end_mon = mid, y, mon
-    return end, end_mon, hi, hi - lo
 
 
 def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
@@ -607,35 +616,25 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
             break
 
         try:
-            dt_stab = stability_dt(cur, p, t, cfl=cfl)
+            nxt, nmon, t1, dt, landed, ctl, bracket = _advance(
+                cur, t, ctl, p, cfl, horizon, pending[0] if pending else None, th)
         except TimestepUnderflow as exc:
             kind, detail = _underflow_kind(p, initial.m, mon, th)
             events.append({"event": "timestep_underflow", "t": t})
             stop = StopReason(kind, t, f"{detail} ({exc})")
             break
         except OverflowGuard:
+            # one text wherever it fires: before a step's trials it can fire
+            # on initial data only, as every accepted state's f1 passed it
             events.append({"event": "overflow_guard", "t": t})
             stop = StopReason(POSITION_BLOWUP, t, "conformal exponent guard fired")
-            break
-
-        try:
-            nxt, nmon, t1, dt, landed, nctl = _advance(cur, t, ctl, p, dt_stab, horizon,
-                                                       pending[0] if pending else None)
-        except OverflowGuard:
-            events.append({"event": "overflow_guard", "t": t})
-            stop = StopReason(POSITION_BLOWUP, t, "conformal exponent guard fired mid-step")
             break
         except DegenerateMesh as exc:
             stop = StopReason(MESH_DEGENERATE, t, str(exc))
             break
 
-        bracket = dt
-        if nctl.rkc and _classify(nmon, th) is not None:
-            end, end_mon, hi, bracket = _locate_crossing(cur, t, ctl.f0, p, dt, th)
-            if end is not None:
-                nxt, nmon, dt, t1, landed = end, end_mon, hi, t + hi, False
         f2_rate = abs(nmon.max_F2 - mon.max_F2) / dt
-        cur, t, ctl, mon = nxt, t1, nctl, nmon
+        cur, t, mon = nxt, t1, nmon
         steps += 1
 
         if landed:

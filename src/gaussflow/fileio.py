@@ -9,7 +9,10 @@ The writers format a whole array with one ``%`` over its flattened values,
 not one join per row; ``%r`` is repr() and ``%d`` is str(), so the bytes are
 those of the per-row forms.  A reader given ``like``, an immersion already
 read, puts a file with the same face list and vertex count on ``like``'s
-connectivity, so the snapshots of one loaded run build it once.
+connectivity, so the snapshots of one loaded run build it once, and refuses
+a file whose m, vertex count or face list differ from ``like``'s.  Positions
+the immersion's checks refuse (not finite, a collapsed edge) raise IoError
+naming the file, as malformed syntax does.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .errors import IoError
+from .errors import InvalidConfig, IoError
 from .mesh import DiscreteImmersion
 
 
@@ -40,13 +43,22 @@ def write_table(path, header: str, columns) -> None:
         fh.write(header + "\n" + _float_rows(np.asarray(columns, dtype=np.float64).T, sep=","))
 
 
-def _immersion(m: int, verts: np.ndarray, faces, like) -> DiscreteImmersion:
-    """An immersion from parsed arrays: on like's connectivity when the face
-    list and vertex count are like's, otherwise on its own."""
-    if (like is not None and like.m == m and len(verts) == like.n_vertices
-            and (faces is None or np.array_equal(faces, like.faces))):
+def _immersion(path, m: int, verts: np.ndarray, faces, like) -> DiscreteImmersion:
+    """An immersion from a file's parsed arrays, on like's connectivity when
+    like is given; a file that does not fit like, or holds positions the
+    immersion refuses, raises IoError naming it."""
+    if like is not None:
+        mine, first = (m, len(verts)), (like.m, like.n_vertices)
+        if mine != first or (faces is not None and not np.array_equal(faces, like.faces)):
+            what = "face list" if mine == first else f"m = {m} with {len(verts)} vertices"
+            raise IoError(f"{path}: its {what} differs from the first snapshot's "
+                          f"(m = {like.m} with {like.n_vertices} vertices)")
+    try:
+        if like is None:
+            return DiscreteImmersion(m, verts, faces)
         return like.replace_vertices_checked(verts)
-    return DiscreteImmersion(m, verts, faces)
+    except InvalidConfig as exc:
+        raise IoError(f"{path}: {exc}") from exc
 
 
 def write_pline(path, s: DiscreteImmersion) -> None:
@@ -69,7 +81,7 @@ def read_pline(path, like: DiscreteImmersion | None = None) -> DiscreteImmersion
         raise IoError(f"cannot read PLINE {path}: {exc}") from exc
     if rows.size == 0:
         raise IoError(f"empty PLINE file {path}")
-    return _immersion(1, rows, None, like)
+    return _immersion(path, 1, rows, None, like)
 
 
 def write_off(path, s: DiscreteImmersion) -> None:
@@ -104,7 +116,7 @@ def read_off(path, like: DiscreteImmersion | None = None) -> DiscreteImmersion:
                       f"after the {nf} faces its header counts")
     if np.any(faces[:, 0] != 3):
         raise IoError(f"{path}: only triangle faces supported")
-    return _immersion(2, verts, faces[:, 1:], like)
+    return _immersion(path, 2, verts, faces[:, 1:], like)
 
 
 def write_obj(path, s: DiscreteImmersion) -> None:
@@ -136,8 +148,8 @@ def read_obj(path, like: DiscreteImmersion | None = None) -> DiscreteImmersion:
         raise IoError(f"cannot read OBJ {path}: {exc}") from exc
     if not verts or not faces:
         raise IoError(f"{path} has no usable geometry")
-    return _immersion(2, np.array(verts, dtype=np.float64), np.array(faces, dtype=np.int64),
-                      like)
+    return _immersion(path, 2, np.array(verts, dtype=np.float64),
+                      np.array(faces, dtype=np.int64), like)
 
 
 _FORMATS = {".off": (read_off, write_off), ".obj": (read_obj, write_obj),

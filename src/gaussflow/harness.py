@@ -20,8 +20,10 @@ A run writes a self-describing artifact directory:
 ``events.jsonl``, ``result.json`` and the snapshots alone; with
 ``meshes=False``, as claims load it, it reads no snapshot file and only
 counts their names against the rows.  It refuses rows and events that do
-not run from t = 0 to the stop in ``result.json``.  No other module knows
-the format.
+not run from t = 0 to the stop in ``result.json``, a ``result.json`` scalar
+of the wrong type or range, and snapshots whose m, vertex count or face
+list differ from the first one's or whose positions the immersion refuses.
+No other module knows the format.
 
 Scenario names reproduce the qualitative regimes of the flow: shrink
 strictly inside the critical sphere, expand strictly outside, hold on the
@@ -230,6 +232,15 @@ def _write_config(cfg: RunConfig, outdir, initial: DiscreteImmersion) -> list[st
 _SECTIONS = {"params": FlowParams, "thresholds": Thresholds, "stop": StopReason}
 _RESULT_KEYS = ("m", "horizon", *_SECTIONS, "t_stop_error", "initial_h_max",
                 "integration_error")
+# result.json's scalars: what a run can write for each, and its description.
+# type() is exact, so a bool (a subclass of int) is never a number here.
+_SCALARS = {
+    "m": (lambda x: type(x) is int and x in (1, 2), "1 or 2"),
+    "horizon": (lambda x: type(x) in (int, float) and x >= 0, "a number >= 0"),
+    **dict.fromkeys(("t_stop_error", "initial_h_max", "integration_error"),
+                    (lambda x: type(x) in (int, float) and 0 <= x < math.inf,
+                     "a finite number >= 0")),
+}
 
 
 def write_diagnostics_csv(traj: FlowTrajectory, path) -> None:
@@ -313,6 +324,9 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
                                         f"{name}."))
     except (ValueError, TypeError, InvalidConfig) as exc:
         raise IoError(f"{result_path}: malformed record: {exc}") from exc
+    for key, (valid, what) in _SCALARS.items():
+        if not valid(meta[key]):
+            raise IoError(f"{result_path}: {key} = {meta[key]!r} is not {what}")
     ev_path = os.path.join(indir, "events.jsonl")
     if not os.path.exists(ev_path):
         raise IoError(f"{indir} has no events.jsonl")
@@ -353,9 +367,12 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
         raise IoError(f"{snap_dir} holds {len(names)} snapshots for {len(data)} diagnostics rows")
     snaps = []
     for name in names if meshes else ():
-        # the snapshots of one run share a face list: its connectivity is built once
-        snaps.append(fileio.read_immersion(os.path.join(snap_dir, name),
-                                           like=snaps[0] if snaps else None))
+        # the snapshots of one run share a face list: its connectivity is
+        # built once, and a snapshot that differs from the first is refused
+        path = os.path.join(snap_dir, name)
+        snaps.append(fileio.read_immersion(path, like=snaps[0] if snaps else None))
+        if snaps[-1].m != meta["m"]:
+            raise IoError(f"{path}: a snapshot of m = {snaps[-1].m} in a run of m = {meta['m']}")
 
     return FlowTrajectory(**meta, **dict(zip(engine.COLUMNS.values(), cols)),
                           events=events, snapshots=snaps)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gaussflow import fileio, shapes
 from gaussflow.cli import _build_parser, main
 
 
@@ -469,6 +470,50 @@ def test_verify_refuses_an_inconsistent_event_stream(tmp_path, capsys, damage, m
     damage(run)
     code, out, err = run_cli(capsys, "verify", "--trajectory", str(run),
                              "--claim", "SIGN_PRESERVATION_BELOW", "--eps", "0.1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(message, err), err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("m", "1"), ("m", 1.5), ("m", True), ("m", 3),
+    ("horizon", -1.0), ("horizon", math.nan), ("horizon", "0.01"), ("horizon", False),
+    ("t_stop_error", math.inf), ("t_stop_error", -1e-3),
+    ("initial_h_max", "x"), ("initial_h_max", None),
+    ("integration_error", "x"), ("integration_error", math.nan), ("integration_error", True),
+])
+def test_verify_refuses_a_result_scalar_of_the_wrong_type(tmp_path, capsys, key, value):
+    # each of these loaded before, and the strings ended in a TypeError traceback
+    run = _simulate_circle(tmp_path, capsys, "run", 0.8)
+    result = json.loads((run / "result.json").read_text())
+    (run / "result.json").write_text(json.dumps({**result, key: value}))
+    code, out, err = run_cli(capsys, "verify", "--trajectory", str(run),
+                             "--claim", "SIGN_PRESERVATION_BELOW", "--eps", "0.1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"result.json: {key} = {value!r} is not " in err, err
+
+
+def _drop_vertex_line(run):
+    path = run / "snapshots" / "000001.pline"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+
+
+def _surface_first_snapshot(run):
+    (run / "snapshots" / "000000.pline").unlink()
+    fileio.write_off(run / "snapshots" / "000000.off", shapes.icosphere(1.0, 1))
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_drop_vertex_line, r"000001\.pline: its m = 1 with 31 vertices differs from the first "
+                        r"snapshot's \(m = 1 with 32 vertices\)"),
+    (_surface_first_snapshot, r"000000\.off: a snapshot of m = 2 in a run of m = 1"),
+], ids=["vertex-deleted", "first-snapshot-m"])
+def test_render_refuses_a_snapshot_of_another_topology(tmp_path, capsys, damage, message):
+    # a 31-gon frame of a 32-gon run was drawn before
+    run = _simulate_circle(tmp_path, capsys, "run", 0.8)
+    damage(run)
+    code, out, err = run_cli(capsys, "render", "--trajectory", str(run))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert re.search(message, err), err

@@ -173,6 +173,8 @@ def test_cfl_outside_the_rk4_bound_is_refused(cfl):
     # a NaN step never reaches the horizon, and above 0.69 RK4 is unstable
     c = shapes.circle(0.8, 32)
     with pytest.raises(InvalidConfig, match="cfl"):
+        engine.stability_dt(c, P_FLOW, cfl=cfl)
+    with pytest.raises(InvalidConfig, match="cfl"):
         engine.step(engine.initial_state(c), P_FLOW, cfl=cfl)
     with pytest.raises(InvalidConfig, match="cfl"):
         engine.run(c, P_FLOW, horizon=1e-4, cfl=cfl)
@@ -255,13 +257,14 @@ def _patch_velocity(monkeypatch, exc, fails):
 @pytest.mark.parametrize("exc", [OverflowGuard(800.0), DegenerateMesh("edge collapsed")])
 def test_failed_rkc2_trial_is_retried_at_a_quarter(monkeypatch, exc):
     s = shapes.circle(0.8, 256)
-    dt_stab = engine.stability_dt(s, P_FLOW)
     ctl = engine.StepControl(f0=engine.velocity(s, P_FLOW), dt_acc=1e-3)
-    *_, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, dt_stab)
-    assert nctl.rkc and dt == 1e-3
+    rkc = _count_calls(monkeypatch, engine, "_rkc_advance")
+    *_, dt, _, _, _ = engine._advance(s, 0.0, ctl, P_FLOW, 0.25)
+    assert rkc[0] == 1 and dt == 1e-3
     _patch_velocity(monkeypatch, exc, lambda n: n == 1)
-    *_, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, dt_stab)
-    assert nctl.rkc and dt == 0.25e-3
+    *_, dt, _, _, _ = engine._advance(s, 0.0, ctl, P_FLOW, 0.25)
+    # the failed trial and its retry, which is an RKC2 step too
+    assert rkc[0] == 3 and dt == 0.25e-3
 
 
 @pytest.mark.parametrize("exc, kind", [(OverflowGuard(800.0), POSITION_BLOWUP),
@@ -271,7 +274,8 @@ def test_mid_step_guard_or_degeneration_stops_run(monkeypatch, exc, kind):
     traj = engine.run(shapes.circle(0.8, 64), P_FLOW, horizon=1.0)
     assert traj.stop.kind == kind and traj.stop.t_stop > 0.0
     if kind == POSITION_BLOWUP:
-        assert traj.stop.detail == "conformal exponent guard fired mid-step"
+        # the text of a guard before the first step, too
+        assert traj.stop.detail == "conformal exponent guard fired"
         assert any(ev["event"] == "overflow_guard" for ev in traj.events)
     else:
         assert traj.stop.detail == "edge collapsed"
@@ -364,14 +368,14 @@ def test_degenerate_monitor_group_stops_run(monkeypatch):
 def test_degenerate_monitor_group_rejects_rkc2_trial(monkeypatch):
     # near the balance sphere the accuracy step 3e-3 passes as one RKC2 step
     s = shapes.icosphere(math.sqrt(2.0), 3)
-    dt_stab = engine.stability_dt(s, P_FLOW)
     ctl = engine.StepControl(f0=engine.velocity(s, P_FLOW), dt_acc=3e-3)
-    *_, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, dt_stab)
-    assert nctl.rkc and dt == 3e-3
+    rkc = _count_calls(monkeypatch, engine, "_rkc_advance")
+    *_, dt, _, _, _ = engine._advance(s, 0.0, ctl, P_FLOW, 0.25)
+    assert rkc[0] == 1 and dt == 3e-3
     _patch_monitor_group(monkeypatch, lambda n: n == 1)
-    *_, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, dt_stab)
+    *_, dt, _, _, _ = engine._advance(s, 0.0, ctl, P_FLOW, 0.25)
     # the retry at 0.75e-3 is below dt_stab / 2, so RK4 takes the step
-    assert not nctl.rkc and dt == dt_stab
+    assert rkc[0] == 2 and dt == engine.stability_dt(s, P_FLOW)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +467,33 @@ def _count_calls(monkeypatch, module, name) -> list:
     return count
 
 
+def _watch_bisections(monkeypatch) -> tuple[list, dict]:
+    """Watch a run's RKC2 trials.  Returns the one-element count of trials
+    and a dict from each start state at which a trial ran after one was
+    accepted there, which only a bisection does, to the number of such
+    trials.  A trial is accepted when its error norm is at most 1; the start
+    states are kept, so their ids stay their own."""
+    trials, accepted, bisections, kept = [0], set(), {}, []
+    rkc_advance, error_norm = engine._rkc_advance, engine._error_norm
+
+    def rkc(s, *args):
+        trials[0] += 1
+        kept.append(s.vertices)
+        if id(s.vertices) in accepted:
+            bisections[id(s.vertices)] = bisections.get(id(s.vertices), 0) + 1
+        return rkc_advance(s, *args)
+
+    def norm(y0, *args):
+        err, est = error_norm(y0, *args)
+        if err <= 1.0:
+            accepted.add(id(y0))
+        return err, est
+
+    monkeypatch.setattr(engine, "_rkc_advance", rkc)
+    monkeypatch.setattr(engine, "_error_norm", norm)
+    return trials, bisections
+
+
 def _space_curve(n):
     """A closed curve in R^3 that leaves every plane through the origin."""
     th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -479,11 +510,10 @@ def test_in_place_stages_leave_runs_unchanged(monkeypatch, shape, p, horizon):
     # each run ends at its singular time inside an RKC2 step, so the
     # bisection reruns the recursion from a reused f0 as well
     with monkeypatch.context() as m:
-        rkc = _count_calls(m, engine, "_rkc_advance")
-        bisect = _count_calls(m, engine, "_locate_crossing")
+        rkc, bisections = _watch_bisections(m)
         in_place = engine.run(shape, p, horizon, stride=1)
     assert in_place.stop.kind != HORIZON_REACHED and in_place.n_snapshots > 500
-    assert rkc[0] > 40 and bisect[0] == 1
+    assert rkc[0] > 40 and list(bisections.values()) == [10]
     monkeypatch.setattr(mesh, "_curve_geometry", _curve_geometry_reference)
     monkeypatch.setattr(engine, "velocity", _velocity_reference)
     monkeypatch.setattr(engine, "_rkc_advance", _rkc_advance_reference)
@@ -505,12 +535,11 @@ def test_no_geometry_pass_runs_twice(monkeypatch, shape, p, horizon):
             passes.setdefault(id(v), [v, 0])[1] += 1      # v kept, so its id stays its own
             return real(v, conn, level)
         monkeypatch.setattr(mesh, name, counted)
-    rkc = _count_calls(monkeypatch, engine, "_rkc_advance")
-    bisect = _count_calls(monkeypatch, engine, "_locate_crossing")
+    rkc, bisections = _watch_bisections(monkeypatch)
     engine.run(shape.replace_vertices(shape.vertices), p, horizon, stride=1)
     assert len(passes) > 100 and max(n for _, n in passes.values()) == 1
     if shape.m == 1:
-        assert rkc[0] > 40 and bisect[0] == 1
+        assert rkc[0] > 40 and list(bisections.values()) == [10]
 
 
 @pytest.mark.parametrize("shape", [shapes.ellipse(1.0, 0.6, 24), _space_curve(24),
@@ -561,8 +590,10 @@ def test_rejected_rkc2_trial_leaves_f0_unchanged(monkeypatch):
         return err, est
 
     monkeypatch.setattr(engine, "_error_norm", error_norm)
-    *_, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW, engine.stability_dt(s, P_FLOW))
-    assert rejected[0] >= 1 and nctl.rkc and dt < 1e-2
+    rkc = _count_calls(monkeypatch, engine, "_rkc_advance")
+    *_, dt, _, _, _ = engine._advance(s, 0.0, ctl, P_FLOW, 0.25)
+    # every trial but the last was rejected, and the last took the step
+    assert rejected[0] >= 1 and rkc[0] == rejected[0] + 1 and dt < 1e-2
     assert ctl.f0 is f0
     np.testing.assert_array_equal(_bits(f0), _bits(before))
 
@@ -573,13 +604,20 @@ def test_bisection_reuses_f0_unchanged():
     s = shapes.circle(0.8, 256)
     f0, before = _read_only_f0(s, P_FLOW)
     ctl = engine.StepControl(f0=f0, dt_acc=1e-3)
-    _, nmon, _, dt, _, nctl = engine._advance(s, 0.0, ctl, P_FLOW,
-                                              engine.stability_dt(s, P_FLOW))
-    assert nctl.rkc and dt == 1e-3
+    _, nmon, _, dt, _, nctl, bracket = engine._advance(s, 0.0, ctl, P_FLOW, 0.25)
+    assert dt == 1e-3 and bracket == dt                 # one RKC2 step, no bisection
     th = Thresholds(F2_min=0.5 * (0.64 + nmon.max_F2))
-    end, end_mon, hi, bracket = engine._locate_crossing(s, 0.0, f0, P_FLOW, dt, th)
-    assert end is not None and end_mon.max_F2 < th.F2_min and hi < dt
+    end, end_mon, t1, hi, landed, bctl, bracket = engine._advance(s, 0.0, ctl, P_FLOW, 0.25,
+                                                                  th=th)
+    assert end_mon.max_F2 < th.F2_min and t1 == hi < dt and not landed
     assert bracket <= engine.BISECT_FRACTION * dt
+    # the end is an RKC2 step of length hi from f0 and the start's spectral bound
+    stages = engine._rkc_stages(hi, engine._spectral_radius(s, P_FLOW, 0.0))[1]
+    np.testing.assert_array_equal(
+        _bits(end.vertices), _bits(engine._rkc_advance(s, P_FLOW, 0.0, hi, stages, f0).vertices))
+    # the controller state is the whole step's
+    assert bctl.dt_acc == nctl.dt_acc and bctl.err_sum == nctl.err_sum
+    np.testing.assert_array_equal(_bits(bctl.f0), _bits(nctl.f0))
     np.testing.assert_array_equal(_bits(f0), _bits(before))
 
 
@@ -662,6 +700,8 @@ def test_overflow_guard_classified_as_position_blowup():
     traj = engine.run(far, P_FLOW, horizon=1.0)
     assert traj.stop.kind == POSITION_BLOWUP
     assert traj.stop.t_stop == 0.0
+    assert traj.stop.detail == "conformal exponent guard fired"
+    assert any(ev["event"] == "overflow_guard" for ev in traj.events)
 
 
 def test_snapshot_times_are_exact():
@@ -703,7 +743,7 @@ def test_blowup_time_self_consistency_under_refinement():
     (shapes.icosphere(1.2, 1), P_FLOW, 0.6),
 ], ids=["FLOW", "FLOW0", "FLOWP", "icosphere1"])
 def test_run_matches_repeated_step(shape, p, horizon):
-    # run() and step() share stability_dt, _rk4_advance and compute_diagnostics
+    # run() and step() share _advance and compute_diagnostics
     traj = engine.run(shape, p, horizon=horizon, stride=1)
     assert traj.n_snapshots > 50
     state = engine.initial_state(shape)

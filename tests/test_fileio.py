@@ -283,19 +283,23 @@ def test_reader_shares_connectivity_with_like(tmp_path):
         second = fileio.read_immersion(tmp_path / f"b{ext}", like=first)
         assert second._conn is first._conn and second.faces is first.faces
         np.testing.assert_array_equal(second.vertices, moved.vertices)
-        # a different vertex count or face list builds its own
-        other = shapes.icosphere(1.0, 2)
-        fileio.write_immersion(tmp_path / f"c{ext}", other)
-        assert fileio.read_immersion(tmp_path / f"c{ext}", like=first)._conn is not first._conn
-        flipped = DiscreteImmersion(2, s.vertices, s.faces[:, ::-1])
-        fileio.write_immersion(tmp_path / f"d{ext}", flipped)
-        again = fileio.read_immersion(tmp_path / f"d{ext}", like=first)
-        assert again._conn is not first._conn
-        np.testing.assert_array_equal(again.faces, flipped.faces)
+        # a different vertex count or face list is refused, naming the file
+        fileio.write_immersion(tmp_path / f"c{ext}", shapes.icosphere(1.0, 2))
+        fileio.write_immersion(tmp_path / f"d{ext}",
+                               DiscreteImmersion(2, s.vertices, s.faces[:, ::-1]))
+        for name, what in (("c", "m = 2 with 162 vertices"), ("d", "face list")):
+            with pytest.raises(IoError, match=f"{name}{ext}: its {what} differs from the "
+                               r"first snapshot's \(m = 2 with 42 vertices\)"):
+                fileio.read_immersion(tmp_path / f"{name}{ext}", like=first)
     curve = shapes.circle(1.0, 16)
     fileio.write_pline(tmp_path / "a.pline", curve)
     first = fileio.read_pline(tmp_path / "a.pline")
     assert fileio.read_pline(tmp_path / "a.pline", like=first)._conn is first._conn
+    # so is another intrinsic dimension
+    with pytest.raises(IoError, match=r"a\.off: its m = 2 with 42 vertices differs"):
+        fileio.read_immersion(tmp_path / "a.off", like=first)
+    with pytest.raises(IoError, match=r"a\.pline: its m = 1 with 16 vertices differs"):
+        fileio.read_immersion(tmp_path / "a.pline", like=fileio.read_immersion(tmp_path / "a.off"))
 
 
 @pytest.mark.parametrize("ext", [".off", ".obj", ".pline"])
@@ -311,11 +315,14 @@ def test_shared_connectivity_keeps_the_constructors_checks(tmp_path, ext, damage
     else:
         v[3, 1] = float(damage)
     fileio.write_immersion(tmp_path / f"b{ext}", s.replace_vertices(v))
-    with pytest.raises(InvalidConfig) as alone:
+    # refused as the file's contents, so the error names it
+    with pytest.raises(IoError) as alone:
         fileio.read_immersion(tmp_path / f"b{ext}")
-    with pytest.raises(InvalidConfig) as shared:
+    with pytest.raises(IoError) as shared:
         fileio.read_immersion(tmp_path / f"b{ext}", like=first)
     assert str(shared.value) == str(alone.value)
+    assert str(alone.value).startswith(f"{tmp_path / f'b{ext}'}: ")
+    assert isinstance(alone.value.__cause__, InvalidConfig)
 
 
 def test_replace_vertices_checked_refuses_another_shape():

@@ -725,17 +725,24 @@ def test_loaded_snapshots_share_one_connectivity(surface_dir):
     assert load_trajectory(str(surface_dir)).snapshots[0]._conn is not snaps[0]._conn
 
 
-def test_loaded_snapshot_with_other_faces_gets_its_own_connectivity(tmp_path, surface_dir):
+@pytest.mark.parametrize("name, damage, message", [
+    ("000002.off", lambda first: DiscreteImmersion(2, first.vertices, first.faces[:, ::-1]),
+     "its face list differs from the first snapshot's"),
+    ("000003.off", lambda first: shapes.icosphere(2.0, 2),
+     "its m = 2 with 162 vertices differs from the first snapshot's"),
+    ("000000.pline", lambda first: shapes.circle(1.0, 16),
+     "a snapshot of m = 1 in a run of m = 2"),
+], ids=["faces", "vertex-count", "first-snapshot-m"])
+def test_loaded_snapshot_of_another_topology_is_refused(tmp_path, surface_dir, name, damage,
+                                                        message):
+    # the snapshots of a run share its m and the first snapshot's topology
     shutil.copytree(surface_dir, tmp_path, dirs_exist_ok=True)
-    first = fileio.read_off(tmp_path / "snapshots" / "000000.off")
-    fileio.write_off(tmp_path / "snapshots" / "000002.off",
-                     DiscreteImmersion(2, first.vertices, first.faces[:, ::-1]))
-    fileio.write_off(tmp_path / "snapshots" / "000003.off", shapes.icosphere(2.0, 2))
-    snaps = load_trajectory(str(tmp_path)).snapshots
-    assert snaps[1]._conn is snaps[0]._conn
-    assert len({id(s._conn) for s in snaps[1:]}) == 3
-    np.testing.assert_array_equal(snaps[2].faces, first.faces[:, ::-1])
-    assert snaps[3].n_vertices == shapes.icosphere(2.0, 2).n_vertices
+    snap_dir = tmp_path / "snapshots"
+    first = fileio.read_off(snap_dir / "000000.off")
+    (snap_dir / f"{name[:6]}.off").unlink()
+    fileio.write_immersion(snap_dir / name, damage(first))
+    with pytest.raises(IoError, match=re.escape(f"{snap_dir / name}: {message}")):
+        load_trajectory(str(tmp_path))
 
 
 @pytest.mark.parametrize("damage", ["nan", "collapsed"])
@@ -749,11 +756,11 @@ def test_loaded_snapshot_on_a_shared_connectivity_is_checked(tmp_path, surface_d
     else:                          # the first face's first edge has length 0
         v[s.faces[0, 1]] = v[s.faces[0, 0]]
     fileio.write_off(path, s.replace_vertices(v))
-    with pytest.raises(InvalidConfig) as alone:
+    with pytest.raises(IoError) as alone:
         fileio.read_off(path)
-    with pytest.raises(InvalidConfig) as loaded:
+    with pytest.raises(IoError) as loaded:
         load_trajectory(str(tmp_path))
-    assert str(loaded.value) == str(alone.value)
+    assert str(loaded.value) == str(alone.value) and str(path) in str(alone.value)
 
 
 def test_surface_render_of_a_loaded_directory_copies_its_snapshots(tmp_path, surface_dir):
