@@ -6,7 +6,7 @@ verifies blow-up bounds, barrier/comparison principles, and scalar
 evolution identities along recorded trajectories.
 """
 
-from .ambient import GaussianAmbient, sectional_curvature
+from .ambient import sectional_curvature
 from .engine import (FLOW, FLOW0, FLOWP, FlowParams, FlowTrajectory, StopReason,
                      Thresholds, run, step, velocity)
 from .mesh import DiscreteImmersion
@@ -16,7 +16,7 @@ from .shapes import builtin_shape
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussianAmbient", "sectional_curvature",
+    "sectional_curvature",
     "DiscreteImmersion", "builtin_shape",
     "FlowParams", "Thresholds", "FlowTrajectory", "StopReason",
     "FLOW", "FLOW0", "FLOWP", "run", "step", "velocity",

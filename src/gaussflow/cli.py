@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import comparison, fileio, harness, radial, render as render_mod
-from .ambient import GaussianAmbient, sectional_curvature
+from .ambient import sectional_curvature
 from .errors import GaussFlowError
 from .harness import SCENARIOS, load_config, load_trajectory
 from .radial import RadialParams
@@ -87,8 +87,7 @@ def _cmd_ambient(args) -> int:
         raise GaussFlowError(f"--point and --axes take comma-separated numbers: {exc}") from None
     if len(axes) != 2:
         raise GaussFlowError("--axes needs exactly two indices")
-    amb = GaussianAmbient(dim_total=len(point), m=args.m)
-    value = sectional_curvature(amb, np.array(point), axes[0], axes[1])
+    value = sectional_curvature(args.m, np.array(point), axes[0], axes[1])
     print(f"{value:.17g}")
     return 0
 

@@ -568,7 +568,7 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         raise InvalidConfig("stride must be >= 1")
     check_cfl(cfl)
     th = thresholds if thresholds is not None else Thresholds()
-    if p.c_at(0.0) <= 0 or p.c_at(horizon) <= 0:
+    if p.c_at(horizon) <= 0:          # c(0) = c > 0 holds since FlowParams was built
         raise InvalidConfig("c(t) must remain positive over the horizon")
 
     pending = [] if snapshot_times is None else sorted({float(x) for x in snapshot_times})

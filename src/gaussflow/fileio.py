@@ -8,11 +8,12 @@ which round-trips binary64 exactly, so write -> read is bit-exact.
 The writers format a whole array with one ``%`` over its flattened values,
 not one join per row; ``%r`` is repr() and ``%d`` is str(), so the bytes are
 those of the per-row forms.  A reader given ``like``, an immersion already
-read, puts a file with the same face list and vertex count on ``like``'s
-connectivity, so the snapshots of one loaded run build it once, and refuses
-a file whose m, vertex count or face list differ from ``like``'s.  Positions
-the immersion's checks refuse (not finite, a collapsed edge) raise IoError
-naming the file, as malformed syntax does.
+read, puts a file with the same m and face list on ``like``'s connectivity,
+so the snapshots of one loaded run build it once, and refuses a file whose m
+or face list differ from ``like``'s.  Positions the immersion's checks
+refuse (not ``like``'s shape, that is its vertex count and ambient
+dimension; not finite; a collapsed edge) raise IoError naming the file, as
+malformed syntax does.
 """
 
 from __future__ import annotations
@@ -47,12 +48,11 @@ def _immersion(path, m: int, verts: np.ndarray, faces, like) -> DiscreteImmersio
     """An immersion from a file's parsed arrays, on like's connectivity when
     like is given; a file that does not fit like, or holds positions the
     immersion refuses, raises IoError naming it."""
-    if like is not None:
-        mine, first = (m, len(verts)), (like.m, like.n_vertices)
-        if mine != first or (faces is not None and not np.array_equal(faces, like.faces)):
-            what = "face list" if mine == first else f"m = {m} with {len(verts)} vertices"
-            raise IoError(f"{path}: its {what} differs from the first snapshot's "
-                          f"(m = {like.m} with {like.n_vertices} vertices)")
+    if like is not None and (m != like.m or faces is not None
+                             and not np.array_equal(faces, like.faces)):
+        what = "face list" if m == like.m else f"m = {m}"
+        raise IoError(f"{path}: its {what} differs from the first snapshot's "
+                      f"(m = {like.m} with {like.n_vertices} vertices)")
     try:
         if like is None:
             return DiscreteImmersion(m, verts, faces)

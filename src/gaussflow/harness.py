@@ -21,8 +21,11 @@ A run writes a self-describing artifact directory:
 ``meshes=False``, as claims load it, it reads no snapshot file and only
 counts their names against the rows.  It refuses rows and events that do
 not run from t = 0 to the stop in ``result.json``, a ``result.json`` scalar
-of the wrong type or range, and snapshots whose m, vertex count or face
-list differ from the first one's or whose positions the immersion refuses.
+of the wrong type or range (``_SCALARS``, the sections' fields included,
+checked before their records are built), and snapshots whose m or face list
+differ from the first one's or whose positions the immersion refuses (among
+them, positions not of the first snapshot's shape).  A save removes an
+older ``result.json`` before it writes any file, ``run.cfg`` included.
 No other module knows the format.
 
 Scenario names reproduce the qualitative regimes of the flow: shrink
@@ -46,7 +49,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import engine, fileio, radial
-from .engine import (CURVATURE_BLOWUP, HORIZON_REACHED, POSITION_BLOWUP,
+from .engine import (CURVATURE_BLOWUP, HORIZON_REACHED, MESH_DEGENERATE, POSITION_BLOWUP,
                      POSITION_COLLAPSE, FlowParams, FlowTrajectory, StopReason,
                      Thresholds)
 from .errors import InvalidConfig, IoError
@@ -210,8 +213,10 @@ def load_config(path) -> RunConfig:
 
 def _write_config(cfg: RunConfig, outdir, initial: DiscreteImmersion) -> list[str]:
     """Write the config that ran as ``run.cfg``, so the directory replays.
-    A mesh-file input is copied in, so the replay does not depend on it."""
-    os.makedirs(outdir, exist_ok=True)
+    A mesh-file input is copied in, so the replay does not depend on it.
+    An older run's result.json goes first, so no file of this run is
+    written while the directory still loads as that run."""
+    _remove_result(outdir)
     copies = []
     if cfg.initial_kind == "file":
         name = "initial.pline" if initial.m == 1 else "initial.off"
@@ -232,14 +237,24 @@ def _write_config(cfg: RunConfig, outdir, initial: DiscreteImmersion) -> list[st
 _SECTIONS = {"params": FlowParams, "thresholds": Thresholds, "stop": StopReason}
 _RESULT_KEYS = ("m", "horizon", *_SECTIONS, "t_stop_error", "initial_h_max",
                 "integration_error")
-# result.json's scalars: what a run can write for each, and its description.
-# type() is exact, so a bool (a subclass of int) is never a number here.
+_STOP_KINDS = (CURVATURE_BLOWUP, POSITION_BLOWUP, POSITION_COLLAPSE, MESH_DEGENERATE,
+               HORIZON_REACHED)
+# a section field of run.cfg's key table has the same type in result.json
+_TYPED = {str: (lambda x: type(x) is str, "a string"),
+          float: (lambda x: type(x) in (int, float), "a number")}
+# result.json's scalars, "section.field" inside a section: what a run can
+# write for each, and its description.  type() is exact, so a bool (a
+# subclass of int) is never a number here.
 _SCALARS = {
     "m": (lambda x: type(x) is int and x in (1, 2), "1 or 2"),
     "horizon": (lambda x: type(x) in (int, float) and x >= 0, "a number >= 0"),
-    **dict.fromkeys(("t_stop_error", "initial_h_max", "integration_error"),
+    **dict.fromkeys(("t_stop_error", "initial_h_max", "integration_error", "stop.t_stop"),
                     (lambda x: type(x) in (int, float) and 0 <= x < math.inf,
                      "a finite number >= 0")),
+    **{key: _TYPED[kind] for key, (_, kind) in _KEYS.items()
+       if key.startswith(("params.", "thresholds."))},
+    "stop.kind": (lambda x: x in _STOP_KINDS, "one of " + ", ".join(_STOP_KINDS)),
+    "stop.detail": _TYPED[str],
 }
 
 
@@ -256,16 +271,23 @@ def _snapshot_names(snap_dir) -> list[str]:
                   if name.endswith((".pline", ".off", ".obj")) and name.split(".")[0].isdigit())
 
 
+def _remove_result(outdir) -> str:
+    """Make outdir and remove its result.json, if any, whose path it returns:
+    until a new one is renamed in, the directory loads as no run."""
+    os.makedirs(outdir, exist_ok=True)
+    result_path = os.path.join(outdir, "result.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(result_path)
+    return result_path
+
+
 def save_trajectory(traj: FlowTrajectory, outdir, save_meshes: bool = True) -> list[str]:
     """Write a trajectory's artifact files.  ``result.json`` goes last, under
     a temporary name then renamed, and any older one is removed first, so a
     directory holds a result record only once every other file is complete.
     An older run's numbered snapshots are removed too, so none of them load
     with this run's rows."""
-    os.makedirs(outdir, exist_ok=True)
-    result_path = os.path.join(outdir, "result.json")
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(result_path)
+    result_path = _remove_result(outdir)
     snap_dir = os.path.join(outdir, "snapshots")
     for name in _snapshot_names(snap_dir):
         os.remove(os.path.join(snap_dir, name))
@@ -320,13 +342,16 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
         with open(result_path) as fh:
             meta = required(json.load(fh), _RESULT_KEYS)
         for name, cls in _SECTIONS.items():
-            meta[name] = cls(**required(meta[name], [f.name for f in fields(cls)],
-                                        f"{name}."))
+            meta[name] = required(meta[name], [f.name for f in fields(cls)], f"{name}.")
+        for key, (valid, what) in _SCALARS.items():
+            head, _, sub = key.partition(".")
+            value = meta[head][sub] if sub else meta[head]
+            if not valid(value):
+                raise IoError(f"{result_path}: {key} = {value!r} is not {what}")
+        for name, cls in _SECTIONS.items():
+            meta[name] = cls(**meta[name])
     except (ValueError, TypeError, InvalidConfig) as exc:
         raise IoError(f"{result_path}: malformed record: {exc}") from exc
-    for key, (valid, what) in _SCALARS.items():
-        if not valid(meta[key]):
-            raise IoError(f"{result_path}: {key} = {meta[key]!r} is not {what}")
     ev_path = os.path.join(indir, "events.jsonl")
     if not os.path.exists(ev_path):
         raise IoError(f"{indir} has no events.jsonl")

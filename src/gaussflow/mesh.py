@@ -194,13 +194,12 @@ class DiscreteImmersion:
 
     def replace_vertices_checked(self, vertices) -> "DiscreteImmersion":
         """replace_vertices with every check the constructor makes on the
-        positions: a 2-d array of this topology's vertex count, finite, with
-        a non-degenerate geometry pass."""
+        positions: an array of this immersion's shape, so of its vertex count
+        and ambient dimension, finite, with a non-degenerate geometry pass."""
         v = np.asarray(vertices, dtype=np.float64)
-        if v.ndim != 2:
-            raise InvalidConfig("vertices must be a 2-d array")
-        if len(v) != self.n_vertices:
-            raise InvalidConfig(f"{len(v)} vertices for a topology of {self.n_vertices}")
+        if v.shape != self.vertices.shape:
+            raise InvalidConfig(f"positions of shape {v.shape} for an immersion of shape "
+                                f"{self.vertices.shape}")
         new = self.replace_vertices(v)
         new._validate()
         return new

@@ -237,7 +237,7 @@ def integrate_radial(p: RadialParams, horizon: float, t_eval=None) -> RadialTraj
     escape_ceiling = 690.0 * p.m / p.a
     if not COLLAPSE_FLOOR < p.R0_sq < escape_ceiling:
         raise InvalidConfig("R0_sq must sit between collapse floor and escape ceiling")
-    if p.c(0.0) <= 0 or p.c(horizon) <= 0:
+    if p.c(horizon) <= 0:             # c(0) = c0 > 0 holds since p.law was built
         raise InvalidConfig("c(t) must stay positive over the horizon")
     pending = [] if t_eval is None else sorted(float(t) for t in t_eval)
     if any(not 0 <= t <= horizon for t in pending):

@@ -6,73 +6,76 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussflow import engine, shapes
-from gaussflow.ambient import GaussianAmbient, as_ambient_vector, sectional_curvature
+from gaussflow.ambient import sectional_curvature
 from gaussflow.engine import FLOW0, FlowParams
 from gaussflow.errors import AxisError, OverflowGuard, UnsupportedParam
 
 
 def test_flat_sections_at_origin_give_two_over_m():
     for m, dim in ((1, 2), (2, 3), (3, 5)):
-        amb = GaussianAmbient(dim_total=dim, m=m)
-        val = sectional_curvature(amb, np.zeros(dim), 0, 1)
+        val = sectional_curvature(m, np.zeros(dim), 0, 1)
         assert val == pytest.approx(2.0 / m, abs=1e-12)
 
 
 def test_bracket_zero_at_transverse_norm_2m():
-    amb = GaussianAmbient(dim_total=3, m=2)
     s = math.sqrt(4.0)  # transverse norm^2 = 2m = 4
-    assert sectional_curvature(amb, np.array([0.0, 0.0, s]), 0, 1) == pytest.approx(0.0, abs=1e-12)
+    assert sectional_curvature(2, np.array([0.0, 0.0, s]), 0, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_transverse_axis_value():
     # direct substitution: (1/2) e^{16/2} (2 - 16/2) = -3 e^8
-    amb = GaussianAmbient(dim_total=3, m=2)
-    val = sectional_curvature(amb, np.array([0.0, 0.0, 4.0]), 0, 1)
+    val = sectional_curvature(2, np.array([0.0, 0.0, 4.0]), 0, 1)
     assert val == pytest.approx(-3.0 * math.exp(8.0), rel=1e-12)
 
 
 def test_unbounded_below_along_transverse_axis():
-    amb = GaussianAmbient(dim_total=3, m=2)
-    at5 = sectional_curvature(amb, np.array([0.0, 0.0, 5.0]), 0, 1)
-    at10 = sectional_curvature(amb, np.array([0.0, 0.0, 10.0]), 0, 1)
+    at5 = sectional_curvature(2, np.array([0.0, 0.0, 5.0]), 0, 1)
+    at10 = sectional_curvature(2, np.array([0.0, 0.0, 10.0]), 0, 1)
     assert at10 < at5 < 0.0
 
 
 def test_axis_validation():
-    amb = GaussianAmbient(dim_total=3, m=2)
     x = np.zeros(3)
     with pytest.raises(AxisError):
-        sectional_curvature(amb, x, 1, 1)
+        sectional_curvature(2, x, 1, 1)
     with pytest.raises(AxisError):
-        sectional_curvature(amb, x, 0, 3)
+        sectional_curvature(2, x, 0, 3)
     with pytest.raises(AxisError):
-        sectional_curvature(amb, x, -1, 0)
+        sectional_curvature(2, x, -1, 0)
 
 
 @pytest.mark.parametrize("x, match", [
     (np.zeros((1, 3)), "must be 1-d"),
-    (np.zeros(2), "2 components, expected 3"),
+    (np.zeros(2), "2 components, needs >= m\\+1 = 3"),
     ([0.0, math.nan, 0.0], "non-finite"),
     ([0.0, 0.0, math.inf], "non-finite"),
 ], ids=["2d", "short", "nan", "inf"])
 def test_ambient_vector_refusals(x, match):
     with pytest.raises(UnsupportedParam, match=match):
-        as_ambient_vector(x, 3)
-    np.testing.assert_array_equal(as_ambient_vector([1, 2, 3], 3), [1.0, 2.0, 3.0])
+        sectional_curvature(2, x, 0, 1)
+    # a list is taken as a vector of floats: (1/2) e^{14/2} (2 - 9/2)
+    assert sectional_curvature(2, [1, 2, 3], 0, 1) == pytest.approx(-1.25 * math.exp(7.0),
+                                                                    rel=1e-12)
 
 
 def test_overflow_guard_on_far_points():
-    amb = GaussianAmbient(dim_total=3, m=1)
     far = np.array([0.0, 0.0, 30.0])  # |x|^2/m = 900 > 700
     with pytest.raises(OverflowGuard):
-        sectional_curvature(amb, far, 0, 1)
+        sectional_curvature(1, far, 0, 1)
+    # the point and axes are checked before the guard
+    with pytest.raises(AxisError):
+        sectional_curvature(1, far, 0, 0)
 
 
 def test_ambient_invariants():
-    with pytest.raises(UnsupportedParam):
-        GaussianAmbient(dim_total=2, m=2)
-    with pytest.raises(UnsupportedParam):
-        GaussianAmbient(dim_total=3, m=0)
+    # the point fixes the ambient dimension, which must exceed m
+    with pytest.raises(UnsupportedParam, match="needs >= m\\+1 = 4"):
+        sectional_curvature(3, np.zeros(3), 0, 1)
+    assert sectional_curvature(3, np.zeros(4), 0, 1) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    # m is checked first, before the point
+    for m in (0, -1):
+        with pytest.raises(UnsupportedParam, match=f"m must be >= 1, got {m}"):
+            sectional_curvature(m, np.zeros((1, 3)), 0, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -84,13 +87,12 @@ def test_ambient_invariants():
 # a zero coordinate with transverse |x|^2 = 2m puts the bracket at exactly 0
 @example(coords=[1.1, 2.3, 2.0, 0.0], axes=[0, 1, 2, 3], flips=[1.0, 1.0, 1.0, 1.0])
 def test_symmetry_under_axis_swap_and_sign_flips(coords, axes, flips):
-    amb = GaussianAmbient(dim_total=4, m=2)
     x = np.array(coords)
     a, b = axes[0], axes[1]
-    base = sectional_curvature(amb, x, a, b)
-    assert sectional_curvature(amb, x, b, a) == pytest.approx(base, rel=1e-12, abs=1e-300)
+    base = sectional_curvature(2, x, a, b)
+    assert sectional_curvature(2, x, b, a) == pytest.approx(base, rel=1e-12, abs=1e-300)
     flipped = x * np.array(flips)
-    assert sectional_curvature(amb, flipped, a, b) == pytest.approx(base, rel=1e-12, abs=1e-300)
+    assert sectional_curvature(2, flipped, a, b) == pytest.approx(base, rel=1e-12, abs=1e-300)
 
 
 def test_conformal_mean_curvature_self_shrinker_is_stationary():

@@ -481,22 +481,66 @@ def test_verify_refuses_an_inconsistent_event_stream(tmp_path, capsys, damage, m
     ("t_stop_error", math.inf), ("t_stop_error", -1e-3),
     ("initial_h_max", "x"), ("initial_h_max", None),
     ("integration_error", "x"), ("integration_error", math.nan), ("integration_error", True),
+    ("params.variant", 1), ("params.a", True), ("params.c_slope", "0"),
+    ("thresholds.h2_max", True), ("thresholds.F2_min", "x"),
+    ("stop.kind", "BOGUS"), ("stop.t_stop", True), ("stop.t_stop", math.nan),
+    ("stop.detail", None),
 ])
 def test_verify_refuses_a_result_scalar_of_the_wrong_type(tmp_path, capsys, key, value):
-    # each of these loaded before, and the strings ended in a TypeError traceback
+    # each of these loaded before, ended in a TypeError traceback, or was refused
+    # without naming its key
     run = _simulate_circle(tmp_path, capsys, "run", 0.8)
-    result = json.loads((run / "result.json").read_text())
-    (run / "result.json").write_text(json.dumps({**result, key: value}))
+    written = json.loads((run / "result.json").read_text())
+    head, _, sub = key.partition(".")
+    # a law constant of True loaded under FLOW (True == 1.0) and under FLOWP
+    variants = ("FLOW", "FLOWP") if head == "params" and sub != "variant" else (None,)
+    for variant in variants:
+        result = json.loads(json.dumps(written))
+        section = result[head] if sub else result
+        section[sub or key] = value
+        if variant:
+            result["params"]["variant"] = variant
+        (run / "result.json").write_text(json.dumps(result))
+        if head == "stop":
+            # the stop event equal to result.json's stop, so only the type is off
+            lines = (run / "events.jsonl").read_text().splitlines()
+            stop = {**json.loads(lines[-1]), "t" if sub == "t_stop" else sub: value}
+            (run / "events.jsonl").write_text("\n".join(lines[:-1] + [json.dumps(stop)]) + "\n")
+        for argv in (("verify", "--claim", "SIGN_PRESERVATION_BELOW", "--eps", "0.1"),
+                     ("render",)):
+            code, out, err = run_cli(capsys, argv[0], "--trajectory", str(run), *argv[1:])
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"result.json: {key} = {value!r} is not " in err, err
+
+
+def test_verify_refuses_a_directory_whose_save_was_interrupted(tmp_path, capsys, monkeypatch):
+    # run B into run A's directory, stopped after it wrote run.cfg: the
+    # directory loaded as run A under run B's run.cfg before
+    run = _simulate_circle(tmp_path, capsys, "run", 0.8)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("gaussflow.harness.save_trajectory", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _simulate_circle(tmp_path, capsys, "run", 1.5)
+    assert "initial.radius = 1.5" in (run / "run.cfg").read_text()
     code, out, err = run_cli(capsys, "verify", "--trajectory", str(run),
                              "--claim", "SIGN_PRESERVATION_BELOW", "--eps", "0.1")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"result.json: {key} = {value!r} is not " in err, err
+    assert "does not look like a complete trajectory directory" in err, err
 
 
 def _drop_vertex_line(run):
     path = run / "snapshots" / "000001.pline"
     path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+
+
+def _append_a_coordinate(run):
+    path = run / "snapshots" / "000001.pline"
+    path.write_text("".join(line + " 0.0\n" for line in path.read_text().splitlines()))
 
 
 def _surface_first_snapshot(run):
@@ -505,12 +549,14 @@ def _surface_first_snapshot(run):
 
 
 @pytest.mark.parametrize("damage, message", [
-    (_drop_vertex_line, r"000001\.pline: its m = 1 with 31 vertices differs from the first "
-                        r"snapshot's \(m = 1 with 32 vertices\)"),
+    (_drop_vertex_line, r"000001\.pline: positions of shape \(31, 2\) for an immersion "
+                        r"of shape \(32, 2\)"),
+    (_append_a_coordinate, r"000001\.pline: positions of shape \(32, 3\) for an immersion "
+                           r"of shape \(32, 2\)"),
     (_surface_first_snapshot, r"000000\.off: a snapshot of m = 2 in a run of m = 1"),
-], ids=["vertex-deleted", "first-snapshot-m"])
+], ids=["vertex-deleted", "extra-column", "first-snapshot-m"])
 def test_render_refuses_a_snapshot_of_another_topology(tmp_path, capsys, damage, message):
-    # a 31-gon frame of a 32-gon run was drawn before
+    # a 31-gon frame, or a space-curve frame, of a planar 32-gon run was drawn before
     run = _simulate_circle(tmp_path, capsys, "run", 0.8)
     damage(run)
     code, out, err = run_cli(capsys, "render", "--trajectory", str(run))

@@ -283,22 +283,29 @@ def test_reader_shares_connectivity_with_like(tmp_path):
         second = fileio.read_immersion(tmp_path / f"b{ext}", like=first)
         assert second._conn is first._conn and second.faces is first.faces
         np.testing.assert_array_equal(second.vertices, moved.vertices)
-        # a different vertex count or face list is refused, naming the file
+        # another face list, or another vertex count on the same one, is
+        # refused, naming the file
         fileio.write_immersion(tmp_path / f"c{ext}", shapes.icosphere(1.0, 2))
         fileio.write_immersion(tmp_path / f"d{ext}",
                                DiscreteImmersion(2, s.vertices, s.faces[:, ::-1]))
-        for name, what in (("c", "m = 2 with 162 vertices"), ("d", "face list")):
-            with pytest.raises(IoError, match=f"{name}{ext}: its {what} differs from the "
+        for name in ("c", "d"):
+            with pytest.raises(IoError, match=f"{name}{ext}: its face list differs from the "
                                r"first snapshot's \(m = 2 with 42 vertices\)"):
                 fileio.read_immersion(tmp_path / f"{name}{ext}", like=first)
+        fileio.write_immersion(tmp_path / f"e{ext}",
+                               s.replace_vertices(np.vstack([s.vertices, [[0.0, 0.0, 5.0]]])))
+        with pytest.raises(IoError, match=rf"e{ext}: positions of shape \(43, 3\) for an "
+                           r"immersion of shape \(42, 3\)"):
+            fileio.read_immersion(tmp_path / f"e{ext}", like=first)
     curve = shapes.circle(1.0, 16)
     fileio.write_pline(tmp_path / "a.pline", curve)
     first = fileio.read_pline(tmp_path / "a.pline")
     assert fileio.read_pline(tmp_path / "a.pline", like=first)._conn is first._conn
     # so is another intrinsic dimension
-    with pytest.raises(IoError, match=r"a\.off: its m = 2 with 42 vertices differs"):
+    with pytest.raises(IoError, match=r"a\.off: its m = 2 differs from the first "
+                       r"snapshot's \(m = 1 with 16 vertices\)"):
         fileio.read_immersion(tmp_path / "a.off", like=first)
-    with pytest.raises(IoError, match=r"a\.pline: its m = 1 with 16 vertices differs"):
+    with pytest.raises(IoError, match=r"a\.pline: its m = 1 differs"):
         fileio.read_immersion(tmp_path / "a.pline", like=fileio.read_immersion(tmp_path / "a.off"))
 
 
@@ -326,11 +333,18 @@ def test_shared_connectivity_keeps_the_constructors_checks(tmp_path, ext, damage
 
 
 def test_replace_vertices_checked_refuses_another_shape():
+    # one shape comparison covers the 2-d check, the vertex count and the
+    # ambient dimension
     s = shapes.icosphere(1.0, 0)
-    with pytest.raises(InvalidConfig, match="2-d"):
-        s.replace_vertices_checked(s.vertices.ravel())
-    with pytest.raises(InvalidConfig, match="11 vertices for a topology of 12"):
-        s.replace_vertices_checked(s.vertices[:-1])
+    for v, shape in ((s.vertices.ravel(), r"\(36,\)"), (s.vertices[:-1], r"\(11, 3\)"),
+                     (np.hstack([s.vertices, s.vertices[:, :1]]), r"\(12, 4\)")):
+        with pytest.raises(InvalidConfig, match=rf"positions of shape {shape} for an "
+                           r"immersion of shape \(12, 3\)"):
+            s.replace_vertices_checked(v)
+    c = shapes.circle(1.0, 16)
+    with pytest.raises(InvalidConfig, match=r"shape \(16, 3\) for an immersion of shape "
+                       r"\(16, 2\)"):
+        c.replace_vertices_checked(np.hstack([c.vertices, np.zeros((16, 1))]))
 
 
 def test_constructor_builds_its_own_connectivity():

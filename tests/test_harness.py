@@ -728,8 +728,9 @@ def test_loaded_snapshots_share_one_connectivity(surface_dir):
 @pytest.mark.parametrize("name, damage, message", [
     ("000002.off", lambda first: DiscreteImmersion(2, first.vertices, first.faces[:, ::-1]),
      "its face list differs from the first snapshot's"),
-    ("000003.off", lambda first: shapes.icosphere(2.0, 2),
-     "its m = 2 with 162 vertices differs from the first snapshot's"),
+    ("000003.off", lambda first: first.replace_vertices(
+        np.vstack([first.vertices, [[0.0, 0.0, 5.0]]])),
+     "positions of shape (43, 3) for an immersion of shape (42, 3)"),
     ("000000.pline", lambda first: shapes.circle(1.0, 16),
      "a snapshot of m = 1 in a run of m = 2"),
 ], ids=["faces", "vertex-count", "first-snapshot-m"])
