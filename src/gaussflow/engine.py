@@ -37,20 +37,24 @@ sample time or the horizon; a retry of an RKC2 trial at a shorter step
 when its estimate exceeds the tolerance (at the step the estimate allows)
 or it trips the overflow guard or degenerates the mesh (at a quarter);
 and, when given thresholds, a bisection of a threshold crossed inside an
-accepted RKC2 step, down to BISECT_FRACTION of it.  The controller state
-travels in ``FlowState``, so ``run`` and repeated ``step`` take the same
-steps, and there is one stepping path for curves and surfaces: every
-stage is an immersion evaluated through the mesh operators.  Runs
-terminate with a classified stop reason: curvature blow-up, position
-blow-up, collapse to the origin, mesh degeneration, or horizon.  The
-checks of recorded runs live in ``comparison``.
+accepted RKC2 step, down to BISECT_FRACTION of it.  A flow's state is one
+frozen record, ``FlowState``: the time, the immersion, the length of the
+step that reached it and the controller state (the next step's first
+stage, the accuracy step and the summed error estimate).  ``_advance``
+takes one and returns the next, so ``run`` and repeated ``step`` take the
+same steps.  The state's diagnostics are read from its immersion's cached
+geometry pass, not stored.  There is one stepping path for curves and
+surfaces: every stage is an immersion evaluated through the mesh
+operators.  Runs terminate with a classified stop reason (``STOP_KINDS``):
+curvature blow-up, position blow-up, collapse to the origin, mesh
+degeneration, or horizon.  The checks of recorded runs live in
+``comparison``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +72,8 @@ POSITION_BLOWUP = "POSITION_BLOWUP"
 POSITION_COLLAPSE = "POSITION_COLLAPSE"
 MESH_DEGENERATE = "MESH_DEGENERATE"
 HORIZON_REACHED = "HORIZON_REACHED"
+STOP_KINDS = (CURVATURE_BLOWUP, POSITION_BLOWUP, POSITION_COLLAPSE, MESH_DEGENERATE,
+              HORIZON_REACHED)
 
 DT_MIN = 1e-12           # shortest stable step; below it the run stops
 DT_MAX = 1e-2            # longest step of either integrator
@@ -148,38 +154,36 @@ class Diagnostics:
     max_h2: float
     weighted_area: float
     mesh_quality: float
-    dt_used: float
-
-
-class _Monitor(NamedTuple):
-    """The diagnostics the stop classification reads, cheap enough for every step."""
-
-    max_F2: float
-    max_h2: float
-    mesh_quality: float
-
-
-@dataclass(frozen=True)
-class StepControl:
-    """Controller state one step hands the next.
-
-    ``f0`` is the velocity at the current state, the next step's first
-    stage; ``dt_acc`` the step the error estimate allows an RKC2 step
-    (None before the first step); ``err_sum`` the sum over RKC2 steps of
-    their estimated local error in |F|^2, max_v |2 F_v . est_v|.
-    """
-
-    f0: np.ndarray | None = None
-    dt_acc: float | None = None
-    err_sum: float = 0.0
 
 
 @dataclass(frozen=True)
 class FlowState:
+    """One state of a flow: the immersion at time ``t``, the length ``dt``
+    of the step that reached it (0 for an initial state), and the
+    controller state the next step starts from.
+
+    ``f0`` is the velocity at this state, the next step's first stage
+    (None when no step computed it); ``dt_acc`` the step the error
+    estimate allows an RKC2 step (None before the first step); ``err_sum``
+    the sum over RKC2 steps of their estimated local error in |F|^2,
+    max_v |2 F_v . est_v|.
+    """
+
     t: float
     immersion: DiscreteImmersion
-    diagnostics: Diagnostics
-    control: StepControl = field(default_factory=StepControl, repr=False, compare=False)
+    dt: float = 0.0
+    f0: np.ndarray | None = field(default=None, repr=False, compare=False)
+    dt_acc: float | None = field(default=None, compare=False)
+    err_sum: float = field(default=0.0, compare=False)
+
+    @property
+    def diagnostics(self) -> Diagnostics:
+        """The diagnostics of this state, from the immersion's cached monitor
+        geometry; each access computes min_F2 and weighted_area."""
+        s = self.immersion
+        geom = s._geometry(meshops._MONITOR)
+        return Diagnostics(float(geom["F2"].min()), geom["F2_max"], float(geom["h2"].max()),
+                           meshops.weighted_area(s), geom["quality"])
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,7 @@ class FlowTrajectory:
     """Snapshot record of one run: diagnostics series plus mesh snapshots.
 
     ``integration_error`` is the run's summed RKC2 error estimate of |F|^2
-    (``StepControl.err_sum``); it is zero on runs of RK4 steps only.
+    (``FlowState.err_sum``); it is zero on runs of RK4 steps only.
     """
 
     params: FlowParams
@@ -397,12 +401,11 @@ def _land(t: float, dt: float, horizon: float,
     return dt, t + dt, False
 
 
-def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
-             cfl: float, horizon: float = math.inf, sample: float | None = None,
-             th: Thresholds | None = None):
-    """One accepted step from (s, t): RK4 at the stability step or RKC2 at
-    the accuracy step, whichever costs fewer velocity evaluations per unit
-    time.  This is the one place a step's length is set.
+def _advance(state: FlowState, p: FlowParams, cfl: float, horizon: float = math.inf,
+             sample: float | None = None, th: Thresholds | None = None):
+    """One accepted step from ``state``: RK4 at the stability step or RKC2
+    at the accuracy step, whichever costs fewer velocity evaluations per
+    unit time.  This is the one place a step's length is set.
 
     The limits, in order: ``stability_dt`` at ``cfl`` (which checks cfl and
     raises TimestepUnderflow below DT_MIN); the accuracy step, at most
@@ -414,18 +417,21 @@ def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
     the same f0 and spectral bound, down to a bracket of BISECT_FRACTION of
     it, and the shortest crossing step found is returned in its place.
 
-    Returns the new immersion, its monitor, its time, the step length,
-    whether it landed on ``sample``, the new controller state (that of the
-    whole step, also after a bisection) and the bracket on the time the end
-    state was first reached: the step, or the bisection's final bracket.
-    OverflowGuard or DegenerateMesh out of the stability step, an RK4 step
-    or the end state's monitor or f1 propagates.  The monitor is read before
-    f1, so the end state's one geometry pass computes the monitor group, and
-    a vanishing normal raises DegenerateMesh before the overflow guard.
+    Returns the new state, whether it landed on ``sample``, and the bracket
+    on the time the new state was first reached: the step, or the
+    bisection's final bracket.  The new state's controller fields are the
+    whole step's, also after a bisection, except that a bisected state has
+    f0 = None, as no velocity was computed there.  OverflowGuard or
+    DegenerateMesh out of the stability step, an RK4 step or the end
+    state's monitor geometry or f1 propagates.  The monitor geometry is
+    computed before f1, so the end state's one geometry pass computes the
+    monitor group, and a vanishing normal raises DegenerateMesh before the
+    overflow guard.
     """
+    s, t = state.immersion, state.t
     dt_stab = stability_dt(s, p, t, cfl)
-    f0 = ctl.f0 if ctl.f0 is not None else velocity(s, p, t)
-    dt_acc, rho = ctl.dt_acc, None
+    f0 = state.f0 if state.f0 is not None else velocity(s, p, t)
+    dt_acc, rho = state.dt_acc, None
     retry = math.inf        # the accuracy step after the latest rejected trial
     while True:
         dt, rkc = dt_stab, False
@@ -439,7 +445,7 @@ def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
         dt, t1, landed = _land(t, dt, horizon, sample)
         if not rkc:
             y1 = _rk4_advance(s, p, t, dt, f0)
-            mon = _monitor(y1)
+            y1._geometry(meshops._MONITOR)
             f1 = velocity(y1, p, t1)
             err, est = _error_norm(s.vertices, y1.vertices, f0, f1, dt)
             # on y' = lambda y the estimate is z^3 / 15 for an exact step and
@@ -450,7 +456,7 @@ def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
             break
         try:
             y1 = _rkc_advance(s, p, t, dt, _rkc_stages(dt, rho)[1], f0)
-            mon = _monitor(y1)
+            y1._geometry(meshops._MONITOR)
             f1 = velocity(y1, p, t1)
         except (OverflowGuard, DegenerateMesh):
             dt_acc = retry = 0.25 * dt
@@ -463,79 +469,63 @@ def _advance(s: DiscreteImmersion, t: float, ctl: StepControl, p: FlowParams,
     # no growth right after a rejection; this also keeps an RK4 fallback
     # from proposing the RKC2 step that just failed
     dt_next = min(dt * _step_factor(err), retry)
-    err_sum = ctl.err_sum
+    err_sum = state.err_sum
     if rkc:
         err_sum += float(np.abs(2.0 * np.einsum("ij,ij->i", y1.vertices, est)).max())
-    nctl = StepControl(f1, dt_next, err_sum)
     lo, hi = 0.0, dt
-    if rkc and th is not None and _classify(mon, th) is not None:
+    if rkc and th is not None and _classify(y1, th) is not None:
         while hi - lo > BISECT_FRACTION * dt:
             mid = 0.5 * (lo + hi)
             try:
                 y = _rkc_advance(s, p, t, mid, _rkc_stages(mid, rho)[1], f0)
-                y_mon = _monitor(y)
+                crossed = _classify(y, th) is not None
             except (OverflowGuard, DegenerateMesh):
                 break
-            if _classify(y_mon, th) is None:
-                lo = mid
+            if crossed:
+                hi, y1 = mid, y
             else:
-                hi, y1, mon = mid, y, y_mon
+                lo = mid
         if hi < dt:         # a shorter step crosses: it ends the run instead
-            dt, t1, landed = hi, t + hi, False
-    return y1, mon, t1, dt, landed, nctl, hi - lo
-
-
-def _monitor(s: DiscreteImmersion) -> _Monitor:
-    geom = s._geometry(meshops._MONITOR)
-    return _Monitor(geom["F2_max"], float(geom["h2"].max()), geom["quality"])
-
-
-def compute_diagnostics(s: DiscreteImmersion, dt_used: float = 0.0) -> Diagnostics:
-    mon = _monitor(s)
-    return Diagnostics(
-        min_F2=float(s._geometry()["F2"].min()),
-        max_F2=mon.max_F2,
-        max_h2=mon.max_h2,
-        weighted_area=meshops.weighted_area(s),
-        mesh_quality=mon.mesh_quality,
-        dt_used=dt_used,
-    )
+            return FlowState(t + hi, y1, hi, None, dt_next, err_sum), False, hi - lo
+    return FlowState(t1, y1, dt, f1, dt_next, err_sum), landed, hi - lo
 
 
 def step(state: FlowState, p: FlowParams, cfl: float = 0.25) -> FlowState:
-    """One step of a FlowState, RK4 or RKC2 as its controller state picks;
-    repeated calls take the steps ``run`` takes."""
-    nxt, _, t1, dt, _, ctl, _ = _advance(state.immersion, state.t, state.control, p, cfl)
-    return FlowState(t1, nxt, compute_diagnostics(nxt, dt), ctl)
+    """The state one step after ``state``, RK4 or RKC2 as its controller
+    fields pick; repeated calls take the steps ``run`` takes."""
+    return _advance(state, p, cfl)[0]
 
 
 def initial_state(s: DiscreteImmersion) -> FlowState:
-    return FlowState(0.0, s, compute_diagnostics(s))
+    return FlowState(0.0, s)
 
 
 # ---------------------------------------------------------------------------
 # full runs
 
 
-def _classify(diag: _Monitor | Diagnostics, th: Thresholds) -> tuple[str, str] | None:
+def _classify(s: DiscreteImmersion, th: Thresholds) -> tuple[str, str] | None:
+    geom = s._geometry(meshops._MONITOR)
+    F2_max = geom["F2_max"]
     # collapse takes precedence: near the origin |h|^2 diverges as well and
     # the two signals are indistinguishable in floating point
-    if diag.max_F2 < th.F2_min:
-        return POSITION_COLLAPSE, f"max|F|^2 = {diag.max_F2:.3e} < {th.F2_min:.3e}"
-    if diag.max_F2 >= th.F2_max:
-        return POSITION_BLOWUP, f"max|F|^2 = {diag.max_F2:.3e} >= {th.F2_max:.3e}"
-    if diag.max_h2 >= th.h2_max:
-        return CURVATURE_BLOWUP, f"max|h|^2 = {diag.max_h2:.3e} >= {th.h2_max:.3e}"
-    if diag.mesh_quality < th.quality_min:
-        return MESH_DEGENERATE, f"quality = {diag.mesh_quality:.3e} < {th.quality_min:.3e}"
+    if F2_max < th.F2_min:
+        return POSITION_COLLAPSE, f"max|F|^2 = {F2_max:.3e} < {th.F2_min:.3e}"
+    if F2_max >= th.F2_max:
+        return POSITION_BLOWUP, f"max|F|^2 = {F2_max:.3e} >= {th.F2_max:.3e}"
+    h2_max = float(geom["h2"].max())
+    if h2_max >= th.h2_max:
+        return CURVATURE_BLOWUP, f"max|h|^2 = {h2_max:.3e} >= {th.h2_max:.3e}"
+    if geom["quality"] < th.quality_min:
+        return MESH_DEGENERATE, f"quality = {geom['quality']:.3e} < {th.quality_min:.3e}"
     return None
 
 
-def _underflow_kind(p: FlowParams, m: int, diag: _Monitor,
-                    th: Thresholds) -> tuple[str, str]:
-    if p.a * diag.max_F2 / m >= 20.0:
+def _underflow_kind(p: FlowParams, s: DiscreteImmersion, th: Thresholds) -> tuple[str, str]:
+    F2_max = s._geometry(meshops._MONITOR)["F2_max"]
+    if p.a * F2_max / s.m >= 20.0:
         return POSITION_BLOWUP, "dt underflow driven by the conformal exponent"
-    if diag.max_F2 <= 10.0 * th.F2_min:
+    if F2_max <= 10.0 * th.F2_min:
         return POSITION_COLLAPSE, "dt underflow with the mesh at the origin"
     return CURVATURE_BLOWUP, "dt underflow driven by edge collapse"
 
@@ -580,32 +570,31 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
     snaps: list[DiscreteImmersion] = []
     events: list[dict] = []
 
-    def record(t, cur, dt):
-        row = {"t": t, "dt": dt, **vars(compute_diagnostics(cur))}
+    def record(state):
+        row = {"t": state.t, "dt": state.dt, **vars(state.diagnostics)}
         for name, series in rows.items():
             series.append(row[name])
         if keep_snapshots:
             # a fresh immersion on the same positions, without the geometry
             # cache, so the kept snapshots hold positions only
-            snaps.append(cur.replace_vertices(cur.vertices))
+            snaps.append(state.immersion.replace_vertices(state.immersion.vertices))
 
-    cur = initial
     try:
-        mon = _monitor(cur)
+        initial._geometry(meshops._MONITOR)
     except DegenerateMesh as exc:
         raise InvalidConfig(f"initial immersion is degenerate: {exc}") from exc
 
-    t = 0.0
-    ctl = StepControl()
+    state = initial_state(initial)
     steps = 0
-    dt = bracket = f2_rate = 0.0
+    bracket = f2_rate = 0.0
     if not p.in_paper_regime:
         events.append({"event": "out_of_paper_params", "t": 0.0})
 
-    record(t, cur, 0.0)
+    record(state)
 
     while True:
-        hit = _classify(mon, th)
+        t = state.t
+        hit = _classify(state.immersion, th)
         if hit is not None:
             kind, detail = hit
             events.append({"event": kind.lower() + "_threshold", "t": t})
@@ -616,10 +605,10 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
             break
 
         try:
-            nxt, nmon, t1, dt, landed, ctl, bracket = _advance(
-                cur, t, ctl, p, cfl, horizon, pending[0] if pending else None, th)
+            nxt, landed, bracket = _advance(state, p, cfl, horizon,
+                                            pending[0] if pending else None, th)
         except TimestepUnderflow as exc:
-            kind, detail = _underflow_kind(p, initial.m, mon, th)
+            kind, detail = _underflow_kind(p, state.immersion, th)
             events.append({"event": "timestep_underflow", "t": t})
             stop = StopReason(kind, t, f"{detail} ({exc})")
             break
@@ -633,21 +622,22 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
             stop = StopReason(MESH_DEGENERATE, t, str(exc))
             break
 
-        f2_rate = abs(nmon.max_F2 - mon.max_F2) / dt
-        cur, t, mon = nxt, t1, nmon
+        f2_rate = abs(nxt.immersion._geometry()["F2_max"]
+                      - state.immersion._geometry()["F2_max"]) / nxt.dt
+        state = nxt
         steps += 1
 
         if landed:
             pending.pop(0)
         if landed or (snapshot_times is None and steps % stride == 0):
-            record(t, cur, dt)
+            record(state)
 
-    if rows["t"][-1] != t:
-        record(t, cur, dt)
+    if rows["t"][-1] != state.t:
+        record(state)
     events.append({"event": "stop", "kind": stop.kind, "t": stop.t_stop,
                    "detail": stop.detail})
 
-    err_sum = ctl.err_sum
+    err_sum = state.err_sum
     t_stop_error = 0.0
     if stop.kind != HORIZON_REACHED:
         t_stop_error = 4.0 * bracket + 4.0 * DT_MIN

@@ -20,13 +20,14 @@ A run writes a self-describing artifact directory:
 ``events.jsonl``, ``result.json`` and the snapshots alone; with
 ``meshes=False``, as claims load it, it reads no snapshot file and only
 counts their names against the rows.  It refuses rows and events that do
-not run from t = 0 to the stop in ``result.json``, a ``result.json`` scalar
-of the wrong type or range (``_SCALARS``, the sections' fields included,
-checked before their records are built), and snapshots whose m or face list
-differ from the first one's or whose positions the immersion refuses (among
-them, positions not of the first snapshot's shape).  A save removes an
-older ``result.json`` before it writes any file, ``run.cfg`` included.
-No other module knows the format.
+not run from t = 0 to the stop in ``result.json``, row times that do not
+strictly increase, a ``result.json`` scalar of the wrong type or range
+(``_SCALARS``, the sections' fields included, checked before their records
+are built), and snapshots whose m or face list differ from the first one's
+or whose positions the immersion refuses (among them, positions not of the
+first snapshot's shape).  A save removes an older ``result.json`` before
+it writes any file, ``run.cfg`` included.  No other module knows the
+format.
 
 Scenario names reproduce the qualitative regimes of the flow: shrink
 strictly inside the critical sphere, expand strictly outside, hold on the
@@ -49,9 +50,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import engine, fileio, radial
-from .engine import (CURVATURE_BLOWUP, HORIZON_REACHED, MESH_DEGENERATE, POSITION_BLOWUP,
-                     POSITION_COLLAPSE, FlowParams, FlowTrajectory, StopReason,
-                     Thresholds)
+from .engine import (CURVATURE_BLOWUP, HORIZON_REACHED, POSITION_BLOWUP, POSITION_COLLAPSE,
+                     STOP_KINDS, FlowParams, FlowTrajectory, StopReason, Thresholds)
 from .errors import InvalidConfig, IoError
 from .mesh import DiscreteImmersion
 from .shapes import builtin_shape
@@ -237,8 +237,6 @@ def _write_config(cfg: RunConfig, outdir, initial: DiscreteImmersion) -> list[st
 _SECTIONS = {"params": FlowParams, "thresholds": Thresholds, "stop": StopReason}
 _RESULT_KEYS = ("m", "horizon", *_SECTIONS, "t_stop_error", "initial_h_max",
                 "integration_error")
-_STOP_KINDS = (CURVATURE_BLOWUP, POSITION_BLOWUP, POSITION_COLLAPSE, MESH_DEGENERATE,
-               HORIZON_REACHED)
 # a section field of run.cfg's key table has the same type in result.json
 _TYPED = {str: (lambda x: type(x) is str, "a string"),
           float: (lambda x: type(x) in (int, float), "a number")}
@@ -253,7 +251,7 @@ _SCALARS = {
                      "a finite number >= 0")),
     **{key: _TYPED[kind] for key, (_, kind) in _KEYS.items()
        if key.startswith(("params.", "thresholds."))},
-    "stop.kind": (lambda x: x in _STOP_KINDS, "one of " + ", ".join(_STOP_KINDS)),
+    "stop.kind": (lambda x: x in STOP_KINDS, "one of " + ", ".join(STOP_KINDS)),
     "stop.detail": _TYPED[str],
 }
 
@@ -375,6 +373,8 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
     if first != 0.0 or last != stop.t_stop:
         raise IoError(f"{csv_path}: rows run from t = {first!r} to {last!r}, "
                       f"not from 0 to t_stop = {stop.t_stop!r}")
+    if not np.all(np.diff(cols[0]) > 0):
+        raise IoError(f"{csv_path}: row times do not strictly increase")
 
     events = []
     with open(ev_path, "rb") as fh:         # bytes, so a bad line is named, not a decode chunk
@@ -537,11 +537,11 @@ def run_scenario(name: str, cfg: RunConfig) -> ScenarioVerdict:
     bound = bound_time(rp) if bound_time else None
 
     th = cfg.thresholds
-    if regime == "expand" and th.F2_max >= 1e6:
+    if regime == "expand" and th.F2_max >= Thresholds.F2_max:
         # the explicit scheme cannot ride the escape to 1e6; detect
         # position blow-up at the resolvable window edge instead
         th = replace(th, F2_max=ODE_WINDOW[1])
-    if name == SPHERE_ODE_MATCH and regime == "shrink" and th.F2_min <= 1e-6:
+    if name == SPHERE_ODE_MATCH and regime == "shrink" and th.F2_min <= Thresholds.F2_min:
         th = replace(th, F2_min=0.8 * ODE_WINDOW[0])
     horizon = cfg.horizon
     if horizon is None:

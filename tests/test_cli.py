@@ -133,6 +133,12 @@ def test_sphere_command_refuses_infinite_stationary_run(tmp_path, capsys):
     assert not csv.exists()
 
 
+def test_sphere_command_refuses_a_zero_constant(capsys):
+    code, out, err = run_cli(capsys, "sphere", "--m", "1", "--r0sq", "0.5", "--a", "0")
+    assert code == 1 and out == ""
+    assert err == "error: a and b must be positive, got a = 0.0, b = 1.0\n"
+
+
 def test_simulate_reports_unwritable_output_dir(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -276,12 +282,12 @@ def test_scenario_all(tmp_path, capsys):
 
 
 
-def _simulate_circle(tmp_path, capsys, name, radius):
+def _simulate_circle(tmp_path, capsys, name, radius, horizon=0.01):
     out_dir = tmp_path / name
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(
         f"initial.name = circle\ninitial.radius = {radius}\ninitial.n = 32\n"
-        f"horizon = 0.01\nsnapshot_stride = 4\noutput_dir = {out_dir}\n")
+        f"horizon = {horizon}\nsnapshot_stride = 4\noutput_dir = {out_dir}\n")
     assert run_cli(capsys, "simulate", "--config", str(cfg))[0] == 0
     assert len(os.listdir(out_dir / "snapshots")) > 1
     return out_dir
@@ -387,6 +393,17 @@ def _undecodable_csv(run):
     csv.write_bytes(csv.read_bytes().replace(b"\n", b"\n\xff", 1))
 
 
+def _reorder_csv_rows(*order):
+    """Replace rows 1 to max(order) of diagnostics.csv, counted after the
+    header, by the rows at the given indices: (2, 1) swaps rows 1 and 2,
+    (1, 1) repeats row 1."""
+    def damage(run):
+        header, *rows = (run / "diagnostics.csv").read_text().splitlines(keepends=True)
+        rows[1:max(order) + 1] = [rows[i] for i in order]
+        (run / "diagnostics.csv").write_text(header + "".join(rows))
+    return damage
+
+
 def _off_header(run):
     first = sorted((run / "snapshots").iterdir())[0]
     first.write_text(first.read_text().replace(" 0\n", " x\n", 1))
@@ -463,8 +480,10 @@ def _later(t):
      r"events\.jsonl: the stream does not end on its one stop event, equal to result\.json"),
     (_drop_csv_row(1), r"diagnostics\.csv: rows run from t = 0\.0\d+ to 0\.01, not from 0 "),
     (_drop_csv_row(-1), r"diagnostics\.csv: rows run from t = 0\.0 to 0\.0\d*, not from 0 "),
+    (_reorder_csv_rows(1, 1), r"diagnostics\.csv: row times do not strictly increase"),
 ], ids=["not-objects", "empty", "no-name", "time-order", "past-t-stop", "nan-time",
-        "string-time", "two-stops", "stop-not-last", "other-stop", "rows-start", "rows-end"])
+        "string-time", "two-stops", "stop-not-last", "other-stop", "rows-start", "rows-end",
+        "row-repeated"])
 def test_verify_refuses_an_inconsistent_event_stream(tmp_path, capsys, damage, message):
     run = _simulate_circle(tmp_path, capsys, "run", 0.8)
     damage(run)
@@ -473,6 +492,22 @@ def test_verify_refuses_an_inconsistent_event_stream(tmp_path, capsys, damage, m
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert re.search(message, err), err
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+@pytest.mark.parametrize("order", [(2, 1), (1, 1)], ids=["swapped", "repeated"])
+def test_rows_out_of_time_order_are_refused(tmp_path, capsys, command, order):
+    # both loaded before: the rows were checked at their ends only
+    run = _simulate_circle(tmp_path, capsys, "run", 0.8, horizon=0.05)
+    assert len((run / "diagnostics.csv").read_text().splitlines()) > 4
+    _reorder_csv_rows(*order)(run)
+    argv = ["--trajectory", str(run)]
+    if command == "verify":
+        argv += ["--claim", "SIGN_PRESERVATION_BELOW", "--eps", "0.1"]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(r"diagnostics\.csv: row times do not strictly increase", err), err
 
 
 @pytest.mark.parametrize("key, value", [

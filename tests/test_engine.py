@@ -159,7 +159,7 @@ def test_step_contracts_inside_circle():
     st0 = engine.initial_state(shapes.circle(0.8, 128))
     st1 = engine.step(st0, P_FLOW)
     assert st1.diagnostics.max_F2 < st0.diagnostics.max_F2
-    assert st1.t == st1.diagnostics.dt_used > 0
+    assert st1.t == st1.dt > 0
 
 
 def test_step_expands_outside_circle():
@@ -257,12 +257,12 @@ def _patch_velocity(monkeypatch, exc, fails):
 @pytest.mark.parametrize("exc", [OverflowGuard(800.0), DegenerateMesh("edge collapsed")])
 def test_failed_rkc2_trial_is_retried_at_a_quarter(monkeypatch, exc):
     s = shapes.circle(0.8, 256)
-    ctl = engine.StepControl(f0=engine.velocity(s, P_FLOW), dt_acc=1e-3)
+    st = engine.FlowState(0.0, s, f0=engine.velocity(s, P_FLOW), dt_acc=1e-3)
     rkc = _count_calls(monkeypatch, engine, "_rkc_advance")
-    *_, dt, _, _, _ = engine._advance(s, 0.0, ctl, P_FLOW, 0.25)
+    dt = engine._advance(st, P_FLOW, 0.25)[0].dt
     assert rkc[0] == 1 and dt == 1e-3
     _patch_velocity(monkeypatch, exc, lambda n: n == 1)
-    *_, dt, _, _, _ = engine._advance(s, 0.0, ctl, P_FLOW, 0.25)
+    dt = engine._advance(st, P_FLOW, 0.25)[0].dt
     # the failed trial and its retry, which is an RKC2 step too
     assert rkc[0] == 3 and dt == 0.25e-3
 
@@ -368,12 +368,12 @@ def test_degenerate_monitor_group_stops_run(monkeypatch):
 def test_degenerate_monitor_group_rejects_rkc2_trial(monkeypatch):
     # near the balance sphere the accuracy step 3e-3 passes as one RKC2 step
     s = shapes.icosphere(math.sqrt(2.0), 3)
-    ctl = engine.StepControl(f0=engine.velocity(s, P_FLOW), dt_acc=3e-3)
+    st = engine.FlowState(0.0, s, f0=engine.velocity(s, P_FLOW), dt_acc=3e-3)
     rkc = _count_calls(monkeypatch, engine, "_rkc_advance")
-    *_, dt, _, _, _ = engine._advance(s, 0.0, ctl, P_FLOW, 0.25)
+    dt = engine._advance(st, P_FLOW, 0.25)[0].dt
     assert rkc[0] == 1 and dt == 3e-3
     _patch_monitor_group(monkeypatch, lambda n: n == 1)
-    *_, dt, _, _, _ = engine._advance(s, 0.0, ctl, P_FLOW, 0.25)
+    dt = engine._advance(st, P_FLOW, 0.25)[0].dt
     # the retry at 0.75e-3 is below dt_stab / 2, so RK4 takes the step
     assert rkc[0] == 2 and dt == engine.stability_dt(s, P_FLOW)
 
@@ -580,7 +580,7 @@ def _read_only_f0(s, p):
 def test_rejected_rkc2_trial_leaves_f0_unchanged(monkeypatch):
     s = shapes.circle(0.8, 256)
     f0, before = _read_only_f0(s, P_FLOW)
-    ctl = engine.StepControl(f0=f0, dt_acc=1e-2)      # far past the tolerance
+    st = engine.FlowState(0.0, s, f0=f0, dt_acc=1e-2)      # far past the tolerance
     rejected = [0]
     real = engine._error_norm
 
@@ -591,10 +591,10 @@ def test_rejected_rkc2_trial_leaves_f0_unchanged(monkeypatch):
 
     monkeypatch.setattr(engine, "_error_norm", error_norm)
     rkc = _count_calls(monkeypatch, engine, "_rkc_advance")
-    *_, dt, _, _, _ = engine._advance(s, 0.0, ctl, P_FLOW, 0.25)
+    dt = engine._advance(st, P_FLOW, 0.25)[0].dt
     # every trial but the last was rejected, and the last took the step
     assert rejected[0] >= 1 and rkc[0] == rejected[0] + 1 and dt < 1e-2
-    assert ctl.f0 is f0
+    assert st.f0 is f0
     np.testing.assert_array_equal(_bits(f0), _bits(before))
 
 
@@ -603,22 +603,46 @@ def test_bisection_reuses_f0_unchanged():
     # crosses it, and the bisection reruns shorter steps from the same f0
     s = shapes.circle(0.8, 256)
     f0, before = _read_only_f0(s, P_FLOW)
-    ctl = engine.StepControl(f0=f0, dt_acc=1e-3)
-    _, nmon, _, dt, _, nctl, bracket = engine._advance(s, 0.0, ctl, P_FLOW, 0.25)
+    st = engine.FlowState(0.0, s, f0=f0, dt_acc=1e-3)
+    nxt, _, bracket = engine._advance(st, P_FLOW, 0.25)
+    dt = nxt.dt
     assert dt == 1e-3 and bracket == dt                 # one RKC2 step, no bisection
-    th = Thresholds(F2_min=0.5 * (0.64 + nmon.max_F2))
-    end, end_mon, t1, hi, landed, bctl, bracket = engine._advance(s, 0.0, ctl, P_FLOW, 0.25,
-                                                                  th=th)
-    assert end_mon.max_F2 < th.F2_min and t1 == hi < dt and not landed
+    th = Thresholds(F2_min=0.5 * (0.64 + nxt.diagnostics.max_F2))
+    end, landed, bracket = engine._advance(st, P_FLOW, 0.25, th=th)
+    hi = end.dt
+    assert end.diagnostics.max_F2 < th.F2_min and end.t == hi < dt and not landed
     assert bracket <= engine.BISECT_FRACTION * dt
     # the end is an RKC2 step of length hi from f0 and the start's spectral bound
     stages = engine._rkc_stages(hi, engine._spectral_radius(s, P_FLOW, 0.0))[1]
     np.testing.assert_array_equal(
-        _bits(end.vertices), _bits(engine._rkc_advance(s, P_FLOW, 0.0, hi, stages, f0).vertices))
-    # the controller state is the whole step's
-    assert bctl.dt_acc == nctl.dt_acc and bctl.err_sum == nctl.err_sum
-    np.testing.assert_array_equal(_bits(bctl.f0), _bits(nctl.f0))
+        _bits(end.immersion.vertices),
+        _bits(engine._rkc_advance(s, P_FLOW, 0.0, hi, stages, f0).vertices))
+    # the controller state is the whole step's, with no velocity at the end
+    assert end.dt_acc == nxt.dt_acc and end.err_sum == nxt.err_sum
+    assert end.f0 is None and nxt.f0 is not None
     np.testing.assert_array_equal(_bits(f0), _bits(before))
+
+
+@pytest.mark.parametrize("exc", [OverflowGuard(800.0), DegenerateMesh("edge collapsed")])
+def test_bisection_stops_at_a_trial_that_raises(monkeypatch, exc):
+    # the second bisection trial raises: the bracket stays at half the step
+    s = shapes.circle(0.8, 256)
+    st = engine.FlowState(0.0, s, f0=engine.velocity(s, P_FLOW), dt_acc=1e-3)
+    nxt = engine._advance(st, P_FLOW, 0.25)[0]
+    th = Thresholds(F2_min=0.5 * (0.64 + nxt.diagnostics.max_F2))
+    real, calls = engine._rkc_advance, [0]
+
+    def rkc_advance(*args):
+        calls[0] += 1
+        if calls[0] == 3:
+            raise exc
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_rkc_advance", rkc_advance)
+    end, landed, bracket = engine._advance(st, P_FLOW, 0.25, th=th)
+    assert calls[0] == 3 and bracket == 0.5 * nxt.dt and not landed
+    assert end.t == end.dt in (nxt.dt, 0.5 * nxt.dt)
+    assert end.diagnostics.max_F2 < th.F2_min
 
 
 def test_error_norm_branches_and_inputs():
@@ -743,7 +767,7 @@ def test_blowup_time_self_consistency_under_refinement():
     (shapes.icosphere(1.2, 1), P_FLOW, 0.6),
 ], ids=["FLOW", "FLOW0", "FLOWP", "icosphere1"])
 def test_run_matches_repeated_step(shape, p, horizon):
-    # run() and step() share _advance and compute_diagnostics
+    # run() and step() share _advance and FlowState.diagnostics
     traj = engine.run(shape, p, horizon=horizon, stride=1)
     assert traj.n_snapshots > 50
     state = engine.initial_state(shape)

@@ -46,6 +46,8 @@ def test_pline_rejects_surfaces_and_vice_versa(tmp_path, wobbled_curve):
         fileio.write_pline(tmp_path / "x.pline", s)
     with pytest.raises(IoError):
         fileio.write_off(tmp_path / "x.off", wobbled_curve)
+    with pytest.raises(IoError, match="OBJ stores surfaces only"):
+        fileio.write_obj(tmp_path / "x.obj", wobbled_curve)
 
 
 def test_read_errors(tmp_path):
@@ -80,6 +82,10 @@ def test_read_errors(tmp_path):
         bad.write_text("OFF\n4 2 0\n" + verts + faces)
         with pytest.raises(IoError):
             fileio.read_off(bad)
+    # a four-vertex row as long as a triangle row reaches the face-size check
+    bad.write_text("OFF\n4 2 0\n" + verts + "3 0 1 2\n4 0 2 1\n")
+    with pytest.raises(IoError, match="only triangle faces supported"):
+        fileio.read_off(bad)
 
     # tokens past the header's counts: an extra face line, a trailing token
     tetra_faces = "3 0 1 2\n3 0 2 3\n3 0 3 1\n3 1 3 2\n"

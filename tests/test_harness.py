@@ -94,6 +94,10 @@ def test_shape_validation():
         shapes.builtin_shape("torus", {"radius": 1.0}, 64)
     with pytest.raises(InvalidConfig):
         shapes.builtin_shape("ellipse", {"rx": 1.0}, 64)
+    with pytest.raises(InvalidConfig, match="needs a vertex count n"):
+        shapes.builtin_shape("circle", {"radius": 1.0}, None)
+    with pytest.raises(InvalidConfig, match=r"subdiv 8 outside \[0, 7\]"):
+        shapes.builtin_shape("icosphere", {"radius": 1.0, "subdiv": 8}, None)
 
 
 def test_perturbed_sphere_deterministic():

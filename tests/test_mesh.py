@@ -610,6 +610,33 @@ def test_face_list_refusals(damage, match):
         DiscreteImmersion(2, s.vertices, damage(np.asarray(s.faces)))
 
 
+_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+_ICO0 = shapes.icosphere(1.0, 0)
+
+
+@pytest.mark.parametrize("m, vertices, faces, match", [
+    (1, np.zeros(8), None, "must be a 2-d array"),
+    (1, _SQUARE, [[0, 1, 2]], "curves carry no face list"),
+    (2, _ICO0.vertices, None, "surfaces need a face list"),
+    (3, _ICO0.vertices, _ICO0.faces, "m must be 1 or 2"),
+    (1, [[0.0], [1.0], [2.0], [3.0]], None, r"ambient dimension >= 2"),
+], ids=["flat_vertices", "curve_with_faces", "surface_without_faces", "m3", "curve_in_R1"])
+def test_constructor_refusals(m, vertices, faces, match):
+    with pytest.raises(InvalidConfig, match=match):
+        DiscreteImmersion(m, vertices, faces)
+
+
+@pytest.mark.parametrize("op, values, match", [
+    (mesh.normal_projection, np.zeros((4, 3)), r"field has shape \(4, 3\), expected \(4, 2\)"),
+    (mesh.laplace_beltrami, np.zeros(3), r"field has shape \(3,\), expected \(4,\)"),
+    (mesh.gradient_norm_sq, [0.0, math.nan, 0.0, 0.0], "vertex field has non-finite entries"),
+    (mesh.normal_projection, np.full((4, 2), math.inf), "vertex field has non-finite entries"),
+], ids=["vector_shape", "scalar_shape", "scalar_nan", "vector_inf"])
+def test_vertex_field_refusals(op, values, match):
+    with pytest.raises(InvalidConfig, match=match):
+        op(DiscreteImmersion(1, _SQUARE), values)
+
+
 def test_surface_ambient_dim_restriction():
     s = shapes.icosphere(1.0, 0)
     v4 = np.hstack([s.vertices, np.zeros((s.n_vertices, 1))])

@@ -240,6 +240,8 @@ def test_config_validation():
         integrate_radial(std_params(2, 1.0), horizon=-1.0)
     with pytest.raises(InvalidConfig):
         integrate_radial(std_params(2, 1.0, c_slope=-10.0), horizon=1.0)
+    with pytest.raises(InvalidConfig, match="between collapse floor and escape ceiling"):
+        integrate_radial(std_params(2, 1e-13), horizon=1.0)
 
 
 def test_non_finite_inputs_rejected():
