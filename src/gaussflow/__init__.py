@@ -2,8 +2,8 @@
 
 Simulates closed curves and surfaces under the Gaussian-weighted curvature
 flows, integrates the exact sphere radius ODE with event detection, and
-verifies blow-up bounds, barrier/comparison principles, and scalar
-evolution identities along recorded trajectories.
+verifies blow-up bounds and barrier/comparison principles along recorded
+trajectories.
 """
 
 from .ambient import sectional_curvature

@@ -4,23 +4,20 @@ Barrier and comparison claims replay against a run's diagnostics series
 and return a BarrierReport rather than raising, so one expensive run can
 be audited against many claims; strict continuum inequalities hold up to
 the slack tol = 10 * (h0^2 + E) each report carries, E the run's summed
-time-integration error estimate of |F|^2.  ``verify_scalar_evolution``
-and ``tangential_equivalence`` read the mesh snapshots.  Every check
-judges the flow law that ran, ``traj.params``.
+time-integration error estimate of |F|^2.  The checks read the
+diagnostics series only, never the mesh snapshots.  Every check judges
+the flow law that ran, ``traj.params``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import mesh as meshops
 from . import radial
-from .engine import FLOW, FLOW0, FLOWP, FlowParams, FlowTrajectory
-from .errors import (HypothesisViolated, InsufficientSnapshots, InvalidConfig,
-                     MismatchedTimes)
+from .engine import FLOW, FLOWP, FlowParams, FlowTrajectory
+from .errors import HypothesisViolated, MismatchedTimes
 
 SIGN_PRESERVATION_BELOW = "SIGN_PRESERVATION_BELOW"
 SIGN_PRESERVATION_ABOVE = "SIGN_PRESERVATION_ABOVE"
@@ -158,135 +155,3 @@ def check_sphericity(traj: FlowTrajectory) -> BarrierReport:
     return _report(SPHERICITY, margins, traj.times, 0.0,
                    f"tol={SPHERICITY_TOL:g} scaled by (1 + t)")
 
-
-# ---------------------------------------------------------------------------
-# checks on the mesh snapshots
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Normalized residuals of the scalar evolution identities along a run."""
-
-    max_residual: float        # |d/dt |F|^2 - rhs| / max(1, |rhs|), worst vertex
-    l2_residual: float
-    area_max_residual: float   # d/dt log(vertex area) vs half the metric trace
-    area_l2_residual: float
-    interior_snapshots: int
-
-
-def _three_point_derivative(f0, f1, f2, h0, h1):
-    return (-(h1 / (h0 * (h0 + h1))) * f0
-            + ((h1 - h0) / (h0 * h1)) * f1
-            + (h0 / (h1 * (h0 + h1))) * f2)
-
-
-def verify_scalar_evolution(traj: FlowTrajectory) -> ResidualReport:
-    """Check the scalar evolution identities of the law that ran
-    (``traj.params``), vertexwise along a recorded trajectory, by central
-    time differences against the discrete spatial operators.
-
-    Under the full-position laws FLOW and FLOWP a vertex moves with
-    w (c H + b F), w = exp(a|F|^2/m), so
-    d/dt |F|^2 = w (c lap|F|^2 + 2(b|F|^2 - m c)) and the log vertex area
-    changes at w ((ab/2m) |grad|F|^2|^2 - c|H|^2 + b m).  FLOW0 drops the
-    tangential part F_tan of F, and |F_tan|^2 = |grad|F|^2|^2 / 4, so
-    d/dt |F|^2 loses w |grad|F|^2|^2 / 2 and the area changes by the normal
-    velocity alone, at w (m - |H|^2 - lap|F|^2 / 2).
-    """
-    if len(traj.snapshots) < 3:
-        raise InsufficientSnapshots(
-            f"need >= 3 snapshots with meshes, have {len(traj.snapshots)}"
-        )
-    p = traj.params
-    worst = 0.0
-    sq_sum = 0.0
-    count = 0
-    area_worst = 0.0
-    area_sq_sum = 0.0
-    times = traj.times
-    for i in range(1, len(traj.snapshots) - 1):
-        s_prev, s_mid, s_next = traj.snapshots[i - 1: i + 2]
-        h0 = times[i] - times[i - 1]
-        h1 = times[i + 1] - times[i]
-        if h0 <= 0 or h1 <= 0:
-            raise InsufficientSnapshots("snapshot times must be strictly increasing")
-        m = s_mid.m
-        f_prev, f_mid, f_next = (s._geometry()["F2"] for s in (s_prev, s_mid, s_next))
-        dfdt = _three_point_derivative(f_prev, f_mid, f_next, h0, h1)
-        c_mid = p.c_at(times[i])
-        w = np.exp((p.a / m) * f_mid)
-        lap = meshops.laplace_beltrami(s_mid, f_mid)
-        grad2 = meshops.gradient_norm_sq(s_mid, f_mid)
-        H2 = (meshops.mean_curvature_vector(s_mid) ** 2).sum(axis=1)
-        rhs = w * (c_mid * lap + 2.0 * (p.b * f_mid - m * c_mid))
-        if p.variant == FLOW0:
-            rhs -= 0.5 * w * grad2
-            area_rate = w * (m - H2 - 0.5 * lap)
-        else:
-            area_rate = 0.5 * (w * ((p.a * p.b / m) * grad2
-                                    - 2.0 * c_mid * H2 + 2.0 * p.b * m))
-        res = np.abs(dfdt - rhs) / np.maximum(1.0, np.abs(rhs))
-        worst = max(worst, float(res.max()))
-        sq_sum += float((res * res).sum())
-        count += res.size
-
-        a_prev, a_mid, a_next = (np.log(meshops.vertex_areas(s))
-                                 for s in (s_prev, s_mid, s_next))
-        dloga = _three_point_derivative(a_prev, a_mid, a_next, h0, h1)
-        ares = np.abs(dloga - area_rate) / np.maximum(1.0, np.abs(area_rate))
-        area_worst = max(area_worst, float(ares.max()))
-        area_sq_sum += float((ares * ares).sum())
-
-    return ResidualReport(
-        max_residual=worst,
-        l2_residual=math.sqrt(sq_sum / count),
-        area_max_residual=area_worst,
-        area_l2_residual=math.sqrt(area_sq_sum / count),
-        interior_snapshots=len(traj.snapshots) - 2,
-    )
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    times: np.ndarray
-    normal_distance: np.ndarray    # largest normal offset of matched vertices, over the diameter
-
-    @property
-    def max_distance(self) -> float:
-        return float(self.normal_distance.max())
-
-
-def tangential_equivalence(traj_a: FlowTrajectory, traj_b: FlowTrajectory) -> EquivalenceReport:
-    """Image distance between a FLOW run and a FLOW0 run from the same data.
-
-    The laws differ by a tangential velocity, which moves vertices along
-    the image but not the image, so the runs should agree as images up to
-    discretization.  Both start from the same immersion, so vertices match
-    by index.  Per shared snapshot (A, B) the report holds
-    max_i max(|P_B(a_i - b_i)|, |P_A(b_i - a_i)|) / diam A, with P the
-    normal projection FLOW0's velocity uses: the distance from each vertex
-    to its counterpart's tangent plane (line, on curves).  That is the
-    image distance to first order in the tangential offset a_i - b_i.
-    """
-    if traj_a.params.variant != FLOW or traj_b.params.variant != FLOW0:
-        raise InvalidConfig("pass the tangentially augmented run first, "
-                            "the normal-velocity run second")
-    if not traj_a.snapshots or not traj_b.snapshots:
-        raise InsufficientSnapshots("both trajectories need mesh snapshots")
-    n = min(len(traj_a.snapshots), len(traj_b.snapshots))
-    ta, tb = traj_a.times[:n], traj_b.times[:n]
-    if not np.allclose(ta, tb, rtol=0.0, atol=1e-12):
-        raise MismatchedTimes("snapshot times differ; rerun with shared snapshot_times")
-    a0, b0 = traj_a.snapshots[0], traj_b.snapshots[0]
-    if not np.array_equal(a0.vertices, b0.vertices):
-        raise MismatchedTimes("trajectories must share the initial immersion")
-    if not np.array_equal(a0.faces, b0.faces):
-        raise MismatchedTimes("matching vertices by index needs the same face list")
-    out = np.empty(n)
-    for i, (sa, sb) in enumerate(zip(traj_a.snapshots[:n], traj_b.snapshots[:n])):
-        d = sa.vertices - sb.vertices
-        off2 = max(float((meshops.normal_projection(s, d) ** 2).sum(axis=1).max())
-                   for s in (sa, sb))
-        span = sa.vertices.max(axis=0) - sa.vertices.min(axis=0)
-        out[i] = math.sqrt(off2) / max(float(np.linalg.norm(span)), 1e-300)
-    return EquivalenceReport(times=ta.copy(), normal_distance=out)

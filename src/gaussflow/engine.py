@@ -182,7 +182,7 @@ class FlowState:
         geometry; each access computes min_F2 and weighted_area."""
         s = self.immersion
         geom = s._geometry(meshops._MONITOR)
-        return Diagnostics(float(geom["F2"].min()), geom["F2_max"], float(geom["h2"].max()),
+        return Diagnostics(float(geom["F2"].min()), geom["F2_max"], geom["h2_max"],
                            meshops.weighted_area(s), geom["quality"])
 
 
@@ -513,7 +513,7 @@ def _classify(s: DiscreteImmersion, th: Thresholds) -> tuple[str, str] | None:
         return POSITION_COLLAPSE, f"max|F|^2 = {F2_max:.3e} < {th.F2_min:.3e}"
     if F2_max >= th.F2_max:
         return POSITION_BLOWUP, f"max|F|^2 = {F2_max:.3e} >= {th.F2_max:.3e}"
-    h2_max = float(geom["h2"].max())
+    h2_max = geom["h2_max"]
     if h2_max >= th.h2_max:
         return CURVATURE_BLOWUP, f"max|h|^2 = {h2_max:.3e} >= {th.h2_max:.3e}"
     if geom["quality"] < th.quality_min:

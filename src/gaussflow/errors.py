@@ -54,10 +54,6 @@ class DomainError(GaussFlowError):
     """Closed-form expression evaluated outside its domain of validity."""
 
 
-class InsufficientSnapshots(GaussFlowError):
-    """Trajectory does not carry enough snapshots for the requested check."""
-
-
 class MismatchedTimes(GaussFlowError):
     """Two time series that must share sample times do not."""
 

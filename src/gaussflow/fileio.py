@@ -1,5 +1,6 @@
-"""Mesh readers and writers: OFF and OBJ for surfaces, PLINE for curves,
-and the writer of CSV float tables.
+"""Mesh readers and writers: OFF for surfaces, PLINE for curves, a reader
+of OBJ surfaces (an input format only; no artifact is written as OBJ), and
+the writer of CSV float tables.
 
 PLINE is a plain-text closed polyline: one vertex per line, whitespace
 separated coordinates, closure implicit.  Floats are written with repr(),
@@ -119,13 +120,6 @@ def read_off(path, like: DiscreteImmersion | None = None) -> DiscreteImmersion:
     return _immersion(path, 2, verts, faces[:, 1:], like)
 
 
-def write_obj(path, s: DiscreteImmersion) -> None:
-    if s.m != 2:
-        raise IoError("OBJ stores surfaces only")
-    with open(path, "w") as fh:
-        fh.write(_float_rows(s.vertices, "v ") + _rows("f %d %d %d\n", s.faces + 1))
-
-
 def read_obj(path, like: DiscreteImmersion | None = None) -> DiscreteImmersion:
     verts, faces = [], []
     try:
@@ -152,21 +146,22 @@ def read_obj(path, like: DiscreteImmersion | None = None) -> DiscreteImmersion:
                       np.array(faces, dtype=np.int64), like)
 
 
-_FORMATS = {".off": (read_off, write_off), ".obj": (read_obj, write_obj),
-            ".pline": (read_pline, write_pline)}
+_READERS = {".off": read_off, ".obj": read_obj, ".pline": read_pline}
+_WRITERS = {".off": write_off, ".pline": write_pline}
 
 
-def _format(path):
+def _format(path, table: dict):
     ext = os.path.splitext(str(path))[1].lower()
-    if ext not in _FORMATS:
+    if ext not in table:
         raise IoError(f"unsupported mesh extension {ext!r}")
-    return _FORMATS[ext]
+    return table[ext]
 
 
 def read_immersion(path, like: DiscreteImmersion | None = None) -> DiscreteImmersion:
     """Dispatch on file extension (.off, .obj, .pline)."""
-    return _format(path)[0](path, like)
+    return _format(path, _READERS)(path, like)
 
 
 def write_immersion(path, s: DiscreteImmersion) -> None:
-    _format(path)[1](path, s)
+    """Dispatch on file extension (.off, .pline)."""
+    _format(path, _WRITERS)(path, s)

@@ -266,7 +266,7 @@ def _snapshot_names(snap_dir) -> list[str]:
     if not os.path.isdir(snap_dir):
         return []
     return sorted(name for name in os.listdir(snap_dir)
-                  if name.endswith((".pline", ".off", ".obj")) and name.split(".")[0].isdigit())
+                  if name.endswith((".pline", ".off")) and name.split(".")[0].isdigit())
 
 
 def _remove_result(outdir) -> str:

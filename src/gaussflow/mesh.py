@@ -3,9 +3,9 @@
 Two kinds of immersion are supported: closed polygonal curves (intrinsic
 dimension 1, any ambient dimension >= 2) and closed triangulated surfaces
 (intrinsic dimension 2, ambient dimension 3).  The operators are the ones
-the flow engine needs: mean curvature vector, normal projection, squared
-second-fundamental-form norm, Laplace-Beltrami of scalar fields, Gaussian
-weighted area, and a mesh-quality proxy.
+the flow engine needs: mean curvature vector, vertex areas, normal
+projection, squared second-fundamental-form norm, the Laplacian's spectral
+bound, Gaussian weighted area, and a mesh-quality proxy.
 
 Discretization choices (fixed, see module tests for the convergence
 behavior): curves use edge-length-weighted second differences, surfaces use
@@ -21,13 +21,14 @@ operator reads from that cache.  A pass computes as much as its caller
 asks for: the fields the velocity reads (cotangents or edge lengths, mixed
 areas, H, |F|^2 and its maximum, the shortest curve edge); those plus the
 surface vertex normal, which FLOW0 stages read; or everything, the blow-up
-monitor group included (surfaces: vertex normal, then angle defect, |h|^2,
-quality and edge extremes; curves: |h|^2 = |H|^2, quality and the longest
-edge).  The flow's stages ask for the velocity fields, FLOW0 stages for the
-normal as well, and the engine's monitor for everything, once per accepted
-state.  The cache remembers how much it holds, and a request for more runs
-the pass again at the larger level; a vanishing normal raises
-DegenerateMesh on every request that includes it.
+monitor group included (surfaces: vertex normal, then angle defect, |h|^2
+and its maximum, quality and edge extremes; curves: |h|^2 = |H|^2 and its
+maximum, quality and the longest edge).  The flow's stages ask for the
+velocity fields, FLOW0 stages for the normal as well, and the engine's
+monitor for everything, once per accepted state.  The cache remembers how
+much it holds, and a request for more runs the pass again at the larger
+level; a vanishing normal raises DegenerateMesh on every request that
+includes it.
 
 A surface pass allocates only the fields it returns.  Its temporaries
 (corner coordinates, edges, cross products, dot products, squared edge
@@ -86,6 +87,8 @@ class _Connectivity:
         f = self.faces
         if f.ndim != 2 or f.shape[1] != 3:
             raise InvalidConfig("face list must have shape (n_faces, 3)")
+        if len(f) == 0:
+            raise InvalidConfig("face list is empty")
         if f.min() < 0 or f.max() >= self.n_vertices:
             raise InvalidConfig("face indices out of range")
         if np.any(f[:, 0] == f[:, 1]) or np.any(f[:, 1] == f[:, 2]) or np.any(f[:, 0] == f[:, 2]):
@@ -241,7 +244,8 @@ def _curve_geometry(v: np.ndarray, conn: _CurveConnectivity, level: int) -> dict
             "F2_max": float(F2.max()), "min_edge": l_min}
     if level >= _MONITOR:
         l_max = float(lengths.max())
-        geom.update(h2=np.einsum("ij,ij->i", H, H), quality=l_min / l_max, max_edge=l_max)
+        h2 = np.einsum("ij,ij->i", H, H)
+        geom.update(h2=h2, h2_max=float(h2.max()), quality=l_min / l_max, max_edge=l_max)
     return geom
 
 
@@ -372,9 +376,9 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity, level: int) -> dict:
         np.square(face_area, out=q)
         q *= 8.0
         q /= np.multiply(semi, edge.prod(axis=0, out=prod), out=prod)
-        geom.update(h2=np.maximum(np.einsum("ij,ij->j", H, H) - 2.0 * gauss, 0.0),
-                    quality=float(q.min()), min_edge=float(edge.min()),
-                    max_edge=float(edge.max()))
+        h2 = np.maximum(np.einsum("ij,ij->j", H, H) - 2.0 * gauss, 0.0)
+        geom.update(h2=h2, h2_max=float(h2.max()), quality=float(q.min()),
+                    min_edge=float(edge.min()), max_edge=float(edge.max()))
     return geom
 
 
@@ -382,9 +386,9 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity, level: int) -> dict:
 # operators
 
 
-def _check_field(s: DiscreteImmersion, values, vector: bool) -> np.ndarray:
+def _check_field(s: DiscreteImmersion, values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
-    want = (s.n_vertices, s.ambient_dim) if vector else (s.n_vertices,)
+    want = (s.n_vertices, s.ambient_dim)
     if arr.shape != want:
         raise InvalidConfig(f"vertex field has shape {arr.shape}, expected {want}")
     if not np.all(np.isfinite(arr)):
@@ -415,32 +419,12 @@ def normal_projection(s: DiscreteImmersion, v) -> np.ndarray:
     central-difference tangent for curves, the plane orthogonal to the
     area-weighted vertex normal for surfaces.
     """
-    field = _check_field(s, v, vector=True)
+    field = _check_field(s, v)
     if s.m == 1:
         t = _curve_tangent(s)
         return field - np.einsum("ij,ij->i", field, t)[:, None] * t
     nrm = s._geometry(_NORMAL)["normal"]
     return ((field * nrm).sum(axis=1))[:, None] * nrm
-
-
-def laplace_beltrami(s: DiscreteImmersion, f) -> np.ndarray:
-    """Discrete Laplace-Beltrami of a scalar vertex field.
-
-    Uses the same weights as :func:`mean_curvature_vector`, so the operator
-    is symmetric with respect to the vertex-area inner product.
-    """
-    vals = _check_field(s, f, vector=False)
-    geom = s._geometry()
-    if s.m == 1:
-        nxt, prv = s._conn.nxt, s._conn.prv
-        lengths = geom["edge_lengths"]
-        d_next = (vals[nxt] - vals) / lengths
-        d_prev = (vals - vals[prv]) / lengths[prv]
-        return (d_next - d_prev) / geom["vertex_areas"]
-    cots = geom["cots"]
-    fc = np.take(vals, s._conn.corners)          # (3, n_faces) corner values
-    corner = 0.5 * (cots[_PREV] * (fc[_NEXT] - fc) + cots[_NEXT] * (fc[_PREV] - fc))
-    return s._conn.to_vertices(corner) / geom["vertex_areas"]
 
 
 def laplacian_spectral_bound(s: DiscreteImmersion) -> float:
@@ -460,30 +444,6 @@ def laplacian_spectral_bound(s: DiscreteImmersion) -> float:
     cots = np.abs(geom["cots"])
     row = s._conn.to_vertices(cots[_PREV] + cots[_NEXT])
     return float((row / geom["vertex_areas"]).max())
-
-
-def gradient_norm_sq(s: DiscreteImmersion, f) -> np.ndarray:
-    """Squared norm of the intrinsic gradient of a scalar vertex field.
-
-    Curves: central difference along arclength.  Surfaces: area-weighted
-    average of the per-face P1 gradients.
-    """
-    vals = _check_field(s, f, vector=False)
-    geom = s._geometry()
-    if s.m == 1:
-        nxt, prv = s._conn.nxt, s._conn.prv
-        lengths = geom["edge_lengths"]
-        g = (vals[nxt] - vals[prv]) / (lengths[prv] + lengths)
-        return g * g
-    # P1 gradient n x g / 2A, g the sum of f at each corner times the opposite
-    # edge (corner k+1 to k+2); g lies in the face plane, so |n x g| = |g|
-    corners = s._conn.corners
-    P = np.take(np.ascontiguousarray(s.vertices.T), corners, axis=1)
-    fc = np.take(vals, corners)                  # (3, n_faces)
-    g = ((P[:, _NEXT] - P) * fc[_PREV]).sum(axis=1)
-    g2 = (g * g).sum(axis=0) / (2.0 * geom["face_area"]) ** 2
-    fa = np.broadcast_to(geom["face_area"], (3, len(g2)))
-    return s._conn.to_vertices(g2 * fa) / s._conn.to_vertices(fa)
 
 
 def second_fundamental_norm(s: DiscreteImmersion) -> np.ndarray:

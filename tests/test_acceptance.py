@@ -19,6 +19,7 @@ from gaussflow.harness import (EXPAND_OUTSIDE, SHRINK_INSIDE, STATIONARY,
                                RunConfig, run_scenario)
 from gaussflow.radial import RadialParams
 
+import mesh_oracles
 import radial_oracles
 
 P_FLOW = FlowParams(variant=FLOW)
@@ -235,8 +236,8 @@ def test_criterion_06_sphericity_preserved(shrink_circle_verdict,
 
 def test_criterion_07_scalar_evolution_identity(flow0_circle_runs):
     coarse, fine = flow0_circle_runs
-    rep_c = comparison.verify_scalar_evolution(coarse)
-    rep_f = comparison.verify_scalar_evolution(fine)
+    rep_c = mesh_oracles.verify_scalar_evolution(coarse)
+    rep_f = mesh_oracles.verify_scalar_evolution(fine)
     ok = rep_c.max_residual < 5e-2 and rep_f.max_residual < rep_c.max_residual
     report(7, ok, f"normalized residual {rep_c.max_residual:.2e} < 5e-2 at 512, "
                   f"{rep_f.max_residual:.2e} after doubling vertices and halving stride")

@@ -364,6 +364,16 @@ def test_simulate_reports_a_short_obj_vertex_line(tmp_path, capsys):
     assert err.startswith("error: ") and str(obj) in err and err.count("\n") == 1
 
 
+def test_simulate_refuses_an_off_file_with_no_faces(tmp_path, capsys):
+    off = tmp_path / "no_faces.off"
+    off.write_text("OFF\n4 0 0\n0 0 1\n1 0 -0.5\n-0.5 0.8 -0.5\n-0.5 -0.8 -0.5\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"initial.kind = file\ninitial.path = {off}\nhorizon = 0.01\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == f"error: {off}: face list is empty\n"
+
+
 def test_scenario_all_needs_a_named_config(tmp_path, capsys):
     (tmp_path / "other.cfg").write_text("initial.name = circle\n")
     code, out, err = run_cli(capsys, "scenario", "ALL", "--config", str(tmp_path))

@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from gaussflow import comparison, engine, shapes
@@ -7,7 +10,7 @@ from gaussflow.comparison import (SIGN_PRESERVATION_ABOVE, SIGN_PRESERVATION_BEL
                                   check_sign_above, check_sign_below,
                                   check_sphere_barrier, check_sphericity)
 from gaussflow.engine import FLOW, FLOW0, FLOWP, FlowParams, Thresholds
-from gaussflow.errors import HypothesisViolated
+from gaussflow.errors import HypothesisViolated, MismatchedTimes
 
 P_FLOW = FlowParams(variant=FLOW)
 
@@ -150,6 +153,15 @@ def _interval_at_m(traj):
 def test_barrier_interval_reads_the_balance_sphere_of_flow_as_m(fixture, request):
     traj = request.getfixturevalue(fixture)
     assert admissible_barrier_interval(traj) == _interval_at_m(traj)
+
+
+def test_sphere_barrier_needs_an_overlap_in_time():
+    # a hand-built run whose only row comes after the comparison sphere of
+    # radius^2 0.7 has collapsed: no time is shared
+    traj = engine.run(shapes.circle(0.8, 32), P_FLOW, horizon=0.0, keep_snapshots=False)
+    late = dataclasses.replace(traj, times=np.array([5.0]))
+    with pytest.raises(MismatchedTimes, match="no overlap"):
+        check_sphere_barrier(late, Rp0_sq=0.7, eps=0.01)
 
 
 def test_sphere_barrier_requires_flow_variant():

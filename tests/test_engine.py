@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from gaussflow import comparison, engine, mesh, radial, shapes
+from gaussflow import engine, mesh, radial, shapes
 from gaussflow.engine import (CURVATURE_BLOWUP, FLOW, FLOW0, FLOWP,
                               HORIZON_REACHED, MESH_DEGENERATE,
                               POSITION_BLOWUP, POSITION_COLLAPSE, FlowParams,
                               Thresholds)
-from gaussflow.errors import (DegenerateMesh, InsufficientSnapshots,
-                              InvalidConfig, MismatchedTimes, OverflowGuard,
-                              TimestepUnderflow)
+from gaussflow.errors import (DegenerateMesh, InvalidConfig, MismatchedTimes,
+                              OverflowGuard, TimestepUnderflow)
 from gaussflow.radial import RadialParams
 
+import mesh_oracles
 import radial_oracles
+from mesh_oracles import InsufficientSnapshots
 
 P_FLOW = FlowParams(variant=FLOW)
 P_FLOW0 = FlowParams(variant=FLOW0)
@@ -398,8 +399,9 @@ def _curve_geometry_reference(v, conn, level=None):
     areas = 0.5 * (lengths[conn.prv] + lengths)
     H = (u - u[conn.prv]) / areas[:, None]
     F2 = np.einsum("ij,ij->i", v, v)
+    h2 = np.einsum("ij,ij->i", H, H)
     return {"edge_lengths": lengths, "vertex_areas": areas, "H": H, "F2": F2,
-            "F2_max": float(F2.max()), "h2": np.einsum("ij,ij->i", H, H),
+            "F2_max": float(F2.max()), "h2": h2, "h2_max": float(h2.max()),
             "quality": l_min / l_max, "min_edge": l_min, "max_edge": l_max}
 
 
@@ -833,7 +835,7 @@ def test_run_deterministic_bitwise():
 def test_scalar_evolution_on_shrinking_circle():
     traj = engine.run(shapes.circle(0.8, 256), P_FLOW0, horizon=0.01,
                       snapshot_times=np.linspace(0.0, 0.01, 26))
-    report = comparison.verify_scalar_evolution(traj)
+    report = mesh_oracles.verify_scalar_evolution(traj)
     assert report.max_residual < 5e-2
     assert report.l2_residual <= report.max_residual
     assert report.area_max_residual < 5e-2
@@ -842,7 +844,7 @@ def test_scalar_evolution_on_shrinking_circle():
 def test_scalar_evolution_stationary_absolute():
     traj = engine.run(shapes.circle(1.0, 128), P_FLOW0, horizon=0.01,
                       snapshot_times=np.linspace(0.0, 0.01, 13))
-    report = comparison.verify_scalar_evolution(traj)
+    report = mesh_oracles.verify_scalar_evolution(traj)
     assert report.max_residual < 1e-3
 
 
@@ -850,7 +852,7 @@ def test_scalar_evolution_pure_mcf():
     p = FlowParams(variant=FLOWP, a=0.0, b=0.0, c=1.0)
     traj = engine.run(shapes.circle(1.0, 256), p, horizon=0.01,
                       snapshot_times=np.linspace(0.0, 0.01, 10))
-    report = comparison.verify_scalar_evolution(traj)
+    report = mesh_oracles.verify_scalar_evolution(traj)
     assert report.max_residual < 5e-2
 
 
@@ -860,7 +862,7 @@ def test_scalar_evolution_checks_the_law_that_ran(p):
     # full-position identities of FLOW and FLOWP count
     traj = engine.run(shapes.ellipse(0.9, 0.6, 128), p, horizon=0.01,
                       snapshot_times=np.linspace(0.0, 0.01, 11))
-    report = comparison.verify_scalar_evolution(traj)
+    report = mesh_oracles.verify_scalar_evolution(traj)
     assert report.max_residual < 5e-2
     assert report.area_max_residual < 5e-2
 
@@ -868,7 +870,7 @@ def test_scalar_evolution_checks_the_law_that_ran(p):
 @pytest.mark.parametrize("p", [P_FLOW, P_FLOW0], ids=["FLOW", "FLOW0"])
 def test_scalar_evolution_on_ellipsoids(p):
     coarse, fine = (
-        comparison.verify_scalar_evolution(
+        mesh_oracles.verify_scalar_evolution(
             engine.run(shapes.ellipsoid(1.0, 0.8, 0.6, subdiv), p, horizon=0.01,
                        snapshot_times=np.linspace(0.0, 0.01, 11)))
         for subdiv in (2, 3))
@@ -883,10 +885,10 @@ def test_scalar_evolution_gates():
     rows_only = engine.run(shapes.circle(0.8, 64), P_FLOW, horizon=0.001, stride=1,
                            keep_snapshots=False)
     with pytest.raises(InsufficientSnapshots):
-        comparison.verify_scalar_evolution(rows_only)
+        mesh_oracles.verify_scalar_evolution(rows_only)
     short = engine.run(shapes.circle(0.8, 64), P_FLOW0, horizon=0.0)
     with pytest.raises(InsufficientSnapshots):
-        comparison.verify_scalar_evolution(short)
+        mesh_oracles.verify_scalar_evolution(short)
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +900,7 @@ def test_tangential_equivalence_on_ellipse():
     e = shapes.ellipse(0.9, 0.6, 512)
     tr_flow = engine.run(e, P_FLOW, horizon=0.1, snapshot_times=times)
     tr_norm = engine.run(e, P_FLOW0, horizon=0.1, snapshot_times=times)
-    report = comparison.tangential_equivalence(tr_flow, tr_norm)
+    report = mesh_oracles.tangential_equivalence(tr_flow, tr_norm)
     assert report.normal_distance[0] == 0.0
     assert report.max_distance < 1e-2
 
@@ -908,7 +910,7 @@ def test_tangential_equivalence_on_ellipsoid():
     s = shapes.ellipsoid(1.0, 0.8, 0.6, 2)
     tr_flow = engine.run(s, P_FLOW, horizon=0.1, snapshot_times=times)
     tr_norm = engine.run(s, P_FLOW0, horizon=0.1, snapshot_times=times)
-    report = comparison.tangential_equivalence(tr_flow, tr_norm)
+    report = mesh_oracles.tangential_equivalence(tr_flow, tr_norm)
     assert report.normal_distance[0] == 0.0
     assert report.max_distance < 1e-2
 
@@ -918,7 +920,7 @@ def test_tangential_equivalence_exact_on_circles():
     c = shapes.circle(0.8, 128)
     tr_flow = engine.run(c, P_FLOW, horizon=0.05, snapshot_times=times)
     tr_norm = engine.run(c, P_FLOW0, horizon=0.05, snapshot_times=times)
-    report = comparison.tangential_equivalence(tr_flow, tr_norm)
+    report = mesh_oracles.tangential_equivalence(tr_flow, tr_norm)
     assert report.max_distance < 1e-6
 
 
@@ -927,7 +929,7 @@ def test_tangential_equivalence_time_mismatch():
     a = engine.run(c, P_FLOW, horizon=0.01, snapshot_times=[0.0, 0.01])
     b = engine.run(c, P_FLOW0, horizon=0.01, snapshot_times=[0.0, 0.005])
     with pytest.raises(MismatchedTimes):
-        comparison.tangential_equivalence(a, b)
+        mesh_oracles.tangential_equivalence(a, b)
 
 
 def test_tangential_equivalence_requires_same_initial():
@@ -935,7 +937,7 @@ def test_tangential_equivalence_requires_same_initial():
     a = engine.run(shapes.circle(0.8, 64), P_FLOW, horizon=0.01, snapshot_times=times)
     b = engine.run(shapes.circle(0.9, 64), P_FLOW0, horizon=0.01, snapshot_times=times)
     with pytest.raises(MismatchedTimes):
-        comparison.tangential_equivalence(a, b)
+        mesh_oracles.tangential_equivalence(a, b)
 
 
 def test_tangential_equivalence_requires_same_faces():
@@ -951,7 +953,7 @@ def test_tangential_equivalence_requires_same_faces():
     tr_norm = engine.run(mesh.DiscreteImmersion(2, s.vertices, faces), P_FLOW0,
                          horizon=0.001, snapshot_times=times)
     with pytest.raises(MismatchedTimes, match="same face list"):
-        comparison.tangential_equivalence(tr_flow, tr_norm)
+        mesh_oracles.tangential_equivalence(tr_flow, tr_norm)
 
 
 def test_tangential_equivalence_variant_order():
@@ -959,7 +961,7 @@ def test_tangential_equivalence_variant_order():
     a = engine.run(shapes.circle(0.8, 64), P_FLOW, horizon=0.01, snapshot_times=times)
     b = engine.run(shapes.circle(0.8, 64), P_FLOW0, horizon=0.01, snapshot_times=times)
     with pytest.raises(InvalidConfig):
-        comparison.tangential_equivalence(b, a)
+        mesh_oracles.tangential_equivalence(b, a)
 
 
 def test_rkc2_stage_count_is_capped_at_s_max():

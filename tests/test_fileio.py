@@ -6,6 +6,22 @@ from gaussflow.errors import InvalidConfig, IoError
 from gaussflow.mesh import DiscreteImmersion
 
 
+def _obj_text(v, f):
+    """OBJ text of a surface, one row per line, floats in repr(): the package
+    reads OBJ but writes none."""
+    lines = ["v " + " ".join(map(repr, row)) for row in v.tolist()]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in f.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def _write(path, s):
+    """Write s in the format its extension names, OBJ as _obj_text."""
+    if path.suffix == ".obj":
+        path.write_text(_obj_text(s.vertices, s.faces))
+    else:
+        fileio.write_immersion(path, s)
+
+
 @pytest.fixture
 def wobbled_curve():
     rng = np.random.default_rng(42)
@@ -31,12 +47,12 @@ def test_surface_round_trip_bit_exact(tmp_path, ext):
     jittered = DiscreteImmersion(
         2, s.vertices * (1.0 + 0.01 * rng.standard_normal((s.n_vertices, 1))), s.faces)
     path = tmp_path / f"mesh{ext}"
-    fileio.write_immersion(path, jittered)
+    _write(path, jittered)
     back = fileio.read_immersion(path)
     np.testing.assert_array_equal(back.vertices, jittered.vertices)
     np.testing.assert_array_equal(back.faces, jittered.faces)
     second = tmp_path / f"mesh2{ext}"
-    fileio.write_immersion(second, back)
+    _write(second, back)
     assert path.read_bytes() == second.read_bytes()
 
 
@@ -46,8 +62,6 @@ def test_pline_rejects_surfaces_and_vice_versa(tmp_path, wobbled_curve):
         fileio.write_pline(tmp_path / "x.pline", s)
     with pytest.raises(IoError):
         fileio.write_off(tmp_path / "x.off", wobbled_curve)
-    with pytest.raises(IoError, match="OBJ stores surfaces only"):
-        fileio.write_obj(tmp_path / "x.obj", wobbled_curve)
 
 
 def test_read_errors(tmp_path):
@@ -149,9 +163,7 @@ def test_off_comments_and_obj_texture_indices(tmp_path):
     assert tetra.n_vertices == 4 and len(tetra.faces) == 4
 
     obj = tmp_path / "c.obj"
-    fileio.write_obj(obj, tetra)
-    text = obj.read_text().replace("f 1 2 3", "f 1/1 2/2 3/3")
-    obj.write_text(text)
+    obj.write_text(_obj_text(tetra.vertices, tetra.faces).replace("f 1 2 3", "f 1/1 2/2 3/3"))
     again = fileio.read_obj(obj)
     np.testing.assert_array_equal(again.faces, tetra.faces)
 
@@ -172,7 +184,6 @@ def test_writers_golden_bytes(tmp_path):
     curve = square.replace_vertices([row[:2] for row in coords])
     fileio.write_pline(tmp_path / "c.pline", curve)
     fileio.write_off(tmp_path / "s.off", surface)
-    fileio.write_obj(tmp_path / "s.obj", surface)
     assert (tmp_path / "c.pline").read_bytes() == (
         b"0.1 0.3333333333333333\n1e+300 -1.5\n0.6666666666666666 -0.1\n"
         b"-0.0 12345678.9\n")
@@ -180,10 +191,6 @@ def test_writers_golden_bytes(tmp_path):
         b"OFF\n4 4 0\n0.1 0.3333333333333333 -2.5e-17\n1e+300 -1.5 0.0\n"
         b"0.6666666666666666 -0.1 1e-05\n-0.0 12345678.9 0.25\n"
         b"3 0 1 2\n3 0 2 3\n3 0 3 1\n3 1 3 2\n")
-    assert (tmp_path / "s.obj").read_bytes() == (
-        b"v 0.1 0.3333333333333333 -2.5e-17\nv 1e+300 -1.5 0.0\n"
-        b"v 0.6666666666666666 -0.1 1e-05\nv -0.0 12345678.9 0.25\n"
-        b"f 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n")
 
 
 def test_curve_svg_golden_bytes():
@@ -217,12 +224,6 @@ def _reference_off(v, f):
     return "\n".join(lines) + "\n"
 
 
-def _reference_obj(v, f):
-    lines = ["v " + " ".join(map(repr, row)) for row in v.tolist()]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in f.tolist()]
-    return "\n".join(lines) + "\n"
-
-
 def _reference_table(header, v):
     # the per-row form the diagnostics and sphere CSV writers had
     return header + "\n" + "".join(",".join(repr(float(x)) for x in row) + "\n" for row in v)
@@ -248,10 +249,8 @@ def test_writers_match_per_row_forms(tmp_path, columns):
         curve = shapes.circle(1.0, ico.n_vertices).replace_vertices(v)
         fileio.write_pline(tmp_path / "c.pline", curve)
         fileio.write_off(tmp_path / "s.off", surface)
-        fileio.write_obj(tmp_path / "s.obj", surface)
         assert (tmp_path / "c.pline").read_text() == _reference_pline(v)
         assert (tmp_path / "s.off").read_text() == _reference_off(v, faces)
-        assert (tmp_path / "s.obj").read_text() == _reference_obj(v, faces)
         fileio.write_table(tmp_path / "t.csv", header, list(v.T))
         assert (tmp_path / "t.csv").read_text() == _reference_table(header, v)
     fileio.write_table(tmp_path / "t.csv", header, [[]] * columns)
@@ -283,23 +282,22 @@ def test_reader_shares_connectivity_with_like(tmp_path):
     s = shapes.icosphere(1.0, 1)
     moved = s.replace_vertices(s.vertices * 1.5)
     for ext in (".off", ".obj"):
-        fileio.write_immersion(tmp_path / f"a{ext}", s)
-        fileio.write_immersion(tmp_path / f"b{ext}", moved)
+        _write(tmp_path / f"a{ext}", s)
+        _write(tmp_path / f"b{ext}", moved)
         first = fileio.read_immersion(tmp_path / f"a{ext}")
         second = fileio.read_immersion(tmp_path / f"b{ext}", like=first)
         assert second._conn is first._conn and second.faces is first.faces
         np.testing.assert_array_equal(second.vertices, moved.vertices)
         # another face list, or another vertex count on the same one, is
         # refused, naming the file
-        fileio.write_immersion(tmp_path / f"c{ext}", shapes.icosphere(1.0, 2))
-        fileio.write_immersion(tmp_path / f"d{ext}",
-                               DiscreteImmersion(2, s.vertices, s.faces[:, ::-1]))
+        _write(tmp_path / f"c{ext}", shapes.icosphere(1.0, 2))
+        _write(tmp_path / f"d{ext}", DiscreteImmersion(2, s.vertices, s.faces[:, ::-1]))
         for name in ("c", "d"):
             with pytest.raises(IoError, match=f"{name}{ext}: its face list differs from the "
                                r"first snapshot's \(m = 2 with 42 vertices\)"):
                 fileio.read_immersion(tmp_path / f"{name}{ext}", like=first)
-        fileio.write_immersion(tmp_path / f"e{ext}",
-                               s.replace_vertices(np.vstack([s.vertices, [[0.0, 0.0, 5.0]]])))
+        _write(tmp_path / f"e{ext}",
+               s.replace_vertices(np.vstack([s.vertices, [[0.0, 0.0, 5.0]]])))
         with pytest.raises(IoError, match=rf"e{ext}: positions of shape \(43, 3\) for an "
                            r"immersion of shape \(42, 3\)"):
             fileio.read_immersion(tmp_path / f"e{ext}", like=first)
@@ -319,7 +317,7 @@ def test_reader_shares_connectivity_with_like(tmp_path):
 @pytest.mark.parametrize("damage", ["nan", "inf", "collapsed"])
 def test_shared_connectivity_keeps_the_constructors_checks(tmp_path, ext, damage):
     s = shapes.circle(1.0, 16) if ext == ".pline" else shapes.icosphere(1.0, 1)
-    fileio.write_immersion(tmp_path / f"a{ext}", s)
+    _write(tmp_path / f"a{ext}", s)
     first = fileio.read_immersion(tmp_path / f"a{ext}")
     v = s.vertices.copy()
     if damage == "collapsed":      # the first edge has length 0
@@ -327,7 +325,7 @@ def test_shared_connectivity_keeps_the_constructors_checks(tmp_path, ext, damage
         v[b] = v[a]
     else:
         v[3, 1] = float(damage)
-    fileio.write_immersion(tmp_path / f"b{ext}", s.replace_vertices(v))
+    _write(tmp_path / f"b{ext}", s.replace_vertices(v))
     # refused as the file's contents, so the error names it
     with pytest.raises(IoError) as alone:
         fileio.read_immersion(tmp_path / f"b{ext}")
