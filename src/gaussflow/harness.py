@@ -6,7 +6,8 @@ A run writes a self-describing artifact directory:
 
 * ``run.cfg``, the config that ran, in the same dialect, so
   ``gaussflow simulate --config <dir>/run.cfg`` replays the run from any
-  working directory; a mesh-file input is copied in beside it as
+  working directory; the mesh file that a set ``initial.path`` names is
+  the initial immersion, and it is copied in beside ``run.cfg`` as
   ``initial.pline`` or ``initial.off``, which ``run.cfg`` names;
 * ``diagnostics.csv`` with the exact header
   ``t,dt,min_F2,max_F2,max_h2,weighted_area,mesh_quality``;
@@ -76,7 +77,6 @@ ODE_WINDOW = (0.05, 20.0)
 
 @dataclass
 class RunConfig:
-    initial_kind: str = "builtin"            # builtin | file
     initial_name: str = "circle"
     initial_params: dict = field(default_factory=dict)
     initial_n: int | None = None
@@ -91,14 +91,12 @@ class RunConfig:
     save_meshes: bool = True
 
     def build_initial(self) -> DiscreteImmersion:
-        if self.initial_kind == "file":
-            if not self.mesh_path:
-                raise InvalidConfig("initial.kind = file needs initial.path")
+        """The mesh file at ``mesh_path`` when it is set, even to an empty
+        path, and otherwise the built-in shape ``initial_name``."""
+        if self.mesh_path is not None:
             if not os.path.exists(self.mesh_path):
                 raise InvalidConfig(f"mesh file {self.mesh_path!r} does not exist")
             return fileio.read_immersion(self.mesh_path)
-        if self.initial_kind != "builtin":
-            raise InvalidConfig(f"unknown initial.kind {self.initial_kind!r}")
         return builtin_shape(self.initial_name, {**self.initial_params, "seed": self.seed},
                              self.initial_n)
 
@@ -108,7 +106,6 @@ class RunConfig:
 # FlowParams or Thresholds.  parse_config_text and format_config both read
 # this table, so a key one of them knows the other knows too.
 _KEYS: dict[str, tuple[str, type]] = {
-    "initial.kind": ("initial_kind", str),
     "initial.name": ("initial_name", str),
     "initial.path": ("mesh_path", str),
     "initial.n": ("initial_n", int),
@@ -213,12 +210,12 @@ def load_config(path) -> RunConfig:
 
 def _write_config(cfg: RunConfig, outdir, initial: DiscreteImmersion) -> list[str]:
     """Write the config that ran as ``run.cfg``, so the directory replays.
-    A mesh-file input is copied in, so the replay does not depend on it.
+    The mesh file the run read is copied in, so the replay does not need it.
     An older run's result.json goes first, so no file of this run is
     written while the directory still loads as that run."""
     _remove_result(outdir)
     copies = []
-    if cfg.initial_kind == "file":
+    if cfg.mesh_path is not None:
         name = "initial.pline" if initial.m == 1 else "initial.off"
         copies.append(os.path.join(outdir, name))
         fileio.write_immersion(copies[0], initial)

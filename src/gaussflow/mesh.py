@@ -277,7 +277,7 @@ class _Workspace:
         self.P, self.E = np.empty((2, 3, 3, n_faces))
         self.cross, self.dots, self.l1, self.l2, self.cot_next, self.cot_prev, self.w = \
             np.empty((7, 3, n_faces))
-        self.row, self.cross_norm = np.empty((2, n_faces))
+        self.row, self.cross_norm, self.face_area = np.empty((3, n_faces))
         self.obtuse = np.empty((3, n_faces), dtype=bool)
 
 
@@ -316,7 +316,7 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity, level: int) -> dict:
         out -= np.multiply(h, k, out=row)
     cross_norm = np.einsum("ij,ij->j", cross, cross, out=ws.cross_norm)
     np.sqrt(cross_norm, out=cross_norm)
-    face_area = 0.5 * cross_norm
+    face_area = np.multiply(0.5, cross_norm, out=ws.face_area)
     if face_area.min() <= DEGENERACY_TOL:
         raise DegenerateMesh(f"triangle area below {DEGENERACY_TOL:g}")
 
@@ -350,8 +350,8 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity, level: int) -> dict:
     H /= areas
     F2 = np.einsum("ij,ij->j", vc, vc)
 
-    geom = {"face_area": face_area, "vertex_areas": areas, "H": np.ascontiguousarray(H.T),
-            "F2": F2, "F2_max": float(F2.max()), "cots": cots}
+    geom = {"vertex_areas": areas, "H": np.ascontiguousarray(H.T), "F2": F2,
+            "F2_max": float(F2.max()), "cots": cots}
     if level >= _NORMAL:
         # the normal first: a vanishing one raises DegenerateMesh before the
         # rest of the monitor group, at every level that includes it

@@ -57,10 +57,9 @@ def gradient_norm_sq(s: DiscreteImmersion, f) -> np.ndarray:
     average of the per-face P1 gradients.
     """
     vals = np.asarray(f, dtype=np.float64)
-    geom = s._geometry()
     if s.m == 1:
         nxt, prv = s._conn.nxt, s._conn.prv
-        lengths = geom["edge_lengths"]
+        lengths = s._geometry()["edge_lengths"]
         g = (vals[nxt] - vals[prv]) / (lengths[prv] + lengths)
         return g * g
     # P1 gradient n x g / 2A, g the sum of f at each corner times the opposite
@@ -69,8 +68,10 @@ def gradient_norm_sq(s: DiscreteImmersion, f) -> np.ndarray:
     P = np.take(np.ascontiguousarray(s.vertices.T), corners, axis=1)
     fc = np.take(vals, corners)                  # (3, n_faces)
     g = ((P[:, mesh._NEXT] - P) * fc[mesh._PREV]).sum(axis=1)
-    g2 = (g * g).sum(axis=0) / (2.0 * geom["face_area"]) ** 2
-    fa = np.broadcast_to(geom["face_area"], (3, len(g2)))
+    face_area = 0.5 * np.linalg.norm(np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0], axis=0),
+                                     axis=0)
+    g2 = (g * g).sum(axis=0) / (2.0 * face_area) ** 2
+    fa = np.broadcast_to(face_area, (3, len(g2)))
     return s._conn.to_vertices(g2 * fa) / s._conn.to_vertices(fa)
 
 

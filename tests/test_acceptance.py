@@ -307,8 +307,8 @@ def test_criterion_11_deterministic_reruns(tmp_path, monkeypatch):
     fileio.write_pline(tmp_path / "mesh" / "loop.pline",
                        shapes.perturbed_circle(0.8, 0.05, 3, 7, 128))
     (tmp_path / "mesh" / "run.cfg").write_text(
-        "initial.kind = file\ninitial.path = loop.pline\n"
-        "horizon = 0.02\nsnapshot_stride = 8\noutput_dir = from_file\n")
+        "initial.path = loop.pline\nhorizon = 0.02\nsnapshot_stride = 8\n"
+        "output_dir = from_file\n")
     assert cli.main(["simulate", "--config", "mesh/run.cfg"]) == 0
     (tmp_path / "mesh" / "loop.pline").unlink()
     replays = {}

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gaussflow import fileio, shapes
+from gaussflow import fileio, harness, shapes
 from gaussflow.cli import _build_parser, main
 
 
@@ -358,7 +359,7 @@ def test_simulate_reports_a_short_obj_vertex_line(tmp_path, capsys):
     obj.write_text("v 0 0 1\nv 1 0\nv -0.5 0.8 -0.5\nv -0.5 -0.8 -0.5\n"
                    "f 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"initial.kind = file\ninitial.path = {obj}\nhorizon = 0.01\n")
+    cfg.write_text(f"initial.path = {obj}\nhorizon = 0.01\n")
     code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and str(obj) in err and err.count("\n") == 1
@@ -368,10 +369,49 @@ def test_simulate_refuses_an_off_file_with_no_faces(tmp_path, capsys):
     off = tmp_path / "no_faces.off"
     off.write_text("OFF\n4 0 0\n0 0 1\n1 0 -0.5\n-0.5 0.8 -0.5\n-0.5 -0.8 -0.5\n")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"initial.kind = file\ninitial.path = {off}\nhorizon = 0.01\n")
+    cfg.write_text(f"initial.path = {off}\nhorizon = 0.01\n")
     code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
     assert code == 1 and out == ""
     assert err == f"error: {off}: face list is empty\n"
+
+
+@pytest.mark.parametrize("shape_keys", ["initial.n = 64\ninitial.radius = 0.8\n", ""],
+                         ids=["beside_shape_keys", "alone"])
+def test_simulate_flows_the_mesh_that_initial_path_names(tmp_path, capsys, monkeypatch,
+                                                         shape_keys):
+    # a set initial.path is the initial mesh: the circle's keys beside it are
+    # not read, and the artifact carries the mesh and names it
+    ico = shapes.icosphere(1.0, 1)
+    fileio.write_off(tmp_path / "ico.off", ico)
+    (tmp_path / "run.cfg").write_text(
+        f"initial.path = ico.off\n{shape_keys}horizon = 0.001\noutput_dir = outd\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "simulate", "--config", "run.cfg")
+    assert code == 0 and err == ""
+    traj = harness.load_trajectory(tmp_path / "outd")
+    assert traj.m == 2 and traj.snapshots[0].n_vertices == 42
+    assert np.array_equal(traj.snapshots[0].vertices, ico.vertices)
+    copy = fileio.read_immersion(tmp_path / "outd" / "initial.off")
+    assert np.array_equal(copy.vertices, ico.vertices)
+    assert "initial.path = initial.off\n" in (tmp_path / "outd" / "run.cfg").read_text()
+
+
+def test_simulate_refuses_the_removed_initial_kind_key(tmp_path, capsys):
+    # the first line of every run.cfg written before the key was removed
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("initial.kind = builtin\ninitial.name = circle\ninitial.n = 32\n"
+                   "horizon = 0.01\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == "error: unknown config key 'initial.kind'\n"
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-m", "gaussflow.cli", "bounds", "--m", "2",
+                           "--r0sq", "1.0"], capture_output=True, text=True, timeout=120,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0 and "T1=" in done.stdout
 
 
 def test_scenario_all_needs_a_named_config(tmp_path, capsys):

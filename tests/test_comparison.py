@@ -97,6 +97,14 @@ def test_sign_below_refuses_laws_outside_its_hypotheses(p, match):
         check_sign_below(traj, p, eps=0.1)
 
 
+def test_sign_above_refuses_increasing_c():
+    p = FlowParams(variant=FLOWP, c_slope=0.5)
+    traj = engine.run(shapes.circle(1.2, 32), p, horizon=0.005, stride=4,
+                      keep_snapshots=False)
+    with pytest.raises(HypothesisViolated, match="nonincreasing c/b"):
+        check_sign_above(traj, p, eps=0.1)
+
+
 def test_margin_nesting_in_eps(circle_shrink):
     r_small = check_sign_below(circle_shrink, P_FLOW, eps=0.05)
     r_big = check_sign_below(circle_shrink, P_FLOW, eps=0.2)

@@ -115,7 +115,6 @@ def test_perturbed_sphere_deterministic():
 
 FULL_CONFIG = """
 # full example
-initial.kind = builtin
 initial.name = perturbed_circle
 initial.radius = 0.8
 initial.amp = 0.05
@@ -163,6 +162,8 @@ def test_parse_rejects_unknown_keys_and_bad_values():
         parse_config_text("thresholds.bogus = 1\n")
     with pytest.raises(InvalidConfig):
         parse_config_text("params.m_override = 2\n")
+    with pytest.raises(InvalidConfig, match="unknown config key 'initial.kind'"):
+        parse_config_text("initial.kind = file\n")
 
 
 def test_parse_rejects_non_finite_values():
@@ -184,8 +185,6 @@ def test_parse_booleans():
 
 @pytest.mark.parametrize("call, match", [
     (lambda: parse_config_text("snapshot_stride = 0"), "snapshot_stride"),
-    (lambda: RunConfig(initial_kind="file").build_initial(), "needs initial.path"),
-    (lambda: RunConfig(initial_kind="mesh").build_initial(), "unknown initial.kind"),
     (lambda: simulate(RunConfig(initial_params={"radius": 0.8}, initial_n=32)),
      "explicit horizon"),
     (lambda: run_scenario(STATIONARY, RunConfig(
@@ -194,8 +193,8 @@ def test_parse_booleans():
     (lambda: run_scenario(SPHERE_ODE_MATCH, RunConfig(initial_params={"radius": 1.0},
                                                       initial_n=32)),
      r"needs \|F0\|\^2 != \(c/b\)m"),
-], ids=["stride_0", "file_without_path", "unknown_kind", "simulate_without_horizon",
-        "stationary_ellipse", "ode_match_on_balance_sphere"])
+], ids=["stride_0", "simulate_without_horizon", "stationary_ellipse",
+        "ode_match_on_balance_sphere"])
 def test_config_errors(call, match):
     with pytest.raises(InvalidConfig, match=match):
         call()
@@ -214,12 +213,15 @@ def test_mesh_file_initial(tmp_path):
     from gaussflow import fileio
     path = tmp_path / "loop.pline"
     fileio.write_pline(path, shapes.circle(0.8, 64))
-    cfg = parse_config_text(f"initial.kind = file\ninitial.path = {path}\nhorizon = 0\n")
+    cfg = parse_config_text(f"initial.path = {path}\nhorizon = 0\n")
     s = cfg.build_initial()
     assert s.n_vertices == 64
-    cfg_bad = parse_config_text("initial.kind = file\ninitial.path = nope.off\nhorizon = 0\n")
+    cfg_bad = parse_config_text("initial.path = nope.off\nhorizon = 0\n")
     with pytest.raises(InvalidConfig):
         cfg_bad.build_initial()
+    # an empty path is a missing file, not a request for the built-in shape
+    with pytest.raises(InvalidConfig, match="mesh file '' does not exist"):
+        parse_config_text("initial.path =\nhorizon = 0\n").build_initial()
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +453,7 @@ def test_scenario_artifact_carries_its_mesh_file(tmp_path, monkeypatch):
     (tmp_path / "in").mkdir()
     fileio.write_pline(tmp_path / "in" / "loop.pline", loop)
     (tmp_path / "in" / "run.cfg").write_text(
-        "initial.kind = file\ninitial.path = loop.pline\nsnapshot_stride = 8\n"
+        "initial.path = loop.pline\nsnapshot_stride = 8\n"
         f"save_meshes = false\noutput_dir = {tmp_path / 'out'}\n")
     monkeypatch.chdir(tmp_path)
     cfg = load_config(Path("in") / "run.cfg")
@@ -468,7 +470,7 @@ def test_scenario_artifact_carries_its_mesh_file(tmp_path, monkeypatch):
 
 
 def test_format_config_round_trips(tmp_path):
-    file_cfg = parse_config_text(f"initial.kind = file\ninitial.path = {tmp_path / 'loop.pline'}\n"
+    file_cfg = parse_config_text(f"initial.path = {tmp_path / 'loop.pline'}\n"
                                  "horizon = 0.5\noutput_dir = out\n")
     ellipsoid = RunConfig(initial_name="ellipsoid",
                           initial_params={"rx": 1.06 * math.sqrt(5.0), "ry": 2.3, "rz": 2.2,

@@ -276,12 +276,11 @@ def reference_surface_geometry(s: DiscreteImmersion) -> dict:
     areas, angle_sum = [0.0] * n, [0.0] * n
     H_sum = [[0.0] * 3 for _ in range(n)]
     normal_sum = [[0.0] * 3 for _ in range(n)]
-    face_area, cots, edges, quality = [], [], [], []
+    cots, edges, quality = [], [], []
     for face in s.faces.tolist():
         p = [v[i] for i in face]
         c = cross(sub(p[1], p[0]), sub(p[2], p[0]))
         two_area = math.sqrt(dot(c, c))
-        face_area.append(0.5 * two_area)
         # corner k: edges to the next corner (opposite corner k+2) and to the
         # previous one (opposite corner k+1)
         to_next = [sub(p[(k + 1) % 3], p[k]) for k in range(3)]
@@ -310,7 +309,7 @@ def reference_surface_geometry(s: DiscreteImmersion) -> dict:
           for i in range(n)]
     F2 = [dot(p, p) for p in v]
     return {
-        "face_area": face_area, "vertex_areas": areas, "H": H, "normal": normal,
+        "vertex_areas": areas, "H": H, "normal": normal,
         "h2": h2, "h2_max": max(h2), "F2": F2, "F2_max": max(F2), "quality": min(quality),
         "cots": np.transpose(cots), "min_edge": min(edges), "max_edge": max(edges),
     }
@@ -443,7 +442,7 @@ def test_returned_fields_share_no_memory_with_the_workspace():
     first, second = _all_fields(s), _all_fields(s.replace_vertices(1.1 * s.vertices))
     buffers = [x for x in vars(mesh._slot.workspace).values() if isinstance(x, np.ndarray)]
     fields = [[x for x in g.values() if isinstance(x, np.ndarray)] for g in (first, second)]
-    assert len(buffers) == 13 and len(fields[0]) == len(fields[1]) == 7
+    assert len(buffers) == 14 and len(fields[0]) == len(fields[1]) == 6
     for x in fields[0] + fields[1]:
         assert not any(np.shares_memory(x, b) for b in buffers)
     for x in fields[0]:
@@ -451,7 +450,7 @@ def test_returned_fields_share_no_memory_with_the_workspace():
 
 
 def test_warm_surface_pass_allocates_only_its_fields():
-    # the fields a subdiv-4 pass returns take ~325 KiB; its temporaries live
+    # the fields a subdiv-4 pass returns take ~285 KiB; its temporaries live
     # in the workspace, which the build's validation pass already made
     s = shapes.icosphere(2.0, 4)
     tracemalloc.start()
