@@ -96,7 +96,7 @@ def _cmd_sphere(args) -> int:
     p = RadialParams(m=args.m, a=args.a, b=args.b, c0=args.c,
                      R0_sq=args.r0sq, c_slope=args.c_slope)
     traj = radial.integrate_radial(p, args.horizon)
-    bound = traj.bound_time
+    bound = radial.applicable_bound(p)
     bound_txt = f"{bound:.12g}" if bound is not None else "n/a"
     print(f"event={traj.event.kind} t={traj.event.t:.12g} bound_time={bound_txt}")
     if args.csv:

@@ -145,6 +145,12 @@ class Thresholds:
         for name in ("h2_max", "F2_max", "F2_min", "quality_min"):
             if not getattr(self, name) > 0:
                 raise InvalidConfig(f"threshold {name} must be positive")
+        # refuse windows no state can satisfy; quality is at most 1 by construction
+        if not self.F2_min < self.F2_max:
+            raise InvalidConfig(f"threshold F2_min = {self.F2_min!r} must be below "
+                                f"F2_max = {self.F2_max!r}")
+        if self.quality_min > 1:
+            raise InvalidConfig(f"threshold quality_min = {self.quality_min!r} must be at most 1")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ A run writes a self-describing artifact directory:
   ``gaussflow simulate --config <dir>/run.cfg`` replays the run from any
   working directory; the mesh file that a set ``initial.path`` names is
   the initial immersion, and it is copied in beside ``run.cfg`` as
-  ``initial.pline`` or ``initial.off``, which ``run.cfg`` names;
+  ``initial.pline`` or ``initial.off``, which ``run.cfg`` names in place
+  of the keys only a built-in shape reads;
 * ``diagnostics.csv`` with the exact header
   ``t,dt,min_F2,max_F2,max_h2,weighted_area,mesh_quality``;
 * an ``events.jsonl`` stream and numbered snapshot meshes;
@@ -124,6 +125,8 @@ _KEYS: dict[str, tuple[str, type]] = {
     "output_dir": ("output_dir", str),
 }
 _SHAPE_KEYS = {f.split(".")[1] for f, _ in _KEYS.values() if f.startswith("initial_params.")}
+# the keys only a built-in shape reads, which a run from a mesh file ignores
+_BUILTIN_KEYS = {k for k in _KEYS if k.startswith("initial.") and k != "initial.path"} | {"seed"}
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -171,13 +174,18 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def format_config(cfg: RunConfig) -> str:
-    """The config as ``key = value`` text, every set key written, that
-    parse_config_text reads back to an equal RunConfig."""
+    """The config as ``key = value`` text, every set key the run reads
+    written, so a built-in shape's config reads back through
+    parse_config_text to an equal RunConfig.  With ``mesh_path`` set the
+    file is the initial mesh, and the keys only a built-in shape reads
+    (``initial.name``, the shape keys and ``seed``) are left out."""
     unknown = set(cfg.initial_params) - _SHAPE_KEYS
     if unknown:
         raise InvalidConfig(f"initial_params has keys no config key sets: {sorted(unknown)}")
     lines = []
     for key, (name, kind) in _KEYS.items():
+        if cfg.mesh_path is not None and key in _BUILTIN_KEYS:
+            continue
         head, _, sub = name.partition(".")
         value = getattr(cfg, head)
         if sub:

@@ -3,9 +3,10 @@
 Two kinds of immersion are supported: closed polygonal curves (intrinsic
 dimension 1, any ambient dimension >= 2) and closed triangulated surfaces
 (intrinsic dimension 2, ambient dimension 3).  The operators are the ones
-the flow engine needs: mean curvature vector, vertex areas, normal
-projection, squared second-fundamental-form norm, the Laplacian's spectral
-bound, Gaussian weighted area, and a mesh-quality proxy.
+the package calls: mean curvature vector, normal projection, squared
+second-fundamental-form norm, the Laplacian's spectral bound and Gaussian
+weighted area.  The engine reads the worst mesh quality from the geometry
+pass itself.
 
 Discretization choices (fixed, see module tests for the convergence
 behavior): curves use edge-length-weighted second differences, surfaces use
@@ -154,10 +155,6 @@ class DiscreteImmersion:
         else:
             raise InvalidConfig(f"m must be 1 or 2, got {m}")
         self._validate()
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.vertices.shape[1]
 
     @property
     def n_vertices(self) -> int:
@@ -388,9 +385,8 @@ def _surface_geometry(v: np.ndarray, conn: _Connectivity, level: int) -> dict:
 
 def _check_field(s: DiscreteImmersion, values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
-    want = (s.n_vertices, s.ambient_dim)
-    if arr.shape != want:
-        raise InvalidConfig(f"vertex field has shape {arr.shape}, expected {want}")
+    if arr.shape != s.vertices.shape:
+        raise InvalidConfig(f"vertex field has shape {arr.shape}, expected {s.vertices.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidConfig("vertex field has non-finite entries")
     return arr
@@ -405,11 +401,6 @@ def mean_curvature_vector(s: DiscreteImmersion) -> np.ndarray:
     gives H ~ -(m/R^2) F.
     """
     return s._geometry()["H"].copy()
-
-
-def vertex_areas(s: DiscreteImmersion) -> np.ndarray:
-    """Vertex area weights: half edge sums (curves), mixed Voronoi (surfaces)."""
-    return s._geometry()["vertex_areas"].copy()
 
 
 def normal_projection(s: DiscreteImmersion, v) -> np.ndarray:
@@ -469,15 +460,3 @@ def weighted_area(s: DiscreteImmersion) -> float:
     with np.errstate(under="ignore"):
         w = np.exp(-0.5 * geom["F2"])
     return float(w @ geom["vertex_areas"])
-
-
-def mesh_quality(s: DiscreteImmersion) -> float:
-    """Shape-regularity proxy in (0, 1]; 0 flags fully degenerate input.
-
-    Curves: min/max edge length.  Surfaces: worst face inradius over
-    circumradius, normalized to 1 for equilateral triangles.
-    """
-    try:
-        return s._geometry(_MONITOR)["quality"]
-    except DegenerateMesh:
-        return 0.0

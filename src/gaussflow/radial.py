@@ -101,7 +101,6 @@ class RadialTrajectory:
     times: np.ndarray
     R_sq: np.ndarray
     event: RadialEvent
-    bound_time: float | None
     eval_times: np.ndarray = field(default=None)
     eval_R_sq: np.ndarray = field(default=None)
 
@@ -297,7 +296,7 @@ def integrate_radial(p: RadialParams, horizon: float, t_eval=None) -> RadialTraj
 
     return RadialTrajectory(
         params=p, times=np.asarray(times), R_sq=np.asarray(values),
-        event=event or RadialEvent(HORIZON, t), bound_time=applicable_bound(p),
+        event=event or RadialEvent(HORIZON, t),
         eval_times=np.asarray(eval_t), eval_R_sq=np.asarray(eval_r),
     )
 

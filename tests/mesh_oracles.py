@@ -2,9 +2,10 @@
 FLOW/FLOW0 image distance.
 
 Checks of recorded trajectories that read the meshes, kept out of the
-package because only tests call them, with the discrete operators only they
-use: the Laplace-Beltrami operator and the squared gradient norm of a scalar
-vertex field, on the weights of the package's own geometry pass.
+package because only tests call them, with the discrete operators only
+tests use: the vertex areas and mesh quality of an immersion, and the
+Laplace-Beltrami operator and squared gradient norm of a scalar vertex
+field, all on the weights of the package's own geometry pass.
 """
 
 from __future__ import annotations
@@ -16,12 +17,33 @@ import numpy as np
 
 from gaussflow import mesh
 from gaussflow.engine import FLOW, FLOW0, FlowTrajectory
-from gaussflow.errors import GaussFlowError, InvalidConfig, MismatchedTimes
+from gaussflow.errors import DegenerateMesh, GaussFlowError, InvalidConfig, MismatchedTimes
 from gaussflow.mesh import DiscreteImmersion
 
 
 class InsufficientSnapshots(GaussFlowError):
     """Trajectory does not carry enough snapshots for the requested check."""
+
+
+# ---------------------------------------------------------------------------
+# operators on immersions
+
+
+def vertex_areas(s: DiscreteImmersion) -> np.ndarray:
+    """Vertex area weights: half edge sums (curves), mixed Voronoi (surfaces)."""
+    return s._geometry()["vertex_areas"].copy()
+
+
+def mesh_quality(s: DiscreteImmersion) -> float:
+    """Shape-regularity proxy in (0, 1]; 0 flags fully degenerate input.
+
+    Curves: min/max edge length.  Surfaces: worst face inradius over
+    circumradius, normalized to 1 for equilateral triangles.
+    """
+    try:
+        return s._geometry(mesh._MONITOR)["quality"]
+    except DegenerateMesh:
+        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +168,7 @@ def verify_scalar_evolution(traj: FlowTrajectory) -> ResidualReport:
         sq_sum += float((res * res).sum())
         count += res.size
 
-        a_prev, a_mid, a_next = (np.log(mesh.vertex_areas(s))
+        a_prev, a_mid, a_next = (np.log(vertex_areas(s))
                                  for s in (s_prev, s_mid, s_next))
         dloga = _three_point_derivative(a_prev, a_mid, a_next, h0, h1)
         ares = np.abs(dloga - area_rate) / np.maximum(1.0, np.abs(area_rate))

@@ -119,6 +119,19 @@ def test_sphere_command_with_csv(tmp_path, capsys):
     assert t_last == pytest.approx(t_event, abs=1e-9)
 
 
+@pytest.mark.parametrize("argv, line", [
+    ("--m 2 --r0sq 1.0", "event=COLLAPSE t=0.26503835929 bound_time=0.393469340287"),
+    ("--m 2 --r0sq 2.0 --horizon 1", "event=HORIZON t=1 bound_time=n/a"),
+    ("--m 2 --r0sq 1.0 --c-slope -0.5 --horizon 1",
+     "event=COLLAPSE t=0.291077734874 bound_time=n/a"),
+    ("--m 1 --r0sq 3.0", "event=ESCAPE t=0.00899474627674 bound_time=0.012446767092"),
+], ids=["shrink", "stationary", "falling_c_inside", "expand"])
+def test_sphere_command_output(capsys, argv, line):
+    # a shrinking sphere under falling c, and the fixed sphere, have no bound
+    code, out, err = run_cli(capsys, "sphere", *argv.split())
+    assert (code, out, err) == (0, line + "\n", "")
+
+
 def test_sphere_command_reports_unwritable_csv(tmp_path, capsys):
     path = tmp_path / "missing" / "x.csv"
     code, _, err = run_cli(capsys, "sphere", "--m", "2", "--r0sq", "1", "--csv", str(path))
@@ -375,12 +388,13 @@ def test_simulate_refuses_an_off_file_with_no_faces(tmp_path, capsys):
     assert err == f"error: {off}: face list is empty\n"
 
 
-@pytest.mark.parametrize("shape_keys", ["initial.n = 64\ninitial.radius = 0.8\n", ""],
+@pytest.mark.parametrize("shape_keys", [
+    "initial.name = circle\ninitial.n = 64\ninitial.radius = 0.8\nseed = 7\n", ""],
                          ids=["beside_shape_keys", "alone"])
 def test_simulate_flows_the_mesh_that_initial_path_names(tmp_path, capsys, monkeypatch,
                                                          shape_keys):
     # a set initial.path is the initial mesh: the circle's keys beside it are
-    # not read, and the artifact carries the mesh and names it
+    # not read, and the artifact carries the mesh and names it in their place
     ico = shapes.icosphere(1.0, 1)
     fileio.write_off(tmp_path / "ico.off", ico)
     (tmp_path / "run.cfg").write_text(
@@ -393,7 +407,15 @@ def test_simulate_flows_the_mesh_that_initial_path_names(tmp_path, capsys, monke
     assert np.array_equal(traj.snapshots[0].vertices, ico.vertices)
     copy = fileio.read_immersion(tmp_path / "outd" / "initial.off")
     assert np.array_equal(copy.vertices, ico.vertices)
-    assert "initial.path = initial.off\n" in (tmp_path / "outd" / "run.cfg").read_text()
+    written = (tmp_path / "outd" / "run.cfg").read_text()
+    assert "initial.path = initial.off\n" in written
+    assert not re.search(r"^(initial\.(name|n|radius)|seed) =", written, re.MULTILINE)
+    # the replay reads the copy and rewrites the directory to the same bytes
+    logs = [(tmp_path / "outd" / name).read_bytes() for name in ("diagnostics.csv", "events.jsonl")]
+    assert run_cli(capsys, "simulate", "--config", "outd/run.cfg")[0] == 0
+    assert [(tmp_path / "outd" / name).read_bytes()
+            for name in ("diagnostics.csv", "events.jsonl")] == logs
+    assert (tmp_path / "outd" / "run.cfg").read_text() == written
 
 
 def test_simulate_refuses_the_removed_initial_kind_key(tmp_path, capsys):
@@ -452,6 +474,22 @@ def _reorder_csv_rows(*order):
         rows[1:max(order) + 1] = [rows[i] for i in order]
         (run / "diagnostics.csv").write_text(header + "".join(rows))
     return damage
+
+
+@pytest.mark.parametrize("line, message", [
+    ("thresholds.F2_min = inf", "threshold F2_min = inf must be below F2_max = 1000000.0"),
+    ("thresholds.F2_min = 1e6", "threshold F2_min = 1000000.0 must be below F2_max = 1000000.0"),
+    ("thresholds.quality_min = 5", "threshold quality_min = 5.0 must be at most 1"),
+], ids=["F2_min_inf", "F2_min_at_F2_max", "quality_min_above_1"])
+def test_simulate_refuses_a_threshold_window_no_state_satisfies(tmp_path, capsys, line,
+                                                                 message):
+    # no state satisfies these windows, so a run would only stop at t = 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"initial.name = circle\ninitial.radius = 0.8\ninitial.n = 32\n"
+                   f"horizon = 0.01\n{line}\noutput_dir = {tmp_path / 'out'}\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def _off_header(run):

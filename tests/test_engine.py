@@ -355,7 +355,7 @@ def test_degenerate_monitor_group_raises_on_every_read():
                      lambda s: mesh.normal_projection(s, s.vertices)):
             with pytest.raises(DegenerateMesh, match="vanishing vertex normal"):
                 read(s)
-    assert mesh.mesh_quality(s) == 0.0
+    assert mesh_oracles.mesh_quality(s) == 0.0
     assert s._geometry() is geom                  # the cache keeps what it held
 
 

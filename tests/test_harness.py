@@ -315,7 +315,10 @@ def test_load_rejects_malformed_diagnostics_rows(tmp_path, small_run):
     ("diagnostics.csv", lambda text: "t,dt\n" + text.split("\n", 1)[1], "CSV header"),
     ("diagnostics.csv", lambda text: text.split("\n", 1)[0] + "\n", "empty diagnostics"),
     ("result.json", lambda text: "not json\n", "malformed record"),
-], ids=["wrong_header", "header_only", "non_json_result"])
+    # a threshold window run.cfg refuses is a malformed record here too
+    ("result.json", lambda text: text.replace('"F2_min": 1e-06', '"F2_min": Infinity'),
+     "malformed record: threshold F2_min = inf must be below F2_max"),
+], ids=["wrong_header", "header_only", "non_json_result", "F2_min_inf"])
 def test_load_rejects_damaged_files(tmp_path, small_run, name, damage, match):
     src = Path(small_run[0].output_dir)
     for f in ("result.json", "diagnostics.csv", "events.jsonl"):
@@ -470,14 +473,19 @@ def test_scenario_artifact_carries_its_mesh_file(tmp_path, monkeypatch):
 
 
 def test_format_config_round_trips(tmp_path):
-    file_cfg = parse_config_text(f"initial.path = {tmp_path / 'loop.pline'}\n"
-                                 "horizon = 0.5\noutput_dir = out\n")
     ellipsoid = RunConfig(initial_name="ellipsoid",
                           initial_params={"rx": 1.06 * math.sqrt(5.0), "ry": 2.3, "rz": 2.2,
                                           "subdiv": 2},
                           horizon=0.01, thresholds=replace(RunConfig().thresholds, F2_max=20.0))
-    for cfg in (parse_config_text(FULL_CONFIG), file_cfg, ellipsoid):
+    for cfg in (parse_config_text(FULL_CONFIG), ellipsoid):
         assert parse_config_text(format_config(cfg)) == cfg
+    # a mesh file's config leaves out the keys only a built-in shape reads,
+    # so they read back as their defaults
+    file_cfg = parse_config_text(f"initial.path = {tmp_path / 'loop.pline'}\n"
+                                 "initial.name = ellipse\ninitial.n = 64\ninitial.rx = 0.9\n"
+                                 "seed = 7\nhorizon = 0.5\noutput_dir = out\n")
+    assert parse_config_text(format_config(file_cfg)) == replace(
+        file_cfg, initial_name="circle", initial_n=None, initial_params={}, seed=0)
     # what would not read back equal is refused, not written
     with pytest.raises(InvalidConfig):
         format_config(RunConfig(initial_params={"gravity": 9.81}))

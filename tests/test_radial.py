@@ -137,7 +137,7 @@ def test_stationary_sphere_never_moves():
     traj = integrate_radial(p, horizon=0.7)
     assert traj.event.kind == HORIZON
     np.testing.assert_allclose(traj.R_sq, 2.0, atol=1e-12)
-    assert traj.bound_time is None
+    assert radial.applicable_bound(p) is None
 
 
 def test_trajectory_ordering_against_envelopes():
@@ -334,7 +334,7 @@ def test_integrator_switches_back_from_u_when_rising_c_turns_an_escape(monkeypat
     traj = integrate_radial(p, horizon=1.0)
     assert phases == ["_u_rhs", "_r_rhs_clamped"]
     assert traj.event.kind == COLLAPSE and traj.R_sq.max() > p.R0_sq
-    assert traj.bound_time is None            # no closed-form bound for rising c outside
+    assert radial.applicable_bound(p) is None   # no closed-form bound for rising c outside
     grid = [0.5 * traj.event.t, 0.9 * traj.event.t]
     sampled = integrate_radial(p, horizon=1.0, t_eval=grid)
     assert sampled.eval_R_sq[0] < 2.0
