@@ -209,8 +209,6 @@ class FlowTrajectory:
 
     params: FlowParams
     m: int
-    thresholds: Thresholds
-    horizon: float
     times: np.ndarray
     dts: np.ndarray
     min_F2: np.ndarray
@@ -650,7 +648,7 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         if err_sum > 0.0 and f2_rate > 0.0:
             t_stop_error += err_sum / f2_rate
     return FlowTrajectory(
-        params=p, m=initial.m, thresholds=th, horizon=horizon,
+        params=p, m=initial.m,
         **{COLUMNS[name]: np.asarray(series) for name, series in rows.items()},
         stop=stop, t_stop_error=t_stop_error,
         initial_h_max=initial._geometry(meshops._MONITOR)["max_edge"], integration_error=err_sum,

@@ -34,9 +34,9 @@ def _rows(row: str, a: np.ndarray) -> str:
     return (row * len(a)) % tuple(a.ravel().tolist())
 
 
-def _float_rows(a: np.ndarray, prefix: str = "", sep: str = " ") -> str:
+def _float_rows(a: np.ndarray, sep: str = " ") -> str:
     # rows of Python floats: numpy 2 reprs a numpy scalar as 'np.float64(...)'
-    return _rows(prefix + sep.join(["%r"] * a.shape[1]) + "\n", a)
+    return _rows(sep.join(["%r"] * a.shape[1]) + "\n", a)
 
 
 def write_table(path, header: str, columns) -> None:

@@ -1,8 +1,12 @@
 """Configuration, scenario orchestration, and trajectory artifacts.
 
 Configs are flat ``key = value`` text files so shell-driven sweeps stay
-trivial; one key table (``_KEYS``) drives both the parser and the writer.
-A run writes a self-describing artifact directory:
+trivial; one key table (``_KEYS``) drives both the parser and the writer,
+and each key sets one field: a built-in shape's vertex count
+(``initial.n``) and ``seed`` are ``initial_params`` entries like its other
+shape keys.  A run builds its ``run.cfg`` text before it runs, so a config
+that text cannot hold fails before any step or file.  A run writes a
+self-describing artifact directory:
 
 * ``run.cfg``, the config that ran, in the same dialect, so
   ``gaussflow simulate --config <dir>/run.cfg`` replays the run from any
@@ -13,9 +17,10 @@ A run writes a self-describing artifact directory:
 * ``diagnostics.csv`` with the exact header
   ``t,dt,min_F2,max_F2,max_h2,weighted_area,mesh_quality``;
 * an ``events.jsonl`` stream and numbered snapshot meshes;
-* ``result.json``, the run's law, thresholds, stop reason and error
-  estimates, written last and atomically, so its presence marks a complete
-  save;
+* ``result.json``, the run's m, law, stop reason and error estimates,
+  written last and atomically, so its presence marks a complete save; the
+  horizon and threshold windows are ``run.cfg``'s alone, the one record a
+  replay reads;
 * for scenarios, a ``verdict.json``.
 
 ``load_trajectory`` rebuilds a trajectory from ``diagnostics.csv``,
@@ -27,7 +32,9 @@ strictly increase, a ``result.json`` scalar of the wrong type or range
 (``_SCALARS``, the sections' fields included, checked before their records
 are built), and snapshots whose m or face list differ from the first one's
 or whose positions the immersion refuses (among them, positions not of the
-first snapshot's shape).  A save removes an older ``result.json`` before
+first snapshot's shape).  It reads no other ``result.json`` key, so the
+``horizon`` and ``thresholds`` that older directories hold are ignored.
+A save removes an older ``result.json`` before
 it writes any file, ``run.cfg`` included.  No other module knows the
 format.
 
@@ -80,26 +87,26 @@ ODE_WINDOW = (0.05, 20.0)
 class RunConfig:
     initial_name: str = "circle"
     initial_params: dict = field(default_factory=dict)
-    initial_n: int | None = None
     mesh_path: str | None = None
     params: FlowParams = field(default_factory=FlowParams)
     horizon: float | None = None
     thresholds: Thresholds = field(default_factory=Thresholds)
     output_dir: str | None = None
     snapshot_stride: int = 16
-    seed: int = 0
     cfl: float = 0.25
     save_meshes: bool = True
 
     def build_initial(self) -> DiscreteImmersion:
         """The mesh file at ``mesh_path`` when it is set, even to an empty
-        path, and otherwise the built-in shape ``initial_name``."""
+        path, and otherwise the built-in shape ``initial_name`` built from
+        ``initial_params`` as they are, its vertex count ``n`` and ``seed``
+        among them."""
         if self.mesh_path is not None:
             if not os.path.exists(self.mesh_path):
                 raise InvalidConfig(f"mesh file {self.mesh_path!r} does not exist")
             return fileio.read_immersion(self.mesh_path)
-        return builtin_shape(self.initial_name, {**self.initial_params, "seed": self.seed},
-                             self.initial_n)
+        return builtin_shape(self.initial_name, self.initial_params,
+                             self.initial_params.get("n"))
 
 
 # Every config key: the RunConfig field it sets and the type of its value.
@@ -109,7 +116,7 @@ class RunConfig:
 _KEYS: dict[str, tuple[str, type]] = {
     "initial.name": ("initial_name", str),
     "initial.path": ("mesh_path", str),
-    "initial.n": ("initial_n", int),
+    "initial.n": ("initial_params.n", int),
     **{f"initial.{k}": (f"initial_params.{k}", float)
        for k in ("radius", "rx", "ry", "rz", "amp")},
     **{f"initial.{k}": (f"initial_params.{k}", int) for k in ("mode", "subdiv")},
@@ -119,14 +126,14 @@ _KEYS: dict[str, tuple[str, type]] = {
     **{f"thresholds.{k}": (f"thresholds.{k}", float)
        for k in ("h2_max", "F2_max", "F2_min", "quality_min")},
     "snapshot_stride": ("snapshot_stride", int),
-    "seed": ("seed", int),
+    "seed": ("initial_params.seed", int),
     "cfl": ("cfl", float),
     "save_meshes": ("save_meshes", bool),
     "output_dir": ("output_dir", str),
 }
 _SHAPE_KEYS = {f.split(".")[1] for f, _ in _KEYS.values() if f.startswith("initial_params.")}
 # the keys only a built-in shape reads, which a run from a mesh file ignores
-_BUILTIN_KEYS = {k for k in _KEYS if k.startswith("initial.") and k != "initial.path"} | {"seed"}
+_BUILTIN_KEYS = {k for k, (f, _) in _KEYS.items() if f.startswith("initial_")}
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -178,7 +185,8 @@ def format_config(cfg: RunConfig) -> str:
     written, so a built-in shape's config reads back through
     parse_config_text to an equal RunConfig.  With ``mesh_path`` set the
     file is the initial mesh, and the keys only a built-in shape reads
-    (``initial.name``, the shape keys and ``seed``) are left out."""
+    (``initial.name`` and the ``initial_params`` keys, ``initial.n`` and
+    ``seed`` among them) are left out."""
     unknown = set(cfg.initial_params) - _SHAPE_KEYS
     if unknown:
         raise InvalidConfig(f"initial_params has keys no config key sets: {sorted(unknown)}")
@@ -216,32 +224,13 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
-def _write_config(cfg: RunConfig, outdir, initial: DiscreteImmersion) -> list[str]:
-    """Write the config that ran as ``run.cfg``, so the directory replays.
-    The mesh file the run read is copied in, so the replay does not need it.
-    An older run's result.json goes first, so no file of this run is
-    written while the directory still loads as that run."""
-    _remove_result(outdir)
-    copies = []
-    if cfg.mesh_path is not None:
-        name = "initial.pline" if initial.m == 1 else "initial.off"
-        copies.append(os.path.join(outdir, name))
-        fileio.write_immersion(copies[0], initial)
-        cfg = replace(cfg, mesh_path=name)
-    path = os.path.join(outdir, "run.cfg")
-    with open(path, "w") as fh:
-        fh.write(format_config(cfg))
-    return [path, *copies]
-
-
 # ---------------------------------------------------------------------------
 # artifacts
 
 
 # result.json's keys in written order; the dataclass sections are written as dicts
-_SECTIONS = {"params": FlowParams, "thresholds": Thresholds, "stop": StopReason}
-_RESULT_KEYS = ("m", "horizon", *_SECTIONS, "t_stop_error", "initial_h_max",
-                "integration_error")
+_SECTIONS = {"params": FlowParams, "stop": StopReason}
+_RESULT_KEYS = ("m", *_SECTIONS, "t_stop_error", "initial_h_max", "integration_error")
 # a section field of run.cfg's key table has the same type in result.json
 _TYPED = {str: (lambda x: type(x) is str, "a string"),
           float: (lambda x: type(x) in (int, float), "a number")}
@@ -250,12 +239,10 @@ _TYPED = {str: (lambda x: type(x) is str, "a string"),
 # subclass of int) is never a number here.
 _SCALARS = {
     "m": (lambda x: type(x) is int and x in (1, 2), "1 or 2"),
-    "horizon": (lambda x: type(x) in (int, float) and x >= 0, "a number >= 0"),
     **dict.fromkeys(("t_stop_error", "initial_h_max", "integration_error", "stop.t_stop"),
                     (lambda x: type(x) in (int, float) and 0 <= x < math.inf,
                      "a finite number >= 0")),
-    **{key: _TYPED[kind] for key, (_, kind) in _KEYS.items()
-       if key.startswith(("params.", "thresholds."))},
+    **{key: _TYPED[kind] for key, (_, kind) in _KEYS.items() if key.startswith("params.")},
     "stop.kind": (lambda x: x in STOP_KINDS, "one of " + ", ".join(STOP_KINDS)),
     "stop.detail": _TYPED[str],
 }
@@ -429,16 +416,31 @@ def _check_events(events: list, stop: StopReason, ev_path: str) -> None:
 
 def _run(cfg: RunConfig, initial: DiscreteImmersion) -> tuple[FlowTrajectory, list[str]]:
     """Run a config with an explicit horizon from its initial immersion and,
-    when it names an output directory, write ``run.cfg`` and the trajectory
-    there.  Returns the trajectory and the paths written."""
+    when it names an output directory, write there ``run.cfg``, the mesh
+    file the run read (copied in, as ``run.cfg`` names it, so the replay
+    does not need the original) and the trajectory.  Returns the trajectory
+    and the paths written.  The ``run.cfg`` text is built first, so a
+    config that format_config refuses fails before the run and before any
+    file is touched."""
+    copy = None
+    if cfg.mesh_path is not None:
+        copy = "initial.pline" if initial.m == 1 else "initial.off"
+    text = format_config(replace(cfg, mesh_path=copy))
     traj = engine.run(initial, cfg.params, cfg.horizon, thresholds=cfg.thresholds,
                       stride=cfg.snapshot_stride, cfl=cfg.cfl,
                       keep_snapshots=cfg.save_meshes)
-    paths = []
-    if cfg.output_dir:
-        paths = [*_write_config(cfg, cfg.output_dir, initial),
-                 *save_trajectory(traj, cfg.output_dir, save_meshes=cfg.save_meshes)]
-    return traj, paths
+    if not cfg.output_dir:
+        return traj, []
+    # an older run's result.json goes first, so no file of this run is
+    # written while the directory still loads as that run
+    _remove_result(cfg.output_dir)
+    paths = [os.path.join(cfg.output_dir, "run.cfg")]
+    if copy is not None:
+        paths.append(os.path.join(cfg.output_dir, copy))
+        fileio.write_immersion(paths[1], initial)
+    with open(paths[0], "w") as fh:
+        fh.write(text)
+    return traj, [*paths, *save_trajectory(traj, cfg.output_dir, save_meshes=cfg.save_meshes)]
 
 
 def simulate(cfg: RunConfig) -> FlowTrajectory:
@@ -529,6 +531,9 @@ def run_scenario(name: str, cfg: RunConfig) -> ScenarioVerdict:
         raise InvalidConfig(f"EXPAND_OUTSIDE needs min|F0|^2 > (c/b)m, "
                             f"got {r0_sq:.6g} vs {rp.balance_sq:.6g}")
     if name == STATIONARY:
+        if cfg.params.c_slope != 0:
+            raise InvalidConfig(f"STATIONARY needs params.c_slope = 0, as a moving c(t) has "
+                                f"no stationary sphere; got {cfg.params.c_slope!r}")
         if abs(r0_sq - rp.balance_sq) > 1e-6:
             raise InvalidConfig(f"STATIONARY needs |F0|^2 = (c/b)m = {rp.balance_sq:.8g}, "
                                 f"got {r0_sq:.8g}")

@@ -97,7 +97,10 @@ class RadialEvent:
 
 @dataclass
 class RadialTrajectory:
-    params: RadialParams
+    """One integration of the radius ODE: the accepted step times and their
+    R^2, the event that ended it, and R^2 at the requested sample times up
+    to that event."""
+
     times: np.ndarray
     R_sq: np.ndarray
     event: RadialEvent
@@ -295,7 +298,7 @@ def integrate_radial(p: RadialParams, horizon: float, t_eval=None) -> RadialTraj
         raise InvalidConfig("integrator exceeded the step budget")
 
     return RadialTrajectory(
-        params=p, times=np.asarray(times), R_sq=np.asarray(values),
+        times=np.asarray(times), R_sq=np.asarray(values),
         event=event or RadialEvent(HORIZON, t),
         eval_times=np.asarray(eval_t), eval_R_sq=np.asarray(eval_r),
     )

@@ -63,15 +63,15 @@ def icosphere_window_run():
 
 @pytest.fixture(scope="module")
 def shrink_circle_verdict():
-    cfg = RunConfig(initial_name="circle", initial_params={"radius": 0.8},
-                    initial_n=256, snapshot_stride=32, save_meshes=False)
+    cfg = RunConfig(initial_name="circle", initial_params={"radius": 0.8, "n": 256},
+                    snapshot_stride=32, save_meshes=False)
     return run_scenario(SHRINK_INSIDE, cfg)
 
 
 @pytest.fixture(scope="module")
 def shrink_ellipse_verdict():
-    cfg = RunConfig(initial_name="ellipse", initial_params={"rx": 0.9, "ry": 0.6},
-                    initial_n=128, snapshot_stride=32, save_meshes=False)
+    cfg = RunConfig(initial_name="ellipse", initial_params={"rx": 0.9, "ry": 0.6, "n": 128},
+                    snapshot_stride=32, save_meshes=False)
     return run_scenario(SHRINK_INSIDE, cfg)
 
 
@@ -258,10 +258,9 @@ def test_criterion_08_weighted_area_lyapunov(flow0_circle_runs, flow0_ellipse_ru
 
 def test_criterion_09_stationary_spheres():
     drifts = []
-    for name, params, n in (("circle", {"radius": 1.0}, 512),
-                            ("icosphere", {"radius": math.sqrt(2.0), "subdiv": 3}, None)):
-        cfg = RunConfig(initial_name=name, initial_params=params, initial_n=n,
-                        snapshot_stride=64)
+    for name, params in (("circle", {"radius": 1.0, "n": 512}),
+                         ("icosphere", {"radius": math.sqrt(2.0), "subdiv": 3})):
+        cfg = RunConfig(initial_name=name, initial_params=params, snapshot_stride=64)
         verdict = run_scenario(STATIONARY, cfg)
         drifts.append(verdict.metrics["drift_per_unit_time"])
     ok = all(d < 1e-2 for d in drifts)
@@ -297,8 +296,8 @@ def test_criterion_11_deterministic_reruns(tmp_path, monkeypatch):
     rerun_ok = blobs[0] == blobs[1]
 
     # the scenario's run.cfg carries its default horizon and F2_max window
-    scenario = RunConfig(initial_name="circle", initial_params={"radius": 1.2},
-                         initial_n=64, snapshot_stride=8, save_meshes=False,
+    scenario = RunConfig(initial_name="circle", initial_params={"radius": 1.2, "n": 64},
+                         snapshot_stride=8, save_meshes=False,
                          output_dir="scenario")
     run_scenario(EXPAND_OUTSIDE, scenario)
     # a mesh-file input is copied into its artifact, so the artifact replays

@@ -280,6 +280,18 @@ def test_scenario_names_the_pure_mcf_key(tmp_path, capsys, key):
     assert f"params.{key} = 0.0" in err
 
 
+@pytest.mark.parametrize("slope", ["0.5", "-0.5"])
+def test_stationary_scenario_refuses_a_moving_c(tmp_path, capsys, slope):
+    # a c(t) that moves has no stationary sphere: the scenario is refused,
+    # not run to a FAIL verdict
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("initial.name = circle\ninitial.radius = 1.0\ninitial.n = 64\n"
+                   f"params.variant = FLOWP\nparams.c_slope = {slope}\nsave_meshes = false\n")
+    code, out, err = run_cli(capsys, "scenario", "STATIONARY", "--config", str(cfg))
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: STATIONARY needs params.c_slope = 0") and slope in err
+
+
 def test_scenario_all(tmp_path, capsys):
     (tmp_path / "STATIONARY.cfg").write_text(
         "initial.name = circle\ninitial.radius = 1.0\ninitial.n = 64\n"
@@ -600,12 +612,10 @@ def test_rows_out_of_time_order_are_refused(tmp_path, capsys, command, order):
 
 @pytest.mark.parametrize("key, value", [
     ("m", "1"), ("m", 1.5), ("m", True), ("m", 3),
-    ("horizon", -1.0), ("horizon", math.nan), ("horizon", "0.01"), ("horizon", False),
     ("t_stop_error", math.inf), ("t_stop_error", -1e-3),
     ("initial_h_max", "x"), ("initial_h_max", None),
     ("integration_error", "x"), ("integration_error", math.nan), ("integration_error", True),
     ("params.variant", 1), ("params.a", True), ("params.c_slope", "0"),
-    ("thresholds.h2_max", True), ("thresholds.F2_min", "x"),
     ("stop.kind", "BOGUS"), ("stop.t_stop", True), ("stop.t_stop", math.nan),
     ("stop.detail", None),
 ])

@@ -784,14 +784,15 @@ def test_run_matches_repeated_step(shape, p, horizon):
 def test_expanding_surface_steps_by_rk4():
     # accuracy limits an expanding surface before stability does, so every
     # step is RK4 at the stability step of the state it starts from
-    traj = engine.run(shapes.icosphere(1.5, 1), P_FLOW, horizon=0.3,
+    horizon = 0.3
+    traj = engine.run(shapes.icosphere(1.5, 1), P_FLOW, horizon=horizon,
                       thresholds=Thresholds(F2_max=20.0), stride=1)
     assert traj.n_snapshots > 20
     assert traj.integration_error == 0.0    # no RKC2 step was taken
     for k in range(1, traj.n_snapshots):
         t = traj.times[k - 1]
         dt = engine.stability_dt(traj.snapshots[k - 1], P_FLOW, t)
-        assert traj.dts[k] == min(dt, traj.horizon - t)
+        assert traj.dts[k] == min(dt, horizon - t)
 
 
 def test_shrinking_circle_steps_by_rkc2(monkeypatch):

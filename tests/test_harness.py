@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussflow import engine, fileio, render, shapes
+from gaussflow import engine, fileio, harness, render, shapes
 from gaussflow.mesh import DiscreteImmersion
 from gaussflow.engine import (FLOW, FLOWP, HORIZON_REACHED, POSITION_BLOWUP,
                               POSITION_COLLAPSE, CURVATURE_BLOWUP, FlowParams)
@@ -53,8 +53,8 @@ def test_perturbed_circle_bounds_and_determinism():
 # a radius-1 circle perturbed by 10%: inside FLOWP's balance sphere
 # (c/b) m = 2 at c = 2, across FLOW's |F|^2 = m = 1
 _WOBBLED_UNIT_CIRCLE = dict(initial_name="perturbed_circle",
-                            initial_params={"radius": 1.0, "amp": 0.1, "mode": 2},
-                            initial_n=64, save_meshes=False)
+                            initial_params={"radius": 1.0, "amp": 0.1, "mode": 2, "n": 64},
+                            save_meshes=False)
 
 
 def test_perturbed_shape_side_is_checked_with_the_configured_law():
@@ -138,10 +138,11 @@ def test_parse_full_config():
     cfg = parse_config_text(FULL_CONFIG)
     assert cfg.initial_name == "perturbed_circle"
     assert cfg.initial_params["amp"] == 0.05
-    assert cfg.initial_n == 128
+    assert cfg.initial_params["n"] == 128
     assert cfg.params == FlowParams(variant=FLOWP, a=1.5, b=1.0, c=2.0, c_slope=0.1)
     assert cfg.thresholds.F2_max == 20.0
-    assert cfg.horizon == 0.25 and cfg.seed == 7 and cfg.cfl == 0.3
+    assert cfg.initial_params["seed"] == 7
+    assert cfg.horizon == 0.25 and cfg.cfl == 0.3
     assert cfg.save_meshes is False
     initial = cfg.build_initial()
     assert initial.n_vertices == 128
@@ -185,13 +186,13 @@ def test_parse_booleans():
 
 @pytest.mark.parametrize("call, match", [
     (lambda: parse_config_text("snapshot_stride = 0"), "snapshot_stride"),
-    (lambda: simulate(RunConfig(initial_params={"radius": 0.8}, initial_n=32)),
+    (lambda: simulate(RunConfig(initial_params={"radius": 0.8, "n": 32})),
      "explicit horizon"),
     (lambda: run_scenario(STATIONARY, RunConfig(
-        initial_name="ellipse", initial_params={"rx": 1.1, "ry": 0.9}, initial_n=32)),
+        initial_name="ellipse", initial_params={"rx": 1.1, "ry": 0.9, "n": 32})),
      "spherical initial data"),
-    (lambda: run_scenario(SPHERE_ODE_MATCH, RunConfig(initial_params={"radius": 1.0},
-                                                      initial_n=32)),
+    (lambda: run_scenario(SPHERE_ODE_MATCH, RunConfig(initial_params={"radius": 1.0,
+                                                                      "n": 32})),
      r"needs \|F0\|\^2 != \(c/b\)m"),
 ], ids=["stride_0", "simulate_without_horizon", "stationary_ellipse",
         "ode_match_on_balance_sphere"])
@@ -230,8 +231,8 @@ def test_mesh_file_initial(tmp_path):
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
-    cfg = RunConfig(initial_name="circle", initial_params={"radius": 0.8},
-                    initial_n=64, params=FlowParams(variant=FLOW), horizon=0.02,
+    cfg = RunConfig(initial_name="circle", initial_params={"radius": 0.8, "n": 64},
+                    params=FlowParams(variant=FLOW), horizon=0.02,
                     snapshot_stride=8,
                     output_dir=str(tmp_path_factory.mktemp("artifacts")))
     traj = simulate(cfg)
@@ -290,7 +291,7 @@ def test_load_rejects_non_trajectory(tmp_path, small_run):
         load_trajectory(tmp_path)
     # a result.json missing any key is rejected, never filled with defaults
     cfg, _ = small_run
-    for key in ("m", "params.variant", "thresholds.h2_max", "stop.kind"):
+    for key in ("m", "params.variant", "stop.kind"):
         partial = tmp_path / key
         partial.mkdir()
         _without_key(cfg.output_dir, key, partial)
@@ -315,10 +316,7 @@ def test_load_rejects_malformed_diagnostics_rows(tmp_path, small_run):
     ("diagnostics.csv", lambda text: "t,dt\n" + text.split("\n", 1)[1], "CSV header"),
     ("diagnostics.csv", lambda text: text.split("\n", 1)[0] + "\n", "empty diagnostics"),
     ("result.json", lambda text: "not json\n", "malformed record"),
-    # a threshold window run.cfg refuses is a malformed record here too
-    ("result.json", lambda text: text.replace('"F2_min": 1e-06', '"F2_min": Infinity'),
-     "malformed record: threshold F2_min = inf must be below F2_max"),
-], ids=["wrong_header", "header_only", "non_json_result", "F2_min_inf"])
+], ids=["wrong_header", "header_only", "non_json_result"])
 def test_load_rejects_damaged_files(tmp_path, small_run, name, damage, match):
     src = Path(small_run[0].output_dir)
     for f in ("result.json", "diagnostics.csv", "events.jsonl"):
@@ -373,8 +371,8 @@ def test_load_refuses_undecodable_diagnostics(tmp_path, small_run, where):
 
 def test_result_json_keys_keep_their_order(small_run):
     record = json.loads((Path(small_run[0].output_dir) / "result.json").read_text())
-    assert list(record) == ["m", "horizon", "params", "thresholds", "stop", "t_stop_error",
-                            "initial_h_max", "integration_error"]
+    assert list(record) == ["m", "params", "stop", "t_stop_error", "initial_h_max",
+                            "integration_error"]
 
 
 def test_tolerance_does_not_grow_with_the_step(tmp_path, small_run):
@@ -439,8 +437,8 @@ def test_artifact_config_replays_the_run(tmp_path, small_run):
     cfg, _ = small_run
     assert load_config(Path(cfg.output_dir) / "run.cfg") == cfg
     # a scenario writes its default horizon and threshold window in
-    scenario = RunConfig(initial_name="circle", initial_params={"radius": 1.2},
-                         initial_n=64, snapshot_stride=8, save_meshes=False,
+    scenario = RunConfig(initial_name="circle", initial_params={"radius": 1.2, "n": 64},
+                         snapshot_stride=8, save_meshes=False,
                          output_dir=str(tmp_path / "scenario"))
     verdict = run_scenario(EXPAND_OUTSIDE, scenario)
     effective = replace(scenario, horizon=1.1 * verdict.bound_time,
@@ -485,12 +483,56 @@ def test_format_config_round_trips(tmp_path):
                                  "initial.name = ellipse\ninitial.n = 64\ninitial.rx = 0.9\n"
                                  "seed = 7\nhorizon = 0.5\noutput_dir = out\n")
     assert parse_config_text(format_config(file_cfg)) == replace(
-        file_cfg, initial_name="circle", initial_n=None, initial_params={}, seed=0)
+        file_cfg, initial_name="circle", initial_params={})
     # what would not read back equal is refused, not written
     with pytest.raises(InvalidConfig):
         format_config(RunConfig(initial_params={"gravity": 9.81}))
     with pytest.raises(InvalidConfig):
         format_config(RunConfig(output_dir="runs#1"))
+
+
+def test_a_config_run_cfg_cannot_hold_fails_before_the_run(tmp_path, small_run, monkeypatch):
+    # the run.cfg text is built first: the older run in the directory still
+    # loads, and no step is taken
+    cfg = replace(small_run[0], output_dir=str(tmp_path))
+    simulate(cfg)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("engine.run was called")
+
+    monkeypatch.setattr(engine, "run", no_run)
+    bad = replace(cfg, initial_params={**cfg.initial_params, "gravity": 9.81})
+    with pytest.raises(InvalidConfig, match="gravity"):
+        simulate(bad)
+    with pytest.raises(InvalidConfig, match="gravity"):
+        run_scenario(SHRINK_INSIDE, bad)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+    load_trajectory(tmp_path)
+
+
+def test_seed_and_n_are_shape_keys(tmp_path):
+    # initial.n and seed set initial_params entries, read as they are
+    text = ("initial.name = perturbed_circle\ninitial.radius = 0.8\ninitial.amp = 0.05\n"
+            "initial.mode = 3\ninitial.n = 64\nseed = 5\n")
+    from_text = parse_config_text(text)
+    params = {"radius": 0.8, "amp": 0.05, "mode": 3, "n": 64, "seed": 5}
+    assert from_text.initial_params == params
+    in_memory = RunConfig(initial_name="perturbed_circle", initial_params=params)
+    np.testing.assert_array_equal(in_memory.build_initial().vertices,
+                                  from_text.build_initial().vertices)
+    unseeded = replace(in_memory, initial_params={**params, "seed": 0}).build_initial()
+    assert not np.array_equal(unseeded.vertices, in_memory.build_initial().vertices)
+    assert parse_config_text(format_config(in_memory)) == from_text
+
+
+def test_readme_config_block_lists_every_key():
+    # the README's ini block parses, and it names every key there is
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    parse_config_text(block)
+    keys = {line.split("#", 1)[0].split("=", 1)[0].strip() for line in block.splitlines()}
+    assert keys - {""} == set(harness._KEYS)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -511,8 +553,8 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_shrink_inside_scenario():
-    cfg = RunConfig(initial_name="circle", initial_params={"radius": 0.8},
-                    initial_n=96, save_meshes=False)
+    cfg = RunConfig(initial_name="circle", initial_params={"radius": 0.8, "n": 96},
+                    save_meshes=False)
     verdict = run_scenario(SHRINK_INSIDE, cfg)
     assert verdict.observed_kind in (POSITION_COLLAPSE, CURVATURE_BLOWUP)
     assert verdict.bound_satisfied and verdict.kind_matched and verdict.passed
@@ -531,8 +573,8 @@ def test_expand_outside_scenario():
 
 
 def test_stationary_scenario():
-    cfg = RunConfig(initial_name="circle", initial_params={"radius": 1.0},
-                    initial_n=128, snapshot_stride=64)
+    cfg = RunConfig(initial_name="circle", initial_params={"radius": 1.0, "n": 128},
+                    snapshot_stride=64)
     verdict = run_scenario(STATIONARY, cfg)
     assert verdict.observed_kind == HORIZON_REACHED
     assert verdict.metrics["drift_ok"] and verdict.passed
@@ -543,8 +585,8 @@ def test_stationary_drift_needs_no_meshes():
     # keeps no meshes in memory and measures the same drift
     drifts = []
     for save_meshes in (True, False):
-        cfg = RunConfig(initial_name="circle", initial_params={"radius": 1.0},
-                        initial_n=64, snapshot_stride=2, save_meshes=save_meshes)
+        cfg = RunConfig(initial_name="circle", initial_params={"radius": 1.0, "n": 64},
+                        snapshot_stride=2, save_meshes=save_meshes)
         verdict = run_scenario(STATIONARY, cfg)
         assert len(verdict.trajectory.snapshots) == (
             verdict.trajectory.n_snapshots if save_meshes else 0)
@@ -556,8 +598,8 @@ def test_stationary_drift_needs_no_meshes():
 
 
 def test_sphere_ode_match_scenario():
-    cfg = RunConfig(initial_name="circle", initial_params={"radius": 0.8},
-                    initial_n=128, snapshot_stride=32, save_meshes=False)
+    cfg = RunConfig(initial_name="circle", initial_params={"radius": 0.8, "n": 128},
+                    snapshot_stride=32, save_meshes=False)
     verdict = run_scenario(SPHERE_ODE_MATCH, cfg)
     assert verdict.metrics["ode_match_ok"]
     assert verdict.metrics["max_rel_radius_error"] < 1e-3
@@ -595,25 +637,26 @@ def test_sphere_ode_match_needs_start_in_window(tmp_path, capsys, radius):
 def test_scenarios_check_the_configured_law():
     # FLOWP with c = 2 puts the balance circle at |F|^2 = (c/b) m = 2, so a
     # circle with |F|^2 = 1.44 lies inside it although 1.44 > m
-    cfg = RunConfig(initial_name="circle", initial_params={"radius": 1.2},
-                    initial_n=64, params=FlowParams(variant=FLOWP, c=2.0),
+    cfg = RunConfig(initial_name="circle", initial_params={"radius": 1.2, "n": 64},
+                    params=FlowParams(variant=FLOWP, c=2.0),
                     horizon=0.01, snapshot_stride=8, save_meshes=False)
     with pytest.raises(InvalidConfig):
         run_scenario(EXPAND_OUTSIDE, cfg)
     verdict = run_scenario(SHRINK_INSIDE, cfg)
     assert verdict.bound_time == pytest.approx(
         (1 - math.exp(-1.44)) / (2 * (2.0 - 1.44)), rel=1e-12)
-    balanced = RunConfig(initial_name="circle", initial_params={"radius": math.sqrt(2.0)},
-                         initial_n=128, params=FlowParams(variant=FLOWP, c=2.0),
+    balanced = RunConfig(initial_name="circle",
+                         initial_params={"radius": math.sqrt(2.0), "n": 128},
+                         params=FlowParams(variant=FLOWP, c=2.0),
                          snapshot_stride=64)
     assert run_scenario(STATIONARY, balanced).passed
 
 
 def test_scenario_sign_gates():
-    big = RunConfig(initial_name="circle", initial_params={"radius": 1.5}, initial_n=64)
+    big = RunConfig(initial_name="circle", initial_params={"radius": 1.5, "n": 64})
     with pytest.raises(InvalidConfig):
         run_scenario(SHRINK_INSIDE, big)
-    small = RunConfig(initial_name="circle", initial_params={"radius": 0.5}, initial_n=64)
+    small = RunConfig(initial_name="circle", initial_params={"radius": 0.5, "n": 64})
     with pytest.raises(InvalidConfig):
         run_scenario(EXPAND_OUTSIDE, small)
     with pytest.raises(InvalidConfig):
@@ -624,7 +667,6 @@ def test_scenario_sign_gates():
 
 def test_run_scenarios_keeps_order(tmp_path, monkeypatch, capsys):
     # `scenario ALL` runs each <NAME>.cfg through run_scenario, in SCENARIOS order
-    from gaussflow import harness
     from gaussflow.cli import main
     (tmp_path / "STATIONARY.cfg").write_text(
         "initial.name = circle\ninitial.radius = 1.0\ninitial.n = 64\n"
@@ -648,8 +690,8 @@ def test_run_scenarios_keeps_order(tmp_path, monkeypatch, capsys):
 
 
 def test_scenario_artifacts_and_verdict_json(tmp_path):
-    cfg = RunConfig(initial_name="circle", initial_params={"radius": 0.8},
-                    initial_n=64, horizon=0.02, snapshot_stride=8,
+    cfg = RunConfig(initial_name="circle", initial_params={"radius": 0.8, "n": 64},
+                    horizon=0.02, snapshot_stride=8,
                     output_dir=str(tmp_path / "scenario"))
     verdict = run_scenario(SHRINK_INSIDE, cfg)
     data = json.loads((tmp_path / "scenario" / "verdict.json").read_text())

@@ -50,21 +50,21 @@ LAWS = {FLOW: FlowParams(variant=FLOW), FLOW0: FlowParams(variant=FLOW0),
 SHRINK, EXPAND = 0.6, 1.5     # the initial |F|^2 edge over the balance value
 
 
-def _shape(label: str, balance: float) -> tuple[str, dict, int | None]:
-    """The builtin shape, its parameters and vertex count for a row label,
-    sized from the law's balance value (c/b) m."""
+def _shape(label: str, balance: float) -> tuple[str, dict]:
+    """The builtin shape and its parameters, a curve's vertex count ``n``
+    among them, for a row label, sized from the law's balance value (c/b) m."""
     if label.startswith("icosphere"):
         factor = SHRINK if label.endswith("shrink") else EXPAND
         return "icosphere", {"radius": math.sqrt(factor * balance),
-                             "subdiv": int(label[len("icosphere")])}, None
+                             "subdiv": int(label[len("icosphere")])}
     if label == "ellipsoid3-shrink":
         rx = math.sqrt(SHRINK * balance)
-        return "ellipsoid", {"rx": rx, "ry": 0.8 * rx, "rz": 0.6 * rx, "subdiv": 3}, None
+        return "ellipsoid", {"rx": rx, "ry": 0.8 * rx, "rz": 0.6 * rx, "subdiv": 3}
     if label == "ellipse-2:1-shrink":
         rx = math.sqrt(SHRINK * balance)
-        return "ellipse", {"rx": rx, "ry": 0.5 * rx}, 128
+        return "ellipse", {"rx": rx, "ry": 0.5 * rx, "n": 128}
     ry = math.sqrt(EXPAND * balance)           # ellipse-1.3:1-expand
-    return "ellipse", {"rx": 1.3 * ry, "ry": ry}, 128
+    return "ellipse", {"rx": 1.3 * ry, "ry": ry, "n": 128}
 
 
 SHAPES = ("icosphere2-shrink", "icosphere2-expand", "icosphere3-shrink",
@@ -89,11 +89,11 @@ def run_row(shape: str, law: str, counts: dict) -> str:
     the calls of engine._advance and engine.velocity, zeroed here first."""
     p = LAWS[law]
     m = 1 if shape.startswith("ellipse-") else 2
-    name, params, n = _shape(shape, p.balance_sq(0.0, m))
+    name, params = _shape(shape, p.balance_sq(0.0, m))
     scenario = SHRINK_INSIDE if shape.endswith("shrink") else EXPAND_OUTSIDE
     counts.update(dict.fromkeys(counts, 0))
     verdict = run_scenario(scenario, RunConfig(
-        initial_name=name, initial_params=params, initial_n=n, params=p, save_meshes=False))
+        initial_name=name, initial_params=params, params=p, save_meshes=False))
     traj = verdict.trajectory
     return (f"{'PASS' if verdict.passed else 'FAIL'} {scenario} {law} {shape} "
             f"stop={verdict.observed_kind} t/bound={verdict.t_stop / verdict.bound_time:.4f} "
