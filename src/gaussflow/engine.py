@@ -32,23 +32,25 @@ evaluations.
 One function, ``_advance``, sets every step's length.  The limits it
 applies, in order: the stability step dt_stab, whose ``cfl`` it checks
 and which stops the run below DT_MIN; the accuracy step dt_acc, at most
-DT_MAX, shortened to what S_MAX stages keep stable; a landing on the next
-sample time or the horizon; a retry of an RKC2 trial at a shorter step
-when its estimate exceeds the tolerance (at the step the estimate allows)
-or it trips the overflow guard or degenerates the mesh (at a quarter);
-and, when given thresholds, a bisection of a threshold crossed inside an
-accepted RKC2 step, down to BISECT_FRACTION of it.  A flow's state is one
-frozen record, ``FlowState``: the time, the immersion, the length of the
-step that reached it and the controller state (the next step's first
-stage, the accuracy step and the summed error estimate).  ``_advance``
-takes one and returns the next, so ``run`` and repeated ``step`` take the
-same steps.  The state's diagnostics are read from its immersion's cached
-geometry pass, not stored.  There is one stepping path for curves and
-surfaces: every stage is an immersion evaluated through the mesh
-operators.  Runs terminate with a classified stop reason (``STOP_KINDS``):
-curvature blow-up, position blow-up, collapse to the origin, mesh
-degeneration, or horizon.  The checks of recorded runs live in
-``comparison``.
+DT_MAX, shortened to what S_MAX stages keep stable; a landing on the end
+it is given, by one rule (``run`` passes the next sample time, or the
+horizon when no sample is pending, so a sample time is a nearer horizon);
+a retry of an RKC2 trial at a shorter step when its estimate exceeds the
+tolerance (at the step the estimate allows) or it trips the overflow guard
+or degenerates the mesh (at a quarter); and, when given thresholds, a
+bisection of a threshold crossed inside an accepted RKC2 step, down to
+BISECT_FRACTION of it.  A flow's state is one frozen record,
+``FlowState``: the time, the immersion, the length of the step that
+reached it, the bracket on the time it was first reached, and the
+controller state (the next step's first stage, the accuracy step and the
+summed error estimate).  ``_advance`` takes one and returns the next, so
+``run`` and repeated ``step`` take the same steps.  The state's
+diagnostics are read from its immersion's cached geometry pass, not
+stored.  There is one stepping path for curves and surfaces: every stage
+is an immersion evaluated through the mesh operators.  Runs terminate
+with a classified stop reason (``STOP_KINDS``): curvature blow-up,
+position blow-up, collapse to the origin, mesh degeneration, or horizon.
+The checks of recorded runs live in ``comparison``.
 """
 
 from __future__ import annotations
@@ -172,7 +174,9 @@ class FlowState:
     (None when no step computed it); ``dt_acc`` the step the error
     estimate allows an RKC2 step (None before the first step); ``err_sum``
     the sum over RKC2 steps of their estimated local error in |F|^2,
-    max_v |2 F_v . est_v|.
+    max_v |2 F_v . est_v|.  ``bracket`` bounds the time at which the
+    step's end was first reached: it is ``dt`` unless a threshold crossing
+    inside the step was bisected, and then the bisection's final bracket.
     """
 
     t: float
@@ -181,6 +185,7 @@ class FlowState:
     f0: np.ndarray | None = field(default=None, repr=False, compare=False)
     dt_acc: float | None = field(default=None, compare=False)
     err_sum: float = field(default=0.0, compare=False)
+    bracket: float = field(default=0.0, compare=False)
 
     @property
     def diagnostics(self) -> Diagnostics:
@@ -392,21 +397,20 @@ def _step_factor(err: float) -> float:
     return 10.0 if err == 0.0 else min(10.0, max(0.1, 0.8 / math.cbrt(err)))
 
 
-def _land(t: float, dt: float, horizon: float,
-          sample: float | None) -> tuple[float, float, bool]:
-    """Fit a step to end exactly on the next sample time, or on the horizon
-    when no sample is pending (samples lie in [0, horizon]); a step within
-    1e-12 of its length of that end stretches to it, so no sliver step
-    follows.  Returns the step length, its end time and whether it landed
-    on the sample."""
-    end = horizon if sample is None else sample
+def _land(t: float, dt: float, end: float) -> tuple[float, float]:
+    """Fit a step of length dt from t to ``end``: a step within 1e-12 of
+    its length of the end stretches to it, so no sliver step follows, and
+    ends exactly there.  Returns the step length and its end time.  A step
+    that does not land ends at t + dt, which rounding can put on ``end``
+    but never past it, so a caller asks whether a state is at its end by
+    its time alone."""
     if end - t <= dt * (1.0 + 1e-12):
-        return end - t, end, sample is not None
-    return dt, t + dt, False
+        return end - t, end
+    return dt, t + dt
 
 
-def _advance(state: FlowState, p: FlowParams, cfl: float, horizon: float = math.inf,
-             sample: float | None = None, th: Thresholds | None = None):
+def _advance(state: FlowState, p: FlowParams, cfl: float, end: float = math.inf,
+             th: Thresholds | None = None) -> FlowState:
     """One accepted step from ``state``: RK4 at the stability step or RKC2
     at the accuracy step, whichever costs fewer velocity evaluations per
     unit time.  This is the one place a step's length is set.
@@ -414,17 +418,16 @@ def _advance(state: FlowState, p: FlowParams, cfl: float, horizon: float = math.
     The limits, in order: ``stability_dt`` at ``cfl`` (which checks cfl and
     raises TimestepUnderflow below DT_MIN); the accuracy step, at most
     DT_MAX and shortened to what S_MAX stages keep stable; ``_land`` on
-    ``sample`` or ``horizon``; an RKC2 trial over the tolerance retried at
-    the step its estimate allows, and one that raises OverflowGuard or
-    DegenerateMesh retried at a quarter of its length.  With thresholds
-    ``th``, an accepted RKC2 step whose end crosses one is bisected from
-    the same f0 and spectral bound, down to a bracket of BISECT_FRACTION of
-    it, and the shortest crossing step found is returned in its place.
+    ``end``; an RKC2 trial over the tolerance retried at the step its
+    estimate allows, and one that raises OverflowGuard or DegenerateMesh
+    retried at a quarter of its length.  With thresholds ``th``, an
+    accepted RKC2 step whose end crosses one is bisected from the same f0
+    and spectral bound, down to a bracket of BISECT_FRACTION of it, and the
+    shortest crossing step found is returned in its place.
 
-    Returns the new state, whether it landed on ``sample``, and the bracket
-    on the time the new state was first reached: the step, or the
-    bisection's final bracket.  The new state's controller fields are the
-    whole step's, also after a bisection, except that a bisected state has
+    Returns the new state, whose ``bracket`` is the step or the
+    bisection's final bracket.  Its controller fields are the whole
+    step's, also after a bisection, except that a bisected state has
     f0 = None, as no velocity was computed there.  OverflowGuard or
     DegenerateMesh out of the stability step, an RK4 step or the end
     state's monitor geometry or f1 propagates.  The monitor geometry is
@@ -446,7 +449,7 @@ def _advance(state: FlowState, p: FlowParams, cfl: float, horizon: float = math.
             dt_rkc, stages = _rkc_stages(min(dt_acc, DT_MAX), rho)
             if stages / dt_rkc < 4.0 / dt_stab:
                 dt, rkc = dt_rkc, True
-        dt, t1, landed = _land(t, dt, horizon, sample)
+        dt, t1 = _land(t, dt, end)
         if not rkc:
             y1 = _rk4_advance(s, p, t, dt, f0)
             y1._geometry(meshops._MONITOR)
@@ -490,14 +493,14 @@ def _advance(state: FlowState, p: FlowParams, cfl: float, horizon: float = math.
             else:
                 lo = mid
         if hi < dt:         # a shorter step crosses: it ends the run instead
-            return FlowState(t + hi, y1, hi, None, dt_next, err_sum), False, hi - lo
-    return FlowState(t1, y1, dt, f1, dt_next, err_sum), landed, hi - lo
+            return FlowState(t + hi, y1, hi, None, dt_next, err_sum, hi - lo)
+    return FlowState(t1, y1, dt, f1, dt_next, err_sum, hi - lo)
 
 
 def step(state: FlowState, p: FlowParams, cfl: float = 0.25) -> FlowState:
     """The state one step after ``state``, RK4 or RKC2 as its controller
     fields pick; repeated calls take the steps ``run`` takes."""
-    return _advance(state, p, cfl)[0]
+    return _advance(state, p, cfl)
 
 
 def initial_state(s: DiscreteImmersion) -> FlowState:
@@ -550,10 +553,14 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
     recorded rows only; the other steps compute just the max|F|^2,
     max|h|^2 and mesh quality the stop classification reads.
 
+    Each step is fitted to the next sample time as to a nearer horizon,
+    and a state at that time is its row.
+
     ``t_stop_error`` is zero for a horizon stop, whose time is landed on,
-    and otherwise 4 * bracket + 4 * DT_MIN + E / |d max|F|^2 / dt| at the
-    stop: the bracket is the last step, or the bisection bracket of a
-    crossing inside an RKC2 step, and E the summed RKC2 error estimate of
+    and otherwise 4 * bracket + 4 * DT_MIN + E / |d max|F|^2 / dt|: the
+    bracket is the last state's ``FlowState.bracket`` (its step, or the
+    bisection bracket of a crossing inside an RKC2 step), the rate is
+    taken over the last step, and E is the summed RKC2 error estimate of
     |F|^2.
     """
     if not horizon >= 0:
@@ -589,8 +596,7 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         raise InvalidConfig(f"initial immersion is degenerate: {exc}") from exc
 
     state = initial_state(initial)
-    steps = 0
-    bracket = f2_rate = 0.0
+    steps, F2_before = 0, 0.0
     if not p.in_paper_regime:
         events.append({"event": "out_of_paper_params", "t": 0.0})
 
@@ -609,8 +615,7 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
             break
 
         try:
-            nxt, landed, bracket = _advance(state, p, cfl, horizon,
-                                            pending[0] if pending else None, th)
+            nxt = _advance(state, p, cfl, pending[0] if pending else horizon, th)
         except TimestepUnderflow as exc:
             kind, detail = _underflow_kind(p, state.immersion, th)
             events.append({"event": "timestep_underflow", "t": t})
@@ -626,14 +631,13 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
             stop = StopReason(MESH_DEGENERATE, t, str(exc))
             break
 
-        f2_rate = abs(nxt.immersion._geometry()["F2_max"]
-                      - state.immersion._geometry()["F2_max"]) / nxt.dt
-        state = nxt
+        # keep the max|F|^2 the last step started from, not its whole state
+        F2_before, state = state.immersion._geometry()["F2_max"], nxt
         steps += 1
-
-        if landed:
+        if pending and state.t == pending[0]:
             pending.pop(0)
-        if landed or (snapshot_times is None and steps % stride == 0):
+            record(state)
+        elif snapshot_times is None and steps % stride == 0:
             record(state)
 
     if rows["t"][-1] != state.t:
@@ -644,9 +648,10 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
     err_sum = state.err_sum
     t_stop_error = 0.0
     if stop.kind != HORIZON_REACHED:
-        t_stop_error = 4.0 * bracket + 4.0 * DT_MIN
-        if err_sum > 0.0 and f2_rate > 0.0:
-            t_stop_error += err_sum / f2_rate
+        t_stop_error = 4.0 * state.bracket + 4.0 * DT_MIN
+        if err_sum > 0.0:       # an RKC2 step was taken, so the last step has a length
+            f2_rate = abs(state.immersion._geometry()["F2_max"] - F2_before) / state.dt
+            t_stop_error += err_sum / f2_rate if f2_rate > 0.0 else 0.0
     return FlowTrajectory(
         params=p, m=initial.m,
         **{COLUMNS[name]: np.asarray(series) for name, series in rows.items()},

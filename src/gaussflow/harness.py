@@ -186,7 +186,9 @@ def format_config(cfg: RunConfig) -> str:
     parse_config_text to an equal RunConfig.  With ``mesh_path`` set the
     file is the initial mesh, and the keys only a built-in shape reads
     (``initial.name`` and the ``initial_params`` keys, ``initial.n`` and
-    ``seed`` among them) are left out."""
+    ``seed`` among them) are left out.  The text is read back before it is
+    returned, so a value the key's own parser refuses, such as an int key
+    holding a float or a bool, raises InvalidConfig naming the key."""
     unknown = set(cfg.initial_params) - _SHAPE_KEYS
     if unknown:
         raise InvalidConfig(f"initial_params has keys no config key sets: {sorted(unknown)}")
@@ -207,7 +209,9 @@ def format_config(cfg: RunConfig) -> str:
         if "#" in text or "\n" in text or text != text.strip():
             raise InvalidConfig(f"{key} = {text!r} cannot be written as a config line")
         lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    parse_config_text(text)
+    return text
 
 
 def load_config(path) -> RunConfig:

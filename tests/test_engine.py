@@ -260,10 +260,10 @@ def test_failed_rkc2_trial_is_retried_at_a_quarter(monkeypatch, exc):
     s = shapes.circle(0.8, 256)
     st = engine.FlowState(0.0, s, f0=engine.velocity(s, P_FLOW), dt_acc=1e-3)
     rkc = _count_calls(monkeypatch, engine, "_rkc_advance")
-    dt = engine._advance(st, P_FLOW, 0.25)[0].dt
+    dt = engine._advance(st, P_FLOW, 0.25).dt
     assert rkc[0] == 1 and dt == 1e-3
     _patch_velocity(monkeypatch, exc, lambda n: n == 1)
-    dt = engine._advance(st, P_FLOW, 0.25)[0].dt
+    dt = engine._advance(st, P_FLOW, 0.25).dt
     # the failed trial and its retry, which is an RKC2 step too
     assert rkc[0] == 3 and dt == 0.25e-3
 
@@ -371,10 +371,10 @@ def test_degenerate_monitor_group_rejects_rkc2_trial(monkeypatch):
     s = shapes.icosphere(math.sqrt(2.0), 3)
     st = engine.FlowState(0.0, s, f0=engine.velocity(s, P_FLOW), dt_acc=3e-3)
     rkc = _count_calls(monkeypatch, engine, "_rkc_advance")
-    dt = engine._advance(st, P_FLOW, 0.25)[0].dt
+    dt = engine._advance(st, P_FLOW, 0.25).dt
     assert rkc[0] == 1 and dt == 3e-3
     _patch_monitor_group(monkeypatch, lambda n: n == 1)
-    dt = engine._advance(st, P_FLOW, 0.25)[0].dt
+    dt = engine._advance(st, P_FLOW, 0.25).dt
     # the retry at 0.75e-3 is below dt_stab / 2, so RK4 takes the step
     assert rkc[0] == 2 and dt == engine.stability_dt(s, P_FLOW)
 
@@ -593,7 +593,7 @@ def test_rejected_rkc2_trial_leaves_f0_unchanged(monkeypatch):
 
     monkeypatch.setattr(engine, "_error_norm", error_norm)
     rkc = _count_calls(monkeypatch, engine, "_rkc_advance")
-    dt = engine._advance(st, P_FLOW, 0.25)[0].dt
+    dt = engine._advance(st, P_FLOW, 0.25).dt
     # every trial but the last was rejected, and the last took the step
     assert rejected[0] >= 1 and rkc[0] == rejected[0] + 1 and dt < 1e-2
     assert st.f0 is f0
@@ -606,14 +606,14 @@ def test_bisection_reuses_f0_unchanged():
     s = shapes.circle(0.8, 256)
     f0, before = _read_only_f0(s, P_FLOW)
     st = engine.FlowState(0.0, s, f0=f0, dt_acc=1e-3)
-    nxt, _, bracket = engine._advance(st, P_FLOW, 0.25)
+    nxt = engine._advance(st, P_FLOW, 0.25)
     dt = nxt.dt
-    assert dt == 1e-3 and bracket == dt                 # one RKC2 step, no bisection
+    assert dt == 1e-3 and nxt.bracket == dt             # one RKC2 step, no bisection
     th = Thresholds(F2_min=0.5 * (0.64 + nxt.diagnostics.max_F2))
-    end, landed, bracket = engine._advance(st, P_FLOW, 0.25, th=th)
+    end = engine._advance(st, P_FLOW, 0.25, th=th)
     hi = end.dt
-    assert end.diagnostics.max_F2 < th.F2_min and end.t == hi < dt and not landed
-    assert bracket <= engine.BISECT_FRACTION * dt
+    assert end.diagnostics.max_F2 < th.F2_min and end.t == hi < dt
+    assert end.bracket <= engine.BISECT_FRACTION * dt
     # the end is an RKC2 step of length hi from f0 and the start's spectral bound
     stages = engine._rkc_stages(hi, engine._spectral_radius(s, P_FLOW, 0.0))[1]
     np.testing.assert_array_equal(
@@ -630,7 +630,7 @@ def test_bisection_stops_at_a_trial_that_raises(monkeypatch, exc):
     # the second bisection trial raises: the bracket stays at half the step
     s = shapes.circle(0.8, 256)
     st = engine.FlowState(0.0, s, f0=engine.velocity(s, P_FLOW), dt_acc=1e-3)
-    nxt = engine._advance(st, P_FLOW, 0.25)[0]
+    nxt = engine._advance(st, P_FLOW, 0.25)
     th = Thresholds(F2_min=0.5 * (0.64 + nxt.diagnostics.max_F2))
     real, calls = engine._rkc_advance, [0]
 
@@ -641,8 +641,8 @@ def test_bisection_stops_at_a_trial_that_raises(monkeypatch, exc):
         return real(*args)
 
     monkeypatch.setattr(engine, "_rkc_advance", rkc_advance)
-    end, landed, bracket = engine._advance(st, P_FLOW, 0.25, th=th)
-    assert calls[0] == 3 and bracket == 0.5 * nxt.dt and not landed
+    end = engine._advance(st, P_FLOW, 0.25, th=th)
+    assert calls[0] == 3 and end.bracket == 0.5 * nxt.dt
     assert end.t == end.dt in (nxt.dt, 0.5 * nxt.dt)
     assert end.diagnostics.max_F2 < th.F2_min
 
@@ -735,6 +735,41 @@ def test_snapshot_times_are_exact():
     traj = engine.run(shapes.circle(0.8, 64), P_FLOW, horizon=0.009,
                       snapshot_times=times)
     np.testing.assert_array_equal(traj.times, times)
+
+
+def test_sample_that_a_step_rounds_onto_is_recorded():
+    # a step whose span to the sample exceeds its length by more than the
+    # 1e-12 stretch does not land, yet t + dt can round onto the sample; the
+    # sample row is that step's end, and no zero-length step follows
+    s, p = shapes.ellipse(0.9, 0.6, 128), FlowParams()
+    plain = engine.run(s, p, 0.28, stride=1, keep_snapshots=False)
+    over = np.diff(plain.times) > plain.dts[1:] * (1.0 + 1e-12)
+    sample = plain.times[1 + np.flatnonzero(over)[0]]
+    sampled = engine.run(s, p, 0.28, snapshot_times=[sample], keep_snapshots=False)
+    assert sampled.times[1] == sample and np.all(sampled.dts[1:] > 0.0)
+    assert sampled.stop == plain.stop
+    assert sampled.max_F2[-1] == plain.max_F2[-1]
+
+
+@pytest.mark.parametrize("shape, horizon, times", [
+    (shapes.ellipse(0.9, 0.6, 128), 0.03, [0.01, 0.0137, 0.02]),
+    (shapes.ellipsoid(1.2, 1.0, 0.8, 2), 0.1, [0.013, 0.05, 0.0871]),
+], ids=["curve", "surface"])
+def test_a_sample_time_is_a_nearer_horizon(shape, horizon, times):
+    # run's rows are the states _advance reaches with each sample time in
+    # turn, then the horizon, as the end it lands on
+    traj = engine.run(shape, P_FLOW, horizon, snapshot_times=times)
+    th, state = Thresholds(), engine.initial_state(shape)
+    states = [state]
+    for end in [*times, horizon]:
+        while state.t < end:
+            state = engine._advance(state, P_FLOW, 0.25, end, th)
+        states.append(state)
+    assert traj.stop.kind == HORIZON_REACHED and len(states) == traj.n_snapshots
+    for k, state in enumerate(states):
+        assert state.t == traj.times[k] and state.dt == traj.dts[k]
+        np.testing.assert_array_equal(_bits(state.immersion.vertices),
+                                      _bits(traj.snapshots[k].vertices))
 
 
 def test_monotone_diagnostics_inside_and_outside():

@@ -507,6 +507,13 @@ def test_a_config_run_cfg_cannot_hold_fails_before_the_run(tmp_path, small_run, 
         simulate(bad)
     with pytest.raises(InvalidConfig, match="gravity"):
         run_scenario(SHRINK_INSIDE, bad)
+    # an int key holding a float would be written as text its parser refuses
+    floats = [(replace(cfg, initial_params={**cfg.initial_params, "n": 64.0, "seed": 2.5}),
+               "initial.n"),
+              (replace(cfg, snapshot_stride=2.0), "snapshot_stride")]
+    for bad, key in floats:
+        with pytest.raises(InvalidConfig, match=key):
+            simulate(bad)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
     load_trajectory(tmp_path)
 
