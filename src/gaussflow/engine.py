@@ -208,6 +208,8 @@ class StopReason:
 class FlowTrajectory:
     """Snapshot record of one run: diagnostics series plus mesh snapshots.
 
+    ``stop`` is the run's one record of how and when it ended; no event
+    stream repeats it (an artifact's ``events.jsonl`` is built from it).
     ``integration_error`` is the run's summed RKC2 error estimate of |F|^2
     (``FlowState.err_sum``); it is zero on runs of RK4 steps only.
     """
@@ -225,7 +227,6 @@ class FlowTrajectory:
     t_stop_error: float
     initial_h_max: float
     integration_error: float
-    events: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)    # DiscreteImmersion per row
 
     @property
@@ -579,7 +580,6 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
 
     rows = {k: [] for k in COLUMNS}
     snaps: list[DiscreteImmersion] = []
-    events: list[dict] = []
 
     def record(state):
         row = {"t": state.t, "dt": state.dt, **vars(state.diagnostics)}
@@ -597,18 +597,13 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
 
     state = initial_state(initial)
     steps, F2_before = 0, 0.0
-    if not p.in_paper_regime:
-        events.append({"event": "out_of_paper_params", "t": 0.0})
-
     record(state)
 
     while True:
         t = state.t
         hit = _classify(state.immersion, th)
         if hit is not None:
-            kind, detail = hit
-            events.append({"event": kind.lower() + "_threshold", "t": t})
-            stop = StopReason(kind, t, detail)
+            stop = StopReason(hit[0], t, hit[1])
             break
         if t >= horizon:
             stop = StopReason(HORIZON_REACHED, t, f"reached horizon {horizon:g}")
@@ -618,13 +613,11 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
             nxt = _advance(state, p, cfl, pending[0] if pending else horizon, th)
         except TimestepUnderflow as exc:
             kind, detail = _underflow_kind(p, state.immersion, th)
-            events.append({"event": "timestep_underflow", "t": t})
             stop = StopReason(kind, t, f"{detail} ({exc})")
             break
         except OverflowGuard:
             # one text wherever it fires: before a step's trials it can fire
             # on initial data only, as every accepted state's f1 passed it
-            events.append({"event": "overflow_guard", "t": t})
             stop = StopReason(POSITION_BLOWUP, t, "conformal exponent guard fired")
             break
         except DegenerateMesh as exc:
@@ -642,8 +635,6 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
 
     if rows["t"][-1] != state.t:
         record(state)
-    events.append({"event": "stop", "kind": stop.kind, "t": stop.t_stop,
-                   "detail": stop.detail})
 
     err_sum = state.err_sum
     t_stop_error = 0.0
@@ -657,5 +648,5 @@ def run(initial: DiscreteImmersion, p: FlowParams, horizon: float,
         **{COLUMNS[name]: np.asarray(series) for name, series in rows.items()},
         stop=stop, t_stop_error=t_stop_error,
         initial_h_max=initial._geometry(meshops._MONITOR)["max_edge"], integration_error=err_sum,
-        events=events, snapshots=snaps,
+        snapshots=snaps,
     )

@@ -16,7 +16,9 @@ self-describing artifact directory:
   of the keys only a built-in shape reads;
 * ``diagnostics.csv`` with the exact header
   ``t,dt,min_F2,max_F2,max_h2,weighted_area,mesh_quality``;
-* an ``events.jsonl`` stream and numbered snapshot meshes;
+* ``events.jsonl``, one line built from ``result.json``'s stop, in the
+  form ``{"detail", "event": "stop", "kind", "t"}``, and numbered snapshot
+  meshes;
 * ``result.json``, the run's m, law, stop reason and error estimates,
   written last and atomically, so its presence marks a complete save; the
   horizon and threshold windows are ``run.cfg``'s alone, the one record a
@@ -24,19 +26,20 @@ self-describing artifact directory:
 * for scenarios, a ``verdict.json``.
 
 ``load_trajectory`` rebuilds a trajectory from ``diagnostics.csv``,
-``events.jsonl``, ``result.json`` and the snapshots alone; with
-``meshes=False``, as claims load it, it reads no snapshot file and only
-counts their names against the rows.  It refuses rows and events that do
-not run from t = 0 to the stop in ``result.json``, row times that do not
-strictly increase, a ``result.json`` scalar of the wrong type or range
-(``_SCALARS``, the sections' fields included, checked before their records
-are built), and snapshots whose m or face list differ from the first one's
-or whose positions the immersion refuses (among them, positions not of the
-first snapshot's shape).  It reads no other ``result.json`` key, so the
-``horizon`` and ``thresholds`` that older directories hold are ignored.
-A save removes an older ``result.json`` before
-it writes any file, ``run.cfg`` included.  No other module knows the
-format.
+``result.json`` and the snapshots alone; with ``meshes=False``, as claims
+load it, it reads no snapshot file and only counts their names against the
+rows.  ``result.json`` is the stop's one home: a load refuses an
+``events.jsonl`` whose bytes differ from the line built from that stop.
+It also refuses rows that do not run from t = 0 to the stop, row times
+that do not strictly increase, a ``result.json`` scalar of the wrong type
+or range (``_SCALARS``, the sections' fields included, checked before
+their records are built), and snapshots whose m or face list differ from
+the first one's or whose positions the immersion refuses (among them,
+positions not of the first snapshot's shape).  It reads no other
+``result.json`` key, so the ``horizon`` and ``thresholds`` that older
+directories hold are ignored.  A save removes an older ``result.json``
+before it writes any file, ``run.cfg`` included.  No other module knows
+the format.
 
 Scenario names reproduce the qualitative regimes of the flow: shrink
 strictly inside the critical sphere, expand strictly outside, hold on the
@@ -144,6 +147,16 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"expected one of true/false/yes/no/1/0, got {text!r}") from None
 
 
+def _parse_value(key: str, text: str, where: str = ""):
+    """The value of the known config key ``key`` written as ``text``; a
+    refusal names the key and the reason, after ``where`` (a file's line)."""
+    kind = _KEYS[key][1]
+    try:
+        return _parse_bool(text) if kind is bool else kind(text)
+    except ValueError as exc:
+        raise InvalidConfig(f"{where}bad value for {key!r}: {exc}") from exc
+
+
 def parse_config_text(text: str) -> RunConfig:
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -155,11 +168,7 @@ def parse_config_text(text: str) -> RunConfig:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise InvalidConfig(f"unknown config key {key!r}")
-        name, kind = _KEYS[key]
-        try:
-            values[name] = _parse_bool(val) if kind is bool else kind(val)
-        except ValueError as exc:
-            raise InvalidConfig(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        values[_KEYS[key][0]] = _parse_value(key, val, f"line {lineno}: ")
 
     top: dict[str, object] = {}
     sections: dict[str, dict] = {"initial_params": {}, "params": {}, "thresholds": {}}
@@ -186,9 +195,10 @@ def format_config(cfg: RunConfig) -> str:
     parse_config_text to an equal RunConfig.  With ``mesh_path`` set the
     file is the initial mesh, and the keys only a built-in shape reads
     (``initial.name`` and the ``initial_params`` keys, ``initial.n`` and
-    ``seed`` among them) are left out.  The text is read back before it is
-    returned, so a value the key's own parser refuses, such as an int key
-    holding a float or a bool, raises InvalidConfig naming the key."""
+    ``seed`` among them) are left out.  Each value is read back through its
+    key's own parser, so one it refuses, such as an int key holding a float
+    or a bool, raises InvalidConfig naming the key (and no line of a text
+    the caller never saw); then the whole text is read back."""
     unknown = set(cfg.initial_params) - _SHAPE_KEYS
     if unknown:
         raise InvalidConfig(f"initial_params has keys no config key sets: {sorted(unknown)}")
@@ -208,6 +218,7 @@ def format_config(cfg: RunConfig) -> str:
             text = repr(float(value)) if kind is float else str(value)
         if "#" in text or "\n" in text or text != text.strip():
             raise InvalidConfig(f"{key} = {text!r} cannot be written as a config line")
+        _parse_value(key, text)
         lines.append(f"{key} = {text}")
     text = "\n".join(lines) + "\n"
     parse_config_text(text)
@@ -252,6 +263,12 @@ _SCALARS = {
 }
 
 
+def _stop_line(stop: StopReason) -> str:
+    """The one line of ``events.jsonl``: result.json's stop as a stop event."""
+    return json.dumps({"event": "stop", "kind": stop.kind, "t": stop.t_stop,
+                       "detail": stop.detail}, sort_keys=True) + "\n"
+
+
 def write_diagnostics_csv(traj: FlowTrajectory, path) -> None:
     """Write the diagnostics series under CSV_HEADER, floats in repr()."""
     fileio.write_table(path, CSV_HEADER, [getattr(traj, name) for name in engine.COLUMNS.values()])
@@ -280,7 +297,8 @@ def save_trajectory(traj: FlowTrajectory, outdir, save_meshes: bool = True) -> l
     a temporary name then renamed, and any older one is removed first, so a
     directory holds a result record only once every other file is complete.
     An older run's numbered snapshots are removed too, so none of them load
-    with this run's rows."""
+    with this run's rows.  ``events.jsonl`` is the one line built from
+    ``traj.stop``, which ``result.json`` records too."""
     result_path = _remove_result(outdir)
     snap_dir = os.path.join(outdir, "snapshots")
     for name in _snapshot_names(snap_dir):
@@ -293,8 +311,7 @@ def save_trajectory(traj: FlowTrajectory, outdir, save_meshes: bool = True) -> l
 
     ev_path = os.path.join(outdir, "events.jsonl")
     with open(ev_path, "w") as fh:
-        for ev in traj.events:
-            fh.write(json.dumps(ev, sort_keys=True) + "\n")
+        fh.write(_stop_line(traj.stop))
     paths.append(ev_path)
 
     if save_meshes and traj.snapshots:
@@ -319,7 +336,9 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
     """Rebuild a trajectory from an artifact directory written by
     save_trajectory.  ``meshes=False`` reads no snapshot file, but still
     checks that the snapshot names number one per diagnostics row.  A
-    missing or malformed file raises IoError naming it."""
+    missing or malformed file raises IoError naming it; ``events.jsonl`` is
+    not parsed but compared, byte for byte, with the line built from
+    ``result.json``'s validated stop."""
     result_path = os.path.join(indir, "result.json")
     csv_path = os.path.join(indir, "diagnostics.csv")
     if not (os.path.exists(result_path) and os.path.exists(csv_path)):
@@ -349,6 +368,10 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
     ev_path = os.path.join(indir, "events.jsonl")
     if not os.path.exists(ev_path):
         raise IoError(f"{indir} has no events.jsonl")
+    stop, line = meta["stop"], _stop_line(meta["stop"])
+    with open(ev_path, "rb") as fh:
+        if fh.read() != line.encode():
+            raise IoError(f"{ev_path} is not the one line built from result.json's stop, {line!r}")
 
     try:
         with open(csv_path) as fh:
@@ -364,23 +387,12 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
         raise IoError(f"{csv_path}: a row does not have the {len(engine.COLUMNS)} columns "
                       "of its header")
     cols = np.asarray(data).T
-    stop = meta["stop"]
     first, last = float(cols[0, 0]), float(cols[0, -1])
     if first != 0.0 or last != stop.t_stop:
         raise IoError(f"{csv_path}: rows run from t = {first!r} to {last!r}, "
                       f"not from 0 to t_stop = {stop.t_stop!r}")
     if not np.all(np.diff(cols[0]) > 0):
         raise IoError(f"{csv_path}: row times do not strictly increase")
-
-    events = []
-    with open(ev_path, "rb") as fh:         # bytes, so a bad line is named, not a decode chunk
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                if line.strip():
-                    events.append(json.loads(line))
-            except ValueError as exc:
-                raise IoError(f"{ev_path}: malformed line {lineno}: {exc}") from exc
-    _check_events(events, stop, ev_path)
 
     snap_dir = os.path.join(indir, "snapshots")
     names = _snapshot_names(snap_dir)
@@ -395,27 +407,7 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
         if snaps[-1].m != meta["m"]:
             raise IoError(f"{path}: a snapshot of m = {snaps[-1].m} in a run of m = {meta['m']}")
 
-    return FlowTrajectory(**meta, **dict(zip(engine.COLUMNS.values(), cols)),
-                          events=events, snapshots=snaps)
-
-
-def _check_events(events: list, stop: StopReason, ev_path: str) -> None:
-    """Refuse an event stream that ``run`` cannot have written: each event an
-    object with a string ``event`` and a time in [0, t_stop], times in order,
-    and one stop event, the last, equal to result.json's stop."""
-    last = 0.0
-    for i, ev in enumerate(events, start=1):
-        if not (isinstance(ev, dict) and isinstance(ev.get("event"), str)):
-            raise IoError(f"{ev_path}: event {i} is not an object with a string 'event'")
-        t = ev.get("t")
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not last <= t <= stop.t_stop:
-            raise IoError(f"{ev_path}: event {i} has t = {t!r}, outside "
-                          f"[{last!r}, t_stop = {stop.t_stop!r}]")
-        last = t
-    want = {"event": "stop", "kind": stop.kind, "t": stop.t_stop, "detail": stop.detail}
-    if sum(ev["event"] == "stop" for ev in events) != 1 or events[-1] != want:
-        raise IoError(f"{ev_path}: the stream does not end on its one stop event, "
-                      f"equal to result.json's stop {want!r}")
+    return FlowTrajectory(**meta, **dict(zip(engine.COLUMNS.values(), cols)), snapshots=snaps)
 
 
 def _run(cfg: RunConfig, initial: DiscreteImmersion) -> tuple[FlowTrajectory, list[str]]:

@@ -11,8 +11,8 @@ import pytest
 
 from gaussflow import engine, fileio, harness, render, shapes
 from gaussflow.mesh import DiscreteImmersion
-from gaussflow.engine import (FLOW, FLOWP, HORIZON_REACHED, POSITION_BLOWUP,
-                              POSITION_COLLAPSE, CURVATURE_BLOWUP, FlowParams)
+from gaussflow.engine import (FLOW, FLOWP, HORIZON_REACHED, MESH_DEGENERATE, POSITION_BLOWUP,
+                              POSITION_COLLAPSE, CURVATURE_BLOWUP, FlowParams, Thresholds)
 from gaussflow.errors import InvalidConfig, IoError
 from gaussflow.harness import (EXPAND_OUTSIDE, ODE_WINDOW, SHRINK_INSIDE,
                                SPHERE_ODE_MATCH, STATIONARY, RunConfig,
@@ -339,12 +339,13 @@ def _damaged_copy(src, dest, name, data) -> Path:
 
 
 def test_load_names_a_malformed_event_line(tmp_path, small_run):
+    # the stream is not parsed: any bytes but the stop line are refused
     src = Path(small_run[0].output_dir)
     good = (src / "events.jsonl").read_bytes()
-    lineno = len(good.splitlines()) + 2      # after the good lines and a blank one
     for label, line in (("text", b"{not json\n"), ("bytes", b'{"t": "\xff"}\n')):
         bad = _damaged_copy(src, tmp_path / label, "events.jsonl", good + b"\n" + line)
-        with pytest.raises(IoError, match=rf"events\.jsonl: malformed line {lineno}"):
+        with pytest.raises(IoError, match=r"events\.jsonl is not the one line built from "
+                                          r"result\.json's stop, '\{\"detail\""):
             load_trajectory(bad)
 
 
@@ -356,6 +357,34 @@ def test_load_refuses_a_directory_without_events(tmp_path, small_run):
     _without_key(small_run[0].output_dir, "stop.kind", tmp_path)
     with pytest.raises(IoError, match="'stop.kind'"):
         load_trajectory(tmp_path)
+
+
+# one run of each stop kind: its initial shape, threshold windows and horizon
+_ONE_STOP_OF_EACH_KIND = {
+    HORIZON_REACHED: (lambda: shapes.circle(0.8, 32), {}, 0.01),
+    CURVATURE_BLOWUP: (lambda: shapes.circle(0.8, 32), {"h2_max": 10.0}, 1.0),
+    # |F|^2 = 729 trips the conformal exponent guard on the first step
+    POSITION_BLOWUP: (lambda: shapes.circle(27.0, 64), {}, 1.0),
+    # with DT_MIN monkeypatched, a stable step underflows near F2_min
+    POSITION_COLLAPSE: (lambda: shapes.circle(0.8, 64), {"F2_min": 0.1}, 1.0),
+    MESH_DEGENERATE: (lambda: shapes.ellipse(0.9, 0.6, 64), {"quality_min": 0.99}, 0.1),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ONE_STOP_OF_EACH_KIND))
+def test_events_jsonl_is_the_one_stop_line_of_result_json(tmp_path, monkeypatch, kind):
+    shape, windows, horizon = _ONE_STOP_OF_EACH_KIND[kind]
+    if kind == POSITION_COLLAPSE:
+        monkeypatch.setattr(engine, "DT_MIN", 1.0)
+    traj = engine.run(shape(), FlowParams(variant=FLOW), horizon,
+                      thresholds=Thresholds(**windows))
+    assert traj.stop.kind == kind
+    save_trajectory(traj, tmp_path)
+    stop = json.loads((tmp_path / "result.json").read_text())["stop"]
+    line = json.dumps({"event": "stop", "kind": stop["kind"], "t": stop["t_stop"],
+                       "detail": stop["detail"]}, sort_keys=True)
+    assert (tmp_path / "events.jsonl").read_text() == line + "\n"
+    assert load_trajectory(tmp_path).stop == traj.stop
 
 
 @pytest.mark.parametrize("where", ["header", "row"])
@@ -512,8 +541,10 @@ def test_a_config_run_cfg_cannot_hold_fails_before_the_run(tmp_path, small_run, 
                "initial.n"),
               (replace(cfg, snapshot_stride=2.0), "snapshot_stride")]
     for bad, key in floats:
-        with pytest.raises(InvalidConfig, match=key):
+        with pytest.raises(InvalidConfig, match=f"^bad value for '{key}': ") as exc:
             simulate(bad)
+        # no line number of the run.cfg text, which the user never saw
+        assert "line" not in str(exc.value)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
     load_trajectory(tmp_path)
 
