@@ -147,13 +147,14 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"expected one of true/false/yes/no/1/0, got {text!r}") from None
 
 
-def _parse_value(key: str, text: str, where: str = ""):
-    """The value of the known config key ``key`` written as ``text``; a
-    refusal names the key and the reason, after ``where`` (a file's line)."""
+def _parse_value(key: str, text, where: str = ""):
+    """The value of the known config key ``key`` written as ``text``, or
+    converted from a value such as a float key's int; a refusal names the
+    key and the reason, after ``where`` (a file's line)."""
     kind = _KEYS[key][1]
     try:
         return _parse_bool(text) if kind is bool else kind(text)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidConfig(f"{where}bad value for {key!r}: {exc}") from exc
 
 
@@ -197,8 +198,9 @@ def format_config(cfg: RunConfig) -> str:
     (``initial.name`` and the ``initial_params`` keys, ``initial.n`` and
     ``seed`` among them) are left out.  Each value is read back through its
     key's own parser, so one it refuses, such as an int key holding a float
-    or a bool, raises InvalidConfig naming the key (and no line of a text
-    the caller never saw); then the whole text is read back."""
+    or a bool or a float key holding "x", raises InvalidConfig naming the
+    key (and no line of a text the caller never saw); then the whole text
+    is read back."""
     unknown = set(cfg.initial_params) - _SHAPE_KEYS
     if unknown:
         raise InvalidConfig(f"initial_params has keys no config key sets: {sorted(unknown)}")
@@ -215,7 +217,7 @@ def format_config(cfg: RunConfig) -> str:
         if kind is bool:
             text = "true" if value else "false"
         else:
-            text = repr(float(value)) if kind is float else str(value)
+            text = repr(_parse_value(key, value)) if kind is float else str(value)
         if "#" in text or "\n" in text or text != text.strip():
             raise InvalidConfig(f"{key} = {text!r} cannot be written as a config line")
         _parse_value(key, text)

@@ -95,12 +95,13 @@ class _Connectivity:
         if np.any(f[:, 0] == f[:, 1]) or np.any(f[:, 1] == f[:, 2]) or np.any(f[:, 0] == f[:, 2]):
             raise InvalidConfig("face with repeated vertex")
         directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        keys = directed[:, 0].astype(np.int64) * self.n_vertices + directed[:, 1]
-        if np.unique(keys).size != keys.size:
+        # sorted keys, compared with their neighbours: np.unique would run
+        # numpy's hash path, which maps more code and takes longer
+        keys = np.sort(directed[:, 0].astype(np.int64) * self.n_vertices + directed[:, 1])
+        if np.any(keys[1:] == keys[:-1]):
             raise InvalidConfig("surface is not consistently oriented (repeated directed edge)")
         undirected = np.sort(directed, axis=1)
-        ukeys = undirected[:, 0].astype(np.int64) * self.n_vertices + undirected[:, 1]
-        ukeys.sort()
+        ukeys = np.sort(undirected[:, 0].astype(np.int64) * self.n_vertices + undirected[:, 1])
         if ukeys.size % 2 != 0 or np.any(ukeys[0::2] != ukeys[1::2]):
             raise InvalidConfig("surface is not closed (edge not shared by exactly 2 faces)")
 

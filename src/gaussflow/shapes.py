@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import operator
+import random
+
 import numpy as np
 
 from .errors import InvalidConfig
@@ -19,9 +22,11 @@ def circle(radius: float, n: int) -> DiscreteImmersion:
 
 
 def perturbed_circle(radius: float, amp: float, mode: int, seed: int, n: int) -> DiscreteImmersion:
-    """Circle with a seeded radial cosine perturbation, r = R(1 + amp*cos(mode*t + phase))."""
-    rng = np.random.default_rng(seed)
-    phase = rng.uniform(0.0, 2.0 * np.pi)
+    """Circle with a seeded radial cosine perturbation, r = R(1 + amp*cos(mode*t + phase)).
+
+    The seed selects only the phase, drawn as
+    ``random.Random(seed).uniform(0, 2*pi)`` from the standard library."""
+    phase = random.Random(seed).uniform(0.0, 2.0 * np.pi)
     theta = 2.0 * np.pi * np.arange(n) / n
     r = radius * (1.0 + amp * np.cos(mode * theta + phase))
     v = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
@@ -84,14 +89,17 @@ def icosphere(radius: float, subdiv: int) -> DiscreteImmersion:
 
 
 def perturbed_sphere(radius: float, amp: float, mode: int, seed: int, subdiv: int) -> DiscreteImmersion:
-    """Sphere with a seeded smooth radial modulation of amplitude ``amp``."""
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
+    """Sphere with a seeded smooth radial modulation of amplitude ``amp``.
+
+    The seed selects only the two phases of the modulation, the azimuthal
+    one first, drawn in turn from ``random.Random(seed).uniform(0, 2*pi)``
+    of the standard library."""
+    rng = random.Random(seed)
     v, f = unit_sphere_mesh(subdiv)
     azimuth = np.arctan2(v[:, 1], v[:, 0])
     polar = np.arccos(np.clip(v[:, 2], -1.0, 1.0))
-    bump = np.cos(mode * azimuth + phases[0]) * np.sin(polar) ** mode
-    bump += 0.5 * np.cos(mode * polar + phases[1])
+    bump = np.cos(mode * azimuth + rng.uniform(0.0, 2.0 * np.pi)) * np.sin(polar) ** mode
+    bump += 0.5 * np.cos(mode * polar + rng.uniform(0.0, 2.0 * np.pi))
     bump /= np.max(np.abs(bump))
     r = radius * (1.0 + amp * bump)
     return DiscreteImmersion(2, v * r[:, None], f)
@@ -106,7 +114,10 @@ def builtin_shape(name: str, params: dict, n: int | None = None) -> DiscreteImme
     ``n`` is the vertex count for curves (16 <= n <= 1e6); surfaces take a
     ``subdiv`` entry in ``params`` instead.  Perturbed shapes are
     deterministic in their ``seed``, which must be >= 0, and take an
-    amplitude in [0, 1).  Which side of the balance sphere the data lies on is
+    amplitude in [0, 1).  ``mode``, ``seed`` and ``subdiv`` must be integers:
+    a value ``operator.index`` refuses, such as 2.5, is refused, not
+    truncated, as is a radius, semi-axis or amplitude that ``float``
+    refuses.  Which side of the balance sphere the data lies on is
     checked where the flow law is known: by the scenarios and the claims.
     """
     p = dict(params)
@@ -121,29 +132,44 @@ def builtin_shape(name: str, params: dict, n: int | None = None) -> DiscreteImme
         if name == "ellipse":
             return ellipse(_positive(p, "rx"), _positive(p, "ry"), n)
         if name == "perturbed_circle":
-            return perturbed_circle(_positive(p, "radius"), _amp(p), int(p["mode"]), _seed(p), n)
+            return perturbed_circle(_positive(p, "radius"), _amp(p), _index("mode", p["mode"]),
+                                    _seed(p), n)
         if name == "icosphere":
             return icosphere(_positive(p, "radius"), _subdiv(p))
         if name == "ellipsoid":
             return ellipsoid(_positive(p, "rx"), _positive(p, "ry"), _positive(p, "rz"),
                              _subdiv(p))
         if name == "perturbed_sphere":
-            return perturbed_sphere(_positive(p, "radius"), _amp(p), int(p["mode"]), _seed(p),
-                                    _subdiv(p))
+            return perturbed_sphere(_positive(p, "radius"), _amp(p), _index("mode", p["mode"]),
+                                    _seed(p), _subdiv(p))
     except KeyError as exc:
         raise InvalidConfig(f"shape {name!r} missing parameter {exc}") from exc
     raise InvalidConfig(f"unknown builtin shape {name!r}")
 
 
 def _positive(p: dict, key: str) -> float:
-    val = float(p[key])
+    val = _number(key, p[key])
     if val <= 0:
         raise InvalidConfig(f"shape parameter {key!r} must be positive, got {val}")
     return val
 
 
+def _number(key: str, val) -> float:
+    try:
+        return float(val)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"shape parameter {key!r} must be a number, got {val!r}") from None
+
+
+def _index(key: str, val) -> int:
+    try:
+        return operator.index(val)
+    except TypeError:
+        raise InvalidConfig(f"shape parameter {key!r} must be an integer, got {val!r}") from None
+
+
 def _subdiv(p: dict) -> int:
-    sd = int(p.get("subdiv", 3))
+    sd = _index("subdiv", p.get("subdiv", 3))
     if not 0 <= sd <= 7:
         raise InvalidConfig(f"subdiv {sd} outside [0, 7]")
     return sd
@@ -151,14 +177,14 @@ def _subdiv(p: dict) -> int:
 
 def _amp(p: dict) -> float:
     # below 1 the perturbed radius R(1 + amp * bump), |bump| <= 1, stays positive
-    amp = float(p["amp"])
+    amp = _number("amp", p["amp"])
     if not 0 <= amp < 1:
         raise InvalidConfig(f"perturbation amplitude must lie in [0, 1), got {amp}")
     return amp
 
 
 def _seed(p: dict) -> int:
-    seed = int(p.get("seed", 0))
+    seed = _index("seed", p.get("seed", 0))
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
     return seed

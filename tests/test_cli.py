@@ -49,6 +49,38 @@ def test_cli_starts_without_scipy():
     assert float(oracle) == pytest.approx((ei(1.0) - ei(0.5)) / (2.0 * math.e), rel=1e-12)
 
 
+_NO_NUMPY_RANDOM = """
+import sys
+from gaussflow import cli, shapes
+for name, params, n in [
+        ("circle", {"radius": 0.8}, 64),
+        ("ellipse", {"rx": 0.8, "ry": 0.6}, 64),
+        ("perturbed_circle", {"radius": 0.8, "amp": 0.05, "mode": 3, "seed": 7}, 64),
+        ("icosphere", {"radius": 2.0, "subdiv": 1}, None),
+        ("ellipsoid", {"rx": 2.0, "ry": 1.8, "rz": 1.6, "subdiv": 1}, None),
+        ("perturbed_sphere", {"radius": 2.0, "amp": 0.03, "mode": 3, "seed": 7, "subdiv": 1},
+         None)]:
+    shapes.builtin_shape(name, params, n)
+code = cli.main(["simulate", "--config", sys.argv[1]])
+print(code, sorted(name for name in sys.modules if name.startswith("numpy.random")))
+"""
+
+
+def test_runs_load_no_numpy_random(tmp_path):
+    # numpy.random costs ~6 MB of resident code pages; the seeded shapes draw
+    # their phases with the standard library's random instead
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("initial.name = perturbed_circle\ninitial.radius = 0.8\ninitial.amp = 0.05\n"
+                   "initial.mode = 3\ninitial.n = 64\nseed = 7\nhorizon = 0.01\n"
+                   f"snapshot_stride = 4\noutput_dir = {tmp_path / 'out'}\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_RANDOM, str(cfg)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "events.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv, field", [
     (("bounds", "--m", "1", "--r0sq", "inf"), "R0_sq"),
     (("bounds", "--m", "1", "--r0sq", "0.5", "--b", "inf"), "b"),

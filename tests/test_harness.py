@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import shutil
 from dataclasses import replace
@@ -50,6 +51,23 @@ def test_perturbed_circle_bounds_and_determinism():
     assert not np.array_equal(a.vertices, c.vertices)
 
 
+def test_perturbed_circle_phase_is_the_standard_library_draw():
+    # the seed selects the phase through random.Random, not numpy.random
+    phase = random.Random(7).uniform(0.0, 2.0 * math.pi)
+    v = shapes.perturbed_circle(0.8, 0.05, 3, 7, 64).vertices
+    assert v[0, 0] == pytest.approx(0.8 * (1.0 + 0.05 * math.cos(phase)), rel=1e-14)
+    assert v[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("key, value", [("mode", 2.5), ("seed", 7.9), ("subdiv", 2.7),
+                                        ("seed", "7")])
+def test_shape_integer_parameters_are_refused_not_truncated(key, value):
+    # int() truncated each of these, or parsed it from text, without a word
+    params = {"radius": 2.0, "amp": 0.03, "mode": 3, "seed": 5, "subdiv": 2, key: value}
+    with pytest.raises(InvalidConfig, match=f"shape parameter '{key}' must be an integer"):
+        shapes.builtin_shape("perturbed_sphere", params)
+
+
 # a radius-1 circle perturbed by 10%: inside FLOWP's balance sphere
 # (c/b) m = 2 at c = 2, across FLOW's |F|^2 = m = 1
 _WOBBLED_UNIT_CIRCLE = dict(initial_name="perturbed_circle",
@@ -96,6 +114,11 @@ def test_shape_validation():
         shapes.builtin_shape("ellipse", {"rx": 1.0}, 64)
     with pytest.raises(InvalidConfig, match="needs a vertex count n"):
         shapes.builtin_shape("circle", {"radius": 1.0}, None)
+    # float() let a bare ValueError out here, before simulate reached format_config
+    with pytest.raises(InvalidConfig, match="shape parameter 'radius' must be a number"):
+        simulate(RunConfig(initial_params={"radius": "big", "n": 64}, horizon=0.1))
+    with pytest.raises(InvalidConfig, match="shape parameter 'amp' must be a number"):
+        shapes.builtin_shape("perturbed_circle", {"radius": 0.8, "amp": "x", "mode": 3}, 64)
     with pytest.raises(InvalidConfig, match=r"subdiv 8 outside \[0, 7\]"):
         shapes.builtin_shape("icosphere", {"radius": 1.0, "subdiv": 8}, None)
 
@@ -547,6 +570,18 @@ def test_a_config_run_cfg_cannot_hold_fails_before_the_run(tmp_path, small_run, 
         assert "line" not in str(exc.value)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
     load_trajectory(tmp_path)
+
+
+@pytest.mark.parametrize("cfg, key", [
+    (RunConfig(cfl="x"), "cfl"),
+    (RunConfig(horizon="abc"), "horizon"),
+    (RunConfig(initial_params={"radius": "big"}), "initial.radius"),
+], ids=["cfl", "horizon", "radius"])
+def test_format_config_refuses_a_float_key_holding_no_number(cfg, key):
+    # float() raised a bare ValueError here
+    with pytest.raises(InvalidConfig, match=f"^bad value for '{key}': ") as exc:
+        format_config(cfg)
+    assert "line" not in str(exc.value)
 
 
 def test_seed_and_n_are_shape_keys(tmp_path):

@@ -586,7 +586,7 @@ def test_curve_rejects_coincident_vertices():
 
 def test_surface_must_be_closed():
     s = shapes.icosphere(1.0, 0)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig, match="not closed"):
         DiscreteImmersion(2, s.vertices, s.faces[:-1])
 
 
@@ -594,8 +594,11 @@ def test_surface_orientation_check():
     s = shapes.icosphere(1.0, 0)
     flipped = np.asarray(s.faces).copy()
     flipped[0] = flipped[0][::-1]
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig, match="consistently oriented"):
         DiscreteImmersion(2, s.vertices, flipped)
+    # a face listed twice in the same orientation repeats its three directed edges
+    with pytest.raises(InvalidConfig, match="consistently oriented"):
+        DiscreteImmersion(2, s.vertices, np.concatenate([s.faces, s.faces[:1]]))
 
 
 @pytest.mark.parametrize("damage, match", [
