@@ -8,6 +8,12 @@ exp(conformal exponent) * (curvature term + position term):
 * ``FLOWP``: exp(a|F|^2/m) * (c(t) H + b F) with constants a, b and
   affine c(t), the generalized law the closed-form sphere results apply to.
 
+The flow is defined up to diffeomorphisms of M, so only a curve's image
+matters.  FLOW and FLOWP curves add a tangential gauge to the drive,
+c(t) GAUGE P_T(L_u x) (``tangential_gauge``), which spreads their vertices
+evenly along the curve; without it the tangential part of F bunches them.
+FLOW0 curves and surfaces carry no gauge.
+
 Each step takes whichever of two explicit integrators costs fewer velocity
 evaluations per unit of model time:
 
@@ -27,7 +33,9 @@ limit, stay on RK4.  After every accepted step of either kind the RKC
 estimate est = 0.8 (y0 - y1) + 0.4 dt (f0 + f1) updates dt_acc (after an
 RK4 step, scaled to what a two-stage RKC2 step would report), and
 f1 = f(y1) is the next step's first stage, so an RK4 step still costs four
-evaluations.
+evaluations.  On curves the norm of est weighs only its part normal to
+the end state's vertex bisector, so a step is measured on the curve's
+image; the summed estimate keeps all of est.
 
 One function, ``_advance``, sets every step's length.  The limits it
 applies, in order: the stability step dt_stab, whose ``cfl`` it checks
@@ -84,6 +92,7 @@ ATOL = 1e-10             # and absolute, in position units
 S_MAX = 400              # RKC2 stage cap: stable up to dt * rho ~ 0.65 * S_MAX^2
 BISECT_FRACTION = 1e-3   # threshold crossings inside an RKC2 step, located to this share of it
 CFL_MAX = 0.69           # RK4's real-axis limit 2.785 over the curve Laplacian bound 4 / h_min^2
+GAUGE = 1.0              # strength of the FLOW/FLOWP curve gauge, in units of c(t)
 
 # The diagnostics series, in column order: CSV column name -> FlowTrajectory
 # field.  run's rows and the artifact's diagnostics.csv are both built from it.
@@ -252,23 +261,57 @@ def _conformal_exponent(geom: dict, p: FlowParams, m: int) -> tuple[float, float
     return p.a / m, guard_exponent(p.a * geom["F2_max"] / m)
 
 
+def tangential_gauge(s: DiscreteImmersion, p: FlowParams, t: float = 0.0) -> np.ndarray | None:
+    """The tangential term c(t) GAUGE P_T(L_u x) that ``velocity`` adds to
+    a FLOW or FLOWP curve's drive before the conformal factor, as a
+    vertex-major view; None for FLOW0 and surfaces, which carry no gauge.
+
+    L_u x = (x_{i+1} + x_{i-1} - 2 x_i) / lbar^2 is the second difference
+    at the mean edge length lbar, and P_T projects it onto the bisector
+    b_i = u_i + u_{i-1} of the unit edges at vertex i, which gives exactly
+    (l_i - l_{i-1}) / (2 lbar^2) b_i.  The term moves a vertex toward the
+    longer of its edges, so it spreads the vertices evenly along the curve
+    and leaves its image where it was (arc-length equidistribution; Mikula
+    & Sevcovic 2001, Barrett, Garcke & Nurnberg 2007)."""
+    if p.variant == FLOW0 or s.m != 1:
+        return None
+    return _gauge(s._geometry(), p.c_at(t)).T
+
+
+def _gauge(geom: dict, c: float) -> np.ndarray:
+    """c GAUGE P_T(L_u x) from a curve pass, coordinate-major, with
+    l_i - l_{i-1} = 2 (l_i - A_i) for the vertex area A_i."""
+    lengths = geom["edge_lengths"]
+    total = float(np.add.reduce(lengths))
+    # in place, the same operations in the same order as the expression form
+    # b * ((l - A) * (c GAUGE n^2 / L^2))[:, None], L the curve's length
+    k = np.subtract(lengths, geom["vertex_areas"])
+    k *= c * GAUGE * lengths.size * lengths.size / (total * total)
+    return np.multiply(geom["bisector"].T, k)
+
+
 def velocity(s: DiscreteImmersion, p: FlowParams, t: float = 0.0) -> np.ndarray:
-    """Per-vertex velocity of the configured flow variant, a fresh array on
-    every call; ``_rkc_advance`` reuses it as scratch."""
+    """Per-vertex velocity of the configured flow variant, a fresh
+    vertex-major array on every call; ``_rkc_advance`` reuses it as
+    scratch.  FLOW and FLOWP curves add ``tangential_gauge`` to the drive.
+    The drive is summed coordinate-major, as the curve pass holds H, and
+    the conformal factor writes it back vertex-major."""
     geom = s._geometry(meshops._NORMAL if p.variant == FLOW0 else meshops._BASE)
     rate, _ = _conformal_exponent(geom, p, s.m)
     w = rate * geom["F2"]
     np.exp(w, out=w)
-    H = geom["H"]
-    v = s.vertices
+    H = geom["H"].T
+    v = s.vertices.T
     if p.variant == FLOW0:
-        drive = H + meshops.normal_projection(s, v)
-    elif p.variant == FLOW:
-        drive = H + v
+        drive = H + meshops.normal_projection(s, s.vertices).T
     else:
-        drive = p.c_at(t) * H + p.b * v
-    drive *= w[:, None]
-    return drive
+        c = p.c_at(t)
+        drive = H + v if p.variant == FLOW else c * H + p.b * v
+        if s.m == 1:
+            drive += _gauge(geom, c)
+    out = np.empty_like(s.vertices)
+    np.multiply(drive, w, out=out.T)
+    return out
 
 
 def check_cfl(cfl: float) -> None:
@@ -297,7 +340,14 @@ def stability_dt(s: DiscreteImmersion, p: FlowParams, t: float = 0.0, cfl: float
 
 def _spectral_radius(s: DiscreteImmersion, p: FlowParams, t: float) -> float:
     """Gershgorin bound on the spectral radius of the velocity's diffusion
-    part, c(t) exp(a max|F|^2 / m) times the bound on the Laplacian."""
+    part, c(t) exp(a max|F|^2 / m) times the bound on the Laplacian.
+
+    It covers a gauged curve as well.  The curve's H = (u_i - u_{i-1}) / A_i
+    has no first-order response to a tangential move, and the gauge acts
+    along the curve with the uniform Laplacian's row bound 4 / lbar^2.  By
+    AM-GM on adjacent edges, min_i l_i l_{i-1} <= lbar^2, so the curve
+    bound max_i 4 / (l_i l_{i-1}) is already at least 4 / lbar^2.  A tier-1
+    test power-iterates the gauged Jacobian against this bound."""
     _, peak = _conformal_exponent(s._geometry(), p, s.m)
     return p.c_at(t) * math.exp(peak) * meshops.laplacian_spectral_bound(s)
 
@@ -364,17 +414,35 @@ def _rkc_advance(s: DiscreteImmersion, p: FlowParams, t: float, dt: float,
 
 
 def _error_norm(y0: np.ndarray, y1: np.ndarray, f0: np.ndarray, f1: np.ndarray,
-                dt: float) -> tuple[float, np.ndarray]:
+                dt: float, bisector: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """The RKC error estimate of a step from y0 to y1 and its RMS norm
-    weighted by ATOL + RTOL * |y|; a norm above 1 fails the tolerance."""
+    weighted by ATOL + RTOL * |y|; a norm above 1 fails the tolerance.
+
+    On a curve, ``bisector`` is the end state's vertex tangent b, and the
+    norm weighs only the estimate's part normal to it: a curve's image is
+    what the flow moves, and where its vertices sit along it is a gauge.
+    A vertex whose bisector vanishes (a cusp) keeps its whole estimate.
+    The returned estimate is always the whole one."""
     # in place, the same operations in the same order as the expression form
-    # est = 0.8 (y0 - y1) + 0.4 dt (f0 + f1), r = |est| / (ATOL + RTOL max(|y0|, |y1|))
+    # est = 0.8 (y0 - y1) + 0.4 dt (f0 + f1), r = |est| / (ATOL + RTOL max(|y0|, |y1|)),
+    # on curves with est - ((est . b) / max(b . b, 1e-300))[:, None] * b in
+    # place of est in r, each dot product summed over the coordinates in order
     est = np.subtract(y0, y1)
     est *= 0.8
     tmp = np.add(f0, f1)
     tmp *= 0.4 * dt
     est += tmp
-    r = np.abs(est)
+    if bisector is None:
+        r = np.abs(est)
+    else:
+        b = bisector.T                  # coordinate-major, as the curve pass holds it
+        along = np.einsum("ij,ij->j", est.T, b)
+        bb = np.einsum("ij,ij->j", b, b)
+        # a vanishing bisector (a cusp) has along = 0: its vertex keeps est
+        along /= np.maximum(bb, 1e-300, out=bb)
+        np.multiply(b, along, out=tmp.T)
+        r = np.subtract(est, tmp)
+        np.abs(r, out=r)
     scale = np.abs(y0)
     np.maximum(scale, np.abs(y1, out=tmp), out=scale)
     scale *= RTOL
@@ -453,9 +521,9 @@ def _advance(state: FlowState, p: FlowParams, cfl: float, end: float = math.inf,
         dt, t1 = _land(t, dt, end)
         if not rkc:
             y1 = _rk4_advance(s, p, t, dt, f0)
-            y1._geometry(meshops._MONITOR)
+            bisector = y1._geometry(meshops._MONITOR).get("bisector")
             f1 = velocity(y1, p, t1)
-            err, est = _error_norm(s.vertices, y1.vertices, f0, f1, dt)
+            err, est = _error_norm(s.vertices, y1.vertices, f0, f1, dt, bisector)
             # on y' = lambda y the estimate is z^3 / 15 for an exact step and
             # z^3 / 5 for a two-stage RKC2 step, whose stability polynomial
             # has no z^3 term; an RK4 step is near exact, so scale it by 3
@@ -464,12 +532,12 @@ def _advance(state: FlowState, p: FlowParams, cfl: float, end: float = math.inf,
             break
         try:
             y1 = _rkc_advance(s, p, t, dt, _rkc_stages(dt, rho)[1], f0)
-            y1._geometry(meshops._MONITOR)
+            bisector = y1._geometry(meshops._MONITOR).get("bisector")
             f1 = velocity(y1, p, t1)
         except (OverflowGuard, DegenerateMesh):
             dt_acc = retry = 0.25 * dt
             continue
-        err, est = _error_norm(s.vertices, y1.vertices, f0, f1, dt)
+        err, est = _error_norm(s.vertices, y1.vertices, f0, f1, dt, bisector)
         if err <= 1.0:
             break
         dt_acc = retry = dt * _step_factor(err)

@@ -412,18 +412,24 @@ def load_trajectory(indir, meshes: bool = True) -> FlowTrajectory:
     return FlowTrajectory(**meta, **dict(zip(engine.COLUMNS.values(), cols)), snapshots=snaps)
 
 
-def _run(cfg: RunConfig, initial: DiscreteImmersion) -> tuple[FlowTrajectory, list[str]]:
-    """Run a config with an explicit horizon from its initial immersion and,
-    when it names an output directory, write there ``run.cfg``, the mesh
-    file the run read (copied in, as ``run.cfg`` names it, so the replay
-    does not need the original) and the trajectory.  Returns the trajectory
-    and the paths written.  The ``run.cfg`` text is built first, so a
-    config that format_config refuses fails before the run and before any
-    file is touched."""
+def _run(cfg: RunConfig, initial: DiscreteImmersion | None = None
+         ) -> tuple[FlowTrajectory, list[str]]:
+    """Run a config with an explicit horizon from its initial immersion
+    (built from the config when none is given) and, when it names an output
+    directory, write there ``run.cfg``, the mesh file the run read (copied
+    in, as ``run.cfg`` names it, so the replay does not need the original)
+    and the trajectory.  Returns the trajectory and the paths written.  The
+    ``run.cfg`` text is built first, before the initial immersion when none
+    is given, so a config that format_config refuses fails before the shape
+    is built, before the run and before any file is touched."""
     copy = None
     if cfg.mesh_path is not None:
-        copy = "initial.pline" if initial.m == 1 else "initial.off"
+        # the readers of .pline files return curves, of the others surfaces
+        pline = os.path.splitext(cfg.mesh_path)[1].lower() == ".pline"
+        copy = "initial.pline" if pline else "initial.off"
     text = format_config(replace(cfg, mesh_path=copy))
+    if initial is None:
+        initial = cfg.build_initial()
     traj = engine.run(initial, cfg.params, cfg.horizon, thresholds=cfg.thresholds,
                       stride=cfg.snapshot_stride, cfl=cfg.cfl,
                       keep_snapshots=cfg.save_meshes)
@@ -443,10 +449,9 @@ def _run(cfg: RunConfig, initial: DiscreteImmersion) -> tuple[FlowTrajectory, li
 
 def simulate(cfg: RunConfig) -> FlowTrajectory:
     """Run a config end to end and write its artifact directory."""
-    initial = cfg.build_initial()
     if cfg.horizon is None:
         raise InvalidConfig("simulate needs an explicit horizon")
-    return _run(cfg, initial)[0]
+    return _run(cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,14 @@ each corner field onto vertices with one bincount over a per-topology index.
 Each immersion caches the result of its one geometry pass, and every
 operator reads from that cache.  A pass computes as much as its caller
 asks for: the fields the velocity reads (cotangents or edge lengths, mixed
-areas, H, |F|^2 and its maximum, the shortest curve edge); those plus the
-surface vertex normal, which FLOW0 stages read; or everything, the blow-up
-monitor group included (surfaces: vertex normal, then angle defect, |h|^2
-and its maximum, quality and edge extremes; curves: |h|^2 = |H|^2 and its
-maximum, quality and the longest edge).  The flow's stages ask for the
-velocity fields, FLOW0 stages for the normal as well, and the engine's
-monitor for everything, once per accepted state.  The cache remembers how
+areas, H, |F|^2 and its maximum, the shortest curve edge and the curve
+bisector); those plus the surface vertex normal, which FLOW0 stages read;
+or everything, the blow-up monitor group included (surfaces: vertex
+normal, then angle defect, |h|^2 and its maximum, quality and edge
+extremes; curves: |h|^2 = |H|^2 and its maximum, quality and the longest
+edge).  The flow's stages ask for the velocity fields, FLOW0 stages for
+the normal as well, and the engine's monitor for everything, once per
+accepted state.  The cache remembers how
 much it holds, and a request for more runs the pass again at the larger
 level; a vanishing normal raises DegenerateMesh on every request that
 includes it.
@@ -41,8 +42,11 @@ workspace later.  The static per-topology data lives in a connectivity
 object that an evolving immersion shares with its successors, and the
 snapshots of one loaded trajectory with the first: the neighbour index
 arrays of a closed curve, or the face list and corner-to-vertex indices of
-a surface.  The curve tangent (normalized central chord) is not cached; the
-operators that use it compute it.
+a surface.  A curve pass returns one tangent at every level, the bisector
+u_i + u_{i-1} of the unit edges at each vertex, which the engine's
+tangential gauge and its error norm read.  The curve tangent that
+``normal_projection`` uses (the normalized central chord) is not cached;
+the operators that use it compute it.
 """
 
 from __future__ import annotations
@@ -221,28 +225,35 @@ class DiscreteImmersion:
 
 
 def _curve_geometry(v: np.ndarray, conn: _CurveConnectivity, level: int) -> dict:
-    # in place, the same operations in the same order as the expression form
-    # (u - u[prv]) / (0.5 * (l[prv] + l))[:, None] with u = e / l[:, None]
-    e = v.take(conn.nxt, axis=0)
-    e -= v                                       # edge i -> i+1
-    lengths = np.einsum("ij,ij->i", e, e)
+    # coordinate-major, vc[coordinate, vertex], as the surface pass: a
+    # per-vertex scalar then scales rows of length n, not n rows of length
+    # d; H and the bisector are returned as vertex-major views.  In place,
+    # the same operations in the same order as the expression forms
+    # (u - u[prv]) / (0.5 * (l[prv] + l))[:, None] and u + u[prv], with
+    # u = e / l[:, None] and each squared norm summed over the coordinates
+    # in order
+    vc = np.ascontiguousarray(v.T)
+    e = vc.take(conn.nxt, axis=1)
+    e -= vc                                      # edge i -> i+1
+    lengths = np.einsum("ij,ij->j", e, e)
     np.sqrt(lengths, out=lengths)
     l_min = float(lengths.min())
     if l_min <= DEGENERACY_TOL:
         raise DegenerateMesh(f"curve edge length below {DEGENERACY_TOL:g}")
-    e /= lengths[:, None]                        # the unit edges
+    e /= lengths                                 # the unit edges
     areas = lengths.take(conn.prv)
     areas += lengths
     areas *= 0.5
-    H = e.take(conn.prv, axis=0)
+    H = e.take(conn.prv, axis=1)
+    bisector = np.add(e, H)                      # u_i + u_{i-1}, tangent at vertex i
     np.subtract(e, H, out=H)
-    H /= areas[:, None]
-    F2 = np.einsum("ij,ij->i", v, v)
-    geom = {"edge_lengths": lengths, "vertex_areas": areas, "H": H, "F2": F2,
-            "F2_max": float(F2.max()), "min_edge": l_min}
+    H /= areas
+    F2 = np.einsum("ij,ij->j", vc, vc)
+    geom = {"edge_lengths": lengths, "vertex_areas": areas, "H": H.T, "F2": F2,
+            "F2_max": float(F2.max()), "min_edge": l_min, "bisector": bisector.T}
     if level >= _MONITOR:
         l_max = float(lengths.max())
-        h2 = np.einsum("ij,ij->i", H, H)
+        h2 = np.einsum("ij,ij->j", H, H)
         geom.update(h2=h2, h2_max=float(h2.max()), quality=l_min / l_max, max_edge=l_max)
     return geom
 

@@ -114,9 +114,9 @@ def builtin_shape(name: str, params: dict, n: int | None = None) -> DiscreteImme
     ``n`` is the vertex count for curves (16 <= n <= 1e6); surfaces take a
     ``subdiv`` entry in ``params`` instead.  Perturbed shapes are
     deterministic in their ``seed``, which must be >= 0, and take an
-    amplitude in [0, 1).  ``mode``, ``seed`` and ``subdiv`` must be integers:
-    a value ``operator.index`` refuses, such as 2.5, is refused, not
-    truncated, as is a radius, semi-axis or amplitude that ``float``
+    amplitude in [0, 1).  ``n``, ``mode``, ``seed`` and ``subdiv`` must be
+    integers: a value ``operator.index`` refuses, such as 2.5, is refused,
+    not truncated, as is a radius, semi-axis or amplitude that ``float``
     refuses.  Which side of the balance sphere the data lies on is
     checked where the flow law is known: by the scenarios and the claims.
     """
@@ -124,6 +124,7 @@ def builtin_shape(name: str, params: dict, n: int | None = None) -> DiscreteImme
     if name in _CURVE_SHAPES:
         if n is None:
             raise InvalidConfig(f"shape {name!r} needs a vertex count n")
+        n = _index("n", n)
         if not 16 <= n <= 10 ** 6:
             raise InvalidConfig(f"vertex count {n} outside [16, 1e6]")
     try:

@@ -96,10 +96,68 @@ def test_velocity_near_stationary_icosphere():
 
 
 def test_pure_mcf_velocity_is_mean_curvature():
+    # every FLOWP curve carries the gauge, pure MCF too: a reparametrization
+    # moves no image, whatever the law.  With a = b = 0 the weight w is 1
+    # and c = 1, so the velocity less its gauge term is w c H = H
     c = shapes.ellipse(0.9, 0.6, 64)
     p = FlowParams(variant=FLOWP, a=0.0, b=0.0, c=1.0)
+    gauge = engine.tangential_gauge(c, p)
+    assert np.abs(gauge).max() > 1e-3
     np.testing.assert_array_equal(engine.velocity(c, p),
-                                  mesh.mean_curvature_vector(c))
+                                  mesh.mean_curvature_vector(c) + gauge)
+
+
+def _uneven_ellipse(rx, ry, n, shift=0.25):
+    """An n-gon on the ellipse whose vertices bunch toward one end of the x axis."""
+    th = 2.0 * np.pi * np.arange(n) / n
+    th += shift * np.sin(th)
+    return mesh.DiscreteImmersion(1, np.column_stack([rx * np.cos(th), ry * np.sin(th)]))
+
+
+@pytest.mark.parametrize("p", [P_FLOW, FlowParams(variant=FLOWP, a=0.5, b=2.0, c=1.5,
+                                                   c_slope=0.4)], ids=["FLOW", "FLOWP"])
+def test_gauge_is_the_tangential_second_difference(p):
+    # c(t) P_T(L_u x): the uniform second difference over the mean edge
+    # length squared, projected onto the unit-edge bisector
+    s, t = _uneven_ellipse(0.9, 0.6, 48), 0.3
+    v = s.vertices
+    lbar = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).mean()
+    lap = (np.roll(v, -1, axis=0) + np.roll(v, 1, axis=0) - 2.0 * v) / lbar ** 2
+    e = np.roll(v, -1, axis=0) - v
+    u = e / np.linalg.norm(e, axis=1)[:, None]
+    b = u + np.roll(u, 1, axis=0)
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    expect = p.c_at(t) * (lap * b).sum(axis=1)[:, None] * b
+    gauge = engine.tangential_gauge(s, p, t)
+    np.testing.assert_allclose(gauge, expect, rtol=1e-10, atol=1e-10 * np.abs(expect).max())
+    # it pulls each vertex toward its longer edge, and vanishes on a regular polygon
+    longer = np.where(np.linalg.norm(e, axis=1) > np.roll(np.linalg.norm(e, axis=1), 1),
+                      1.0, -1.0)
+    assert np.all(np.sign((gauge * u).sum(axis=1)) == longer)
+    assert np.abs(engine.tangential_gauge(shapes.circle(0.8, 48), p, t)).max() < 1e-12
+    # FLOW0 curves and every surface move without it
+    assert engine.tangential_gauge(s, P_FLOW0, t) is None
+    assert engine.tangential_gauge(shapes.icosphere(1.0, 1), p, t) is None
+
+
+def test_curve_error_norm_reads_the_normal_part_only():
+    s = _uneven_ellipse(0.9, 0.6, 32)
+    y0, b = s.vertices, s._geometry()["bisector"]
+    zero = np.zeros_like(y0)
+    tangential = 1e-6 * np.arange(1.0, 33.0)[:, None] * b
+    # est = 0.8 (y0 - y1) with f0 = f1 = 0: a purely tangential estimate
+    err, est = engine._error_norm(y0, y0 - 1.25 * tangential, zero, zero, 1e-3, b)
+    assert err < 1e-6 * engine._error_norm(y0, y0 - 1.25 * tangential, zero, zero, 1e-3)[0]
+    # the estimate returned, which err_sum reads, is the whole one
+    np.testing.assert_allclose(est, tangential, rtol=1e-9, atol=1e-15)
+    normal = mesh.normal_projection(s, np.ones_like(y0)) * 1e-6
+    full = engine._error_norm(y0, y0 - 1.25 * normal, zero, zero, 1e-3)[0]
+    assert engine._error_norm(y0, y0 - 1.25 * normal, zero, zero, 1e-3, b)[0] == \
+        pytest.approx(full, rel=0.05)
+    # a vanishing bisector, as at a cusp, leaves its vertex's whole estimate
+    full = engine._error_norm(y0, y0 - 1.25 * tangential, zero, zero, 1e-3)[0]
+    assert engine._error_norm(y0, y0 - 1.25 * tangential, zero, zero, 1e-3,
+                              np.zeros_like(b))[0] == full
 
 
 def test_flow0_velocity_formula():
@@ -390,18 +448,27 @@ def test_degenerate_monitor_group_rejects_rkc2_trial(monkeypatch):
 def _curve_geometry_reference(v, conn, level=None):
     # the whole pass at every level: extra fields leave a run unchanged
     e = v[conn.nxt] - v
-    lengths = np.sqrt(np.einsum("ij,ij->i", e, e))
+    lengths = np.sqrt((e * e).sum(axis=1))
     l_min, l_max = float(lengths.min()), float(lengths.max())
     if l_min <= mesh.DEGENERACY_TOL:
         raise DegenerateMesh(f"curve edge length below {mesh.DEGENERACY_TOL:g}")
     u = e / lengths[:, None]
     areas = 0.5 * (lengths[conn.prv] + lengths)
     H = (u - u[conn.prv]) / areas[:, None]
-    F2 = np.einsum("ij,ij->i", v, v)
-    h2 = np.einsum("ij,ij->i", H, H)
+    F2 = (v * v).sum(axis=1)
+    h2 = (H * H).sum(axis=1)
     return {"edge_lengths": lengths, "vertex_areas": areas, "H": H, "F2": F2,
             "F2_max": float(F2.max()), "h2": h2, "h2_max": float(h2.max()),
-            "quality": l_min / l_max, "min_edge": l_min, "max_edge": l_max}
+            "quality": l_min / l_max, "min_edge": l_min, "max_edge": l_max,
+            "bisector": u + u[conn.prv]}
+
+
+def _gauge_reference(geom, p, t):
+    # c(t) GAUGE (l_i - l_{i-1}) / (2 lbar^2) b_i, with l_i - l_{i-1} = 2 (l_i - A_i)
+    lengths = geom["edge_lengths"]
+    n, total = lengths.size, float(lengths.sum())
+    k = (lengths - geom["vertex_areas"]) * (p.c_at(t) * engine.GAUGE * n * n / (total * total))
+    return geom["bisector"] * k[:, None]
 
 
 def _velocity_reference(s, p, t=0.0):
@@ -411,10 +478,10 @@ def _velocity_reference(s, p, t=0.0):
     H, v = geom["H"], s.vertices
     if p.variant == FLOW0:
         drive = H + mesh.normal_projection(s, v)
-    elif p.variant == FLOW:
-        drive = H + v
     else:
-        drive = p.c_at(t) * H + p.b * v
+        drive = H + v if p.variant == FLOW else p.c_at(t) * H + p.b * v
+        if s.m == 1:
+            drive = drive + _gauge_reference(geom, p, t)
     return w[:, None] * drive
 
 
@@ -445,9 +512,15 @@ def _rkc_advance_reference(s, p, t, dt, stages, f0):
     return s.replace_vertices(y1)
 
 
-def _error_norm_reference(y0, y1, f0, f1, dt):
+def _error_norm_reference(y0, y1, f0, f1, dt, bisector=None):
     est = 0.8 * (y0 - y1) + (0.4 * dt) * (f0 + f1)
-    r = np.abs(est) / (engine.ATOL + engine.RTOL * np.maximum(np.abs(y0), np.abs(y1)))
+    normal = est
+    if bisector is not None:
+        # the part of est normal to the bisector, all of it where b = 0
+        bb = (bisector * bisector).sum(axis=1)
+        along = (est * bisector).sum(axis=1) / np.maximum(bb, 1e-300)
+        normal = est - bisector * along[:, None]
+    r = np.abs(normal) / (engine.ATOL + engine.RTOL * np.maximum(np.abs(y0), np.abs(y1)))
     peak = float(r.max())
     if not math.isfinite(peak):
         return math.inf, est
@@ -998,6 +1071,26 @@ def test_tangential_equivalence_variant_order():
     b = engine.run(shapes.circle(0.8, 64), P_FLOW0, horizon=0.01, snapshot_times=times)
     with pytest.raises(InvalidConfig):
         mesh_oracles.tangential_equivalence(b, a)
+
+
+@pytest.mark.parametrize("p", [P_FLOW, FlowParams(variant=FLOWP, a=0.5, b=2.0, c=1.5)],
+                         ids=["FLOW", "FLOWP"])
+def test_rkc2_spectral_bound_covers_the_gauged_velocity(p):
+    # power iteration on the finite-difference Jacobian of the gauged
+    # velocity of an unevenly spaced 64-gon: the spectral radius it finds
+    # stays under the Gershgorin bound that sets the RKC2 stage count, and
+    # comes close to it, so the iteration found the top of the spectrum
+    s = _uneven_ellipse(0.9, 0.6, 64)
+    x, eps = s.vertices, 1e-7
+    q = np.random.default_rng(0).standard_normal(x.shape)
+    q /= np.linalg.norm(q)
+    for _ in range(300):
+        jq = (engine.velocity(s.replace_vertices(x + eps * q), p)
+              - engine.velocity(s.replace_vertices(x - eps * q), p)) / (2.0 * eps)
+        radius = float(np.linalg.norm(jq))
+        q = jq / radius
+    bound = engine._spectral_radius(s, p, 0.0)
+    assert 0.8 * bound < radius <= bound
 
 
 def test_rkc2_stage_count_is_capped_at_s_max():

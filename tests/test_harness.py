@@ -114,13 +114,24 @@ def test_shape_validation():
         shapes.builtin_shape("ellipse", {"rx": 1.0}, 64)
     with pytest.raises(InvalidConfig, match="needs a vertex count n"):
         shapes.builtin_shape("circle", {"radius": 1.0}, None)
-    # float() let a bare ValueError out here, before simulate reached format_config
+    # float() let a bare ValueError out here; simulate builds the run.cfg
+    # text before the shape, so format_config names the key first
     with pytest.raises(InvalidConfig, match="shape parameter 'radius' must be a number"):
+        shapes.builtin_shape("circle", {"radius": "big"}, 64)
+    with pytest.raises(InvalidConfig, match="^bad value for 'initial.radius': "):
         simulate(RunConfig(initial_params={"radius": "big", "n": 64}, horizon=0.1))
     with pytest.raises(InvalidConfig, match="shape parameter 'amp' must be a number"):
         shapes.builtin_shape("perturbed_circle", {"radius": 0.8, "amp": "x", "mode": 3}, 64)
     with pytest.raises(InvalidConfig, match=r"subdiv 8 outside \[0, 7\]"):
         shapes.builtin_shape("icosphere", {"radius": 1.0, "subdiv": 8}, None)
+
+
+@pytest.mark.parametrize("n", [64.5, 64.0, "64"])
+def test_curve_vertex_count_is_refused_unless_an_integer(n):
+    # 64.5 built 65 vertices at angles 2 pi k / 64.5, closing with a short edge
+    with pytest.raises(InvalidConfig, match="shape parameter 'n' must be an integer"):
+        shapes.builtin_shape("circle", {"radius": 1.0}, n)
+    assert shapes.builtin_shape("circle", {"radius": 1.0}, np.int64(64)).n_vertices == 64
 
 
 def test_perturbed_sphere_deterministic():
@@ -723,6 +734,27 @@ def test_scenarios_check_the_configured_law():
                          params=FlowParams(variant=FLOWP, c=2.0),
                          snapshot_stride=64)
     assert run_scenario(STATIONARY, balanced).passed
+
+
+# FLOWP of tools/regime_matrix.py: its balance circle is |F|^2 = (c/b) m = 0.5
+_MATRIX_FLOWP = FlowParams(variant=FLOWP, a=0.5, b=2.0, c=1.0)
+
+
+@pytest.mark.parametrize("scenario, p, rx, ry, kind", [
+    (SHRINK_INSIDE, _MATRIX_FLOWP, math.sqrt(0.3), 0.5 * math.sqrt(0.3), CURVATURE_BLOWUP),
+    (EXPAND_OUTSIDE, FlowParams(variant=FLOW), 1.3 * math.sqrt(1.5), math.sqrt(1.5),
+     POSITION_BLOWUP),
+    (EXPAND_OUTSIDE, _MATRIX_FLOWP, 1.3 * math.sqrt(0.75), math.sqrt(0.75), POSITION_BLOWUP),
+], ids=["FLOWP-2:1-shrink", "FLOW-1.3:1-expand", "FLOWP-1.3:1-expand"])
+def test_gauged_ellipses_reach_their_singular_time(scenario, p, rx, ry, kind):
+    # three rows of the regime matrix, 128-gon ellipses at 0.6 x (shrink)
+    # and 1.5 x (expand) the balance value, that stopped MESH_DEGENERATE
+    # while the tangential part of F bunched their vertices
+    cfg = RunConfig(initial_name="ellipse", initial_params={"rx": rx, "ry": ry, "n": 128},
+                    params=p, save_meshes=False)
+    verdict = run_scenario(scenario, cfg)
+    assert verdict.observed_kind == kind and verdict.passed
+    assert verdict.trajectory.mesh_quality.min() > 0.2
 
 
 def test_scenario_sign_gates():

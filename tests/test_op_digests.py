@@ -9,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LINE = re.compile(r"artifact_verify (\S+) exit=0 files=(\d+) advance=(\d+) velocity=(\d+) "
-                  r"sha256=[0-9a-f]{64}")
+                  r"rk4=(\d+) rkc=(\d+) sha256=[0-9a-f]{64}")
 
 
 def _digests(seed: int) -> list[str]:
@@ -28,11 +28,13 @@ def test_two_runs_print_equal_lines_one_per_operation(monkeypatch):
     names = [op.name for op in workloads.artifact_verify(1, lambda *shape: (0.5, 0.6))]
     assert [LINE.fullmatch(line).group(1) for line in first] == names
     for line in first:
-        name, files, advance, velocity = LINE.fullmatch(line).groups()
-        # the two simulate runs step, verify and render take no step, and
-        # every step costs at least two evaluations
+        name, files, advance, velocity, rk4, rkc = LINE.fullmatch(line).groups()
+        # the two simulate runs step, verify and render take no step, every
+        # step costs at least two evaluations, and every step is at least
+        # one integrator trial
         assert (int(advance) > 0) == name.startswith("sim_") and int(files) > 0
         assert int(velocity) >= 2 * int(advance)
+        assert int(rk4) + int(rkc) >= int(advance)
 
 
 def test_an_unknown_workload_is_refused():

@@ -6,13 +6,15 @@ own input builder, calls ``gaussflow.cli.main`` on each operation in
 workload order, in one temporary directory per workload, and prints one
 line per operation:
 
-    WORKLOAD OP exit=CODE files=N advance=N velocity=N sha256=HEX
+    WORKLOAD OP exit=CODE files=N advance=N velocity=N rk4=N rkc=N sha256=HEX
 
 ``files`` counts the files the operation wrote, ``advance`` and
 ``velocity`` its calls of ``engine._advance`` (accepted steps) and
 ``engine.velocity`` (evaluations, rejected and bisection trials included),
-and the digest covers the exit code, stdout, stderr and the path and bytes
-of every file written.  Two checkouts that print the same lines took the
+``rk4`` and ``rkc`` its calls of ``engine._rk4_advance`` and
+``engine._rkc_advance`` (integrator trials, so a diff shows which
+integrator the evaluations went to), and the digest covers the exit code,
+stdout, stderr and the path and bytes of every file written.  Two checkouts that print the same lines took the
 same steps and wrote the same bytes.
 
     python tools/op_digests.py [--seed N] [--workload NAME ...] [--root CHECKOUT]
@@ -77,7 +79,8 @@ def _digest_op(op, cli, counts: dict, work: Path) -> str:
     for path in removed:
         h.update(f"removed\0{path}\0".encode())
     return (f"exit={code} files={len(written)} advance={counts['_advance']} "
-            f"velocity={counts['velocity']} sha256={h.hexdigest()}")
+            f"velocity={counts['velocity']} rk4={counts['_rk4_advance']} "
+            f"rkc={counts['_rkc_advance']} sha256={h.hexdigest()}")
 
 
 def main(argv=None) -> int:
@@ -108,7 +111,7 @@ def main(argv=None) -> int:
         print(f"error: unknown workload {unknown[0]!r}; choose from {', '.join(WORKLOADS)}",
               file=sys.stderr)
         return 2
-    counts = {"_advance": 0, "velocity": 0}
+    counts = {"_advance": 0, "velocity": 0, "_rk4_advance": 0, "_rkc_advance": 0}
     for name in counts:
         _counting(engine, name, counts)
     home = os.getcwd()
